@@ -29,10 +29,8 @@
  * (loopback UDP under zero loss should never need either),
  * edges_suppressed (bitmap-shipped quiesced halves) and the
  * per-phase round breakdown (send / interior compute / drain /
- * boundary compute, ms per round summed over shards).  Sharded
- * rows run with compute/communication overlap on; smoke adds an
- * overlap-off twin per proto and the full grid keeps one, all
- * gated bitwise against the same reference.
+ * boundary compute, ms per round summed over shards).  Every
+ * sharded row is gated bitwise against the same reference.
  *
  * On a single-core host the sharded rows are expected to run
  * SLOWER than single-process (the processes time-share one core
@@ -250,7 +248,7 @@ runSteadySection(const std::vector<std::size_t> &sizes, bool smoke,
         }
 
         table.addRow({Table::num(n, 0), "steady", "udp",
-                      Table::num(kShards, 0), "on",
+                      Table::num(kShards, 0),
                       Table::num(runB.plan.cut_edges, 0),
                       Table::num(steady_frames, 1),
                       Table::num(steady_bytes, 0),
@@ -308,26 +306,16 @@ main()
     {
         std::uint32_t shards;
         net::SocketTransport::Proto proto;
-        bool overlap;
     };
-    // Every proto gets an overlap-off twin in smoke (the ci.sh
-    // overlap-parity gate: on and off must both match the
-    // single-process reference bitwise, hence each other); the
-    // full grid keeps one overlap-off row as the serialized
-    // comparison point.
     std::vector<ShardConfig> grid{
-        {2, net::SocketTransport::Proto::Udp, true},
-        {2, net::SocketTransport::Proto::Udp, false},
-        {2, net::SocketTransport::Proto::Tcp, true},
+        {2, net::SocketTransport::Proto::Udp},
+        {2, net::SocketTransport::Proto::Tcp},
     };
-    if (smoke)
-        grid.push_back({2, net::SocketTransport::Proto::Tcp, false});
     if (!smoke)
-        grid.push_back({4, net::SocketTransport::Proto::Udp, true});
+        grid.push_back({4, net::SocketTransport::Proto::Udp});
 
     tools::BenchJsonWriter writer;
-    Table table({"n", "mode", "proto", "shards", "ovl",
-                 "cut_edges", "fr_per_round", "B_per_round",
+    Table table({"n", "mode", "proto", "shards", "cut_edges", "fr_per_round", "B_per_round",
                  "rounds_per_s", "retrans", "parity"});
     std::size_t parity_failures = 0;
 
@@ -349,8 +337,8 @@ main()
         const double single_rps =
             static_cast<double>(rounds) / single_s;
 
-        table.addRow({Table::num(n, 0), "single", "-", "1", "-",
-                      "0", "0", "0", Table::num(single_rps, 1),
+        table.addRow({Table::num(n, 0), "single", "-", "1", "0",
+                      "0", "0", Table::num(single_rps, 1),
                       "0", "-"});
         writer.record()
             .field("bench", "wire_shard")
@@ -371,7 +359,6 @@ main()
             opt.num_shards = sc.shards;
             opt.rounds = rounds;
             opt.proto = sc.proto;
-            opt.overlap = sc.overlap;
 
             const auto run =
                 cluster::runShardedDiba(prob, topo, cfg, opt);
@@ -387,9 +374,7 @@ main()
                     : 0.0;
 
             // Zero loss: the sharded trajectory must be BITWISE
-            // the single-process one on every node -- which also
-            // pins the overlap-on and overlap-off rows to each
-            // other.
+            // the single-process one on every node.
             const std::size_t bad =
                 mismatches(ref.power(), run.power) +
                 mismatches(ref.estimates(), run.estimates);
@@ -415,7 +400,6 @@ main()
             table.addRow(
                 {Table::num(n, 0), "sharded", protoName(sc.proto),
                  Table::num(sc.shards, 0),
-                 sc.overlap ? "on" : "off",
                  Table::num(run.plan.cut_edges, 0),
                  Table::num(frames_per_round, 1),
                  Table::num(bytes_per_round, 0),
@@ -426,7 +410,6 @@ main()
                 .field("bench", "wire_shard")
                 .field("mode", "sharded")
                 .field("proto", protoName(sc.proto))
-                .field("overlap", sc.overlap ? "on" : "off")
                 .field("n", static_cast<long long>(n))
                 .field("shards",
                        static_cast<long long>(sc.shards))
@@ -447,9 +430,7 @@ main()
                 .field("edges_suppressed",
                        static_cast<long long>(
                            run.edges_suppressed))
-                // Per-round phase breakdown, summed over shards
-                // (boundary compute rides inside interior when
-                // overlap is off).
+                // Per-round phase breakdown, summed over shards.
                 .field("phase_send_ms",
                        run.phase_send_s * per_round_ms)
                 .field("phase_interior_ms",

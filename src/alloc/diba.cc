@@ -322,8 +322,10 @@ DibaAllocator::iterate()
     const std::size_t n = p_.size();
     DPC_ASSERT(n > 0, "iterate() before reset()");
 
-    if (sparseEngineActive())
-        return iterateSparse();
+    if (sparseEngineActive()) {
+        const auto &parts = frontier_.buildParticipants(topo_.csr());
+        return sweepParticipants(parts, e_.data(), 0, parts.size());
+    }
 
     // Phase 1 (neighbour exchange) and phase 2 (local barrier-
     // gradient steps + the local annealing decision: a quiescent
@@ -338,13 +340,14 @@ DibaAllocator::iterate()
     // the serial one; the per-round max |dp| is reduced per chunk
     // and max-combined in chunk order.
     snapshotSwap();
+    const double *snap = e_snapshot_.data();
     if (!pool_)
-        return roundRange(0, n);
+        return roundRange(0, n, snap, false);
     const std::size_t chunks = pool_->numChunks();
     chunk_max_.assign(chunks, 0.0);
     pool_->parallelFor(
-        n, [this](std::size_t c, std::size_t b, std::size_t e) {
-            chunk_max_[c] = roundRange(b, e);
+        n, [this, snap](std::size_t c, std::size_t b, std::size_t e) {
+            chunk_max_[c] = roundRange(b, e, snap, false);
         });
     double max_dp = 0.0;
     for (double m : chunk_max_)
@@ -353,43 +356,18 @@ DibaAllocator::iterate()
 }
 
 double
-DibaAllocator::roundRange(std::size_t begin, std::size_t end)
+DibaAllocator::roundRange(std::size_t begin, std::size_t end,
+                          const double *now, bool fated)
 {
-    if (quad_fast_ && num_active_ == p_.size() &&
+    if (!fated && quad_fast_ && num_active_ == p_.size() &&
         disabled_edges_ == 0)
-        return roundRangeQuadDense(begin, end);
-    diffuseRange(begin, end);
-    return stepRange(begin, end);
-}
-
-double
-DibaAllocator::stepRange(std::size_t begin, std::size_t end)
-{
+        return roundRangeQuadDense(begin, end, now);
+    diffuseMasked(begin, end, now, fated);
     double max_dp = 0.0;
-    if (quad_fast_) {
-        for (std::size_t i = begin; i < end; ++i) {
-            if (!active_[i])
-                continue;
-            const double dp = std::fabs(localStepQuad(i));
-            max_dp = std::max(max_dp, dp);
-            annealNode(i, dp);
-        }
-    } else {
-        for (std::size_t i = begin; i < end; ++i) {
-            if (!active_[i])
-                continue;
-            const double dp = std::fabs(localStep(i));
-            max_dp = std::max(max_dp, dp);
-            annealNode(i, dp);
-        }
-    }
+    for (std::size_t i = begin; i < end; ++i)
+        if (active_[i])
+            max_dp = std::max(max_dp, stepAnneal(i));
     return max_dp;
-}
-
-void
-DibaAllocator::annealNode(std::size_t i, double moved)
-{
-    eta_now_[i] = annealEta(eta_now_[i], moved, kp_);
 }
 
 double
@@ -403,20 +381,23 @@ DibaAllocator::gossipTick(Rng &rng)
     const auto &[u, v] = edges_[rng.index(edges_.size())];
     DPC_ASSERT(active_[u] && active_[v],
                "stale dead edge in the live-edge list");
+    return tickEdge(u, v, true);
+}
+
+double
+DibaAllocator::tickEdge(std::size_t u, std::size_t v, bool deliver)
+{
     // Pairwise estimate averaging preserves e_u + e_v exactly and
     // keeps both strictly negative.
-    const double mean_e = 0.5 * (e_[u] + e_[v]);
-    e_[u] = mean_e;
-    e_[v] = mean_e;
+    if (deliver) {
+        const double mean_e = 0.5 * (e_[u] + e_[v]);
+        e_[u] = mean_e;
+        e_[v] = mean_e;
+    }
     frontier_.reheat(u);
     frontier_.reheat(v);
-    double max_dp = 0.0;
-    for (std::size_t i : {u, v}) {
-        const double dp = std::fabs(stepNode(i));
-        max_dp = std::max(max_dp, dp);
-        annealNode(i, dp);
-    }
-    return max_dp;
+    const double du = stepAnneal(u);
+    return std::max(du, stepAnneal(v));
 }
 
 std::size_t
@@ -615,18 +596,19 @@ DibaAllocator::diffuse()
     // zero exchanges on every edge.
     //
     // Swapping the buffers instead of copying makes the snapshot
-    // free; diffuseRange rewrites every e_[i] from the snapshot,
+    // free; diffuseMasked rewrites every e_[i] from the snapshot,
     // reading only e_snapshot_ and writing only its own slots, so
     // chunked execution is race-free and bitwise deterministic.
     const std::size_t n = e_.size();
     snapshotSwap();
+    const double *snap = e_snapshot_.data();
     if (!pool_) {
-        diffuseRange(0, n);
+        diffuseMasked(0, n, snap, false);
         return;
     }
     pool_->parallelFor(
-        n, [this](std::size_t, std::size_t b, std::size_t e) {
-            diffuseRange(b, e);
+        n, [this, snap](std::size_t, std::size_t b, std::size_t e) {
+            diffuseMasked(b, e, snap, false);
         });
 }
 
@@ -638,7 +620,8 @@ DibaAllocator::snapshotSwap()
 
 double
 DibaAllocator::roundRangeQuadDense(std::size_t begin,
-                                   std::size_t end)
+                                   std::size_t end,
+                                   const double *now)
 {
     // Fused diffuse + step + anneal with no participation checks:
     // the all-active, all-quadratic configuration every large-scale
@@ -657,7 +640,7 @@ DibaAllocator::roundRangeQuadDense(std::size_t begin,
     const std::uint32_t *DPC_RESTRICT offs = g.offsets.data();
     const std::uint32_t *DPC_RESTRICT nbr = g.neighbors.data();
     const double *DPC_RESTRICT w = w_.data();
-    const double *DPC_RESTRICT snap = e_snapshot_.data();
+    const double *DPC_RESTRICT snap = now;
     double *DPC_RESTRICT p = p_.data();
     double *DPC_RESTRICT e = e_.data();
     double *DPC_RESTRICT eta = eta_now_.data();
@@ -707,7 +690,9 @@ DibaAllocator::roundRangeQuadDense(std::size_t begin,
 }
 
 double
-DibaAllocator::iterateSparse()
+DibaAllocator::sweepParticipants(
+    const std::vector<std::uint32_t> &parts, const double *pre,
+    std::size_t lo, std::size_t hi)
 {
     // Active-set round: only frontier ∪ N(frontier) does any
     // gossip or gradient work.  The hot mask stays frozen while
@@ -720,29 +705,26 @@ DibaAllocator::iterateSparse()
     // estimates are staged into e_pre_ (the sparse analogue of the
     // dense engine's snapshot swap, O(participants) instead of
     // O(n)).
-    const GraphCsr &g = topo_.csr();
-    const auto &parts = frontier_.buildParticipants(g);
-    if (parts.empty())
-        return 0.0;
     const std::uint32_t *pv = parts.data();
-    const std::size_t m = parts.size();
-    for (std::size_t idx = 0; idx < m; ++idx)
-        e_pre_[pv[idx]] = e_[pv[idx]];
+    for (std::size_t idx = 0; idx < parts.size(); ++idx)
+        e_pre_[pv[idx]] = pre[pv[idx]];
+    if (lo == hi)
+        return 0.0;
     double max_dp = 0.0;
     if (!pool_) {
-        max_dp = roundSparseRange(pv, 0, m);
+        max_dp = roundSparseRange(pv, lo, hi);
     } else {
         const std::size_t chunks = pool_->numChunks();
         chunk_max_.assign(chunks, 0.0);
         pool_->parallelFor(
-            m, [this, pv](std::size_t c, std::size_t b,
-                          std::size_t e) {
-                chunk_max_[c] = roundSparseRange(pv, b, e);
+            hi - lo, [this, pv, lo](std::size_t c, std::size_t b,
+                                    std::size_t e) {
+                chunk_max_[c] = roundSparseRange(pv, lo + b, lo + e);
             });
         for (double v : chunk_max_)
             max_dp = std::max(max_dp, v);
     }
-    for (std::size_t idx = 0; idx < m; ++idx)
+    for (std::size_t idx = lo; idx < hi; ++idx)
         frontier_.setHot(pv[idx], next_hot_[pv[idx]] != 0);
     return max_dp;
 }
@@ -799,42 +781,48 @@ DibaAllocator::roundSparseRange(const std::uint32_t *parts,
 }
 
 void
-DibaAllocator::diffuseRange(std::size_t begin, std::size_t end)
+DibaAllocator::diffuseMasked(std::size_t begin, std::size_t end,
+                             const double *now, bool fated)
 {
     const GraphCsr &g = topo_.csr();
     const bool gated = cfg_.deadband > 0.0;
     // Link cuts are rare fault events; the per-slot mask check is
     // gated on the counter so the healthy overlay pays nothing
     // (and slot_edge_ is guaranteed built whenever the counter is
-    // non-zero -- setEdgeEnabled builds it first).
+    // non-zero -- setEdgeEnabled builds it first).  A fate table
+    // already encodes liveness: dead or cut pairs are never
+    // offered and stay undelivered.
     const bool masked = disabled_edges_ > 0;
     for (std::size_t i = begin; i < end; ++i) {
-        const double ei = e_snapshot_[i];
         if (!active_[i]) {
-            e_[i] = ei;
+            e_[i] = now[i];
             continue;
         }
         double acc = 0.0;
-        const std::uint32_t lo = g.offsets[i];
         const std::uint32_t hi = g.offsets[i + 1];
-        for (std::uint32_t k = lo; k < hi; ++k) {
+        for (std::uint32_t k = g.offsets[i]; k < hi; ++k) {
             const std::uint32_t j = g.neighbors[k];
-            if (!active_[j])
-                continue;
-            if (masked && !edge_enabled_[slot_edge_[k]])
-                continue;
-            const double gap = e_snapshot_[j] - ei;
-            if (gated) {
-                const double gate =
-                    cfg_.deadband *
-                    std::max(std::fabs(ei),
-                             std::fabs(e_snapshot_[j]));
-                if (std::fabs(gap) <= gate)
+            const double *snap = now;
+            if (fated) {
+                const EdgeFate &f = fates_[slot_edge_[k]];
+                if (!f.delivered)
                     continue;
+                snap = hist_[f.lag].data();
+            } else if (!active_[j] ||
+                       (masked && !edge_enabled_[slot_edge_[k]])) {
+                continue;
             }
+            const double ei = snap[i];
+            const double ej = snap[j];
+            const double gap = ej - ei;
+            if (gated &&
+                std::fabs(gap) <=
+                    cfg_.deadband *
+                        std::max(std::fabs(ei), std::fabs(ej)))
+                continue;
             acc += w_[k] * gap;
         }
-        e_[i] = ei + acc;
+        e_[i] = now[i] + acc;
     }
 }
 
@@ -1181,7 +1169,7 @@ DibaAllocator::iterateWithChannel(GossipChannel &chan)
     // fate loop, so a seeded channel consumes its generator
     // identically and the round is bitwise-pinned by construction.
     net::LoopbackTransport loopback(chan);
-    return roundViaTransport(loopback, 0, p_.size());
+    return iterateShard(loopback, 0, p_.size());
 }
 
 double
@@ -1195,7 +1183,7 @@ DibaAllocator::stepWithChannel(GossipChannel &chan)
 double
 DibaAllocator::iterateWithTransport(net::Transport &t)
 {
-    return roundViaTransport(t, 0, p_.size());
+    return iterateShard(t, 0, p_.size());
 }
 
 double
@@ -1204,17 +1192,6 @@ DibaAllocator::stepWithTransport(net::Transport &t)
     const double moved = iterateWithTransport(t);
     noteRound(moved);
     return moved;
-}
-
-double
-DibaAllocator::iterateShard(net::Transport &t,
-                            std::size_t owned_begin,
-                            std::size_t owned_end, bool overlap)
-{
-    DPC_ASSERT(owned_begin <= owned_end && owned_end <= p_.size(),
-               "iterateShard range [", owned_begin, ", ", owned_end,
-               ") out of bounds");
-    return roundViaTransport(t, owned_begin, owned_end, overlap);
 }
 
 void
@@ -1226,43 +1203,26 @@ DibaAllocator::buildOverlapSets(std::size_t begin, std::size_t end)
     ovl_end_ = end;
     ovl_built_ = true;
     ovl_interior_runs_.clear();
-    ovl_boundary_.clear();
+    ovl_boundary_runs_.clear();
     const GraphCsr &g = topo_.csr();
-    std::uint32_t run_start = 0;
-    bool in_run = false;
     for (std::size_t i = begin; i < end; ++i) {
-        bool interior = true;
-        const std::uint32_t hi = g.offsets[i + 1];
-        for (std::uint32_t k = g.offsets[i]; k < hi; ++k) {
-            const std::uint32_t j = g.neighbors[k];
-            if (j < begin || j >= end) {
-                interior = false;
-                break;
-            }
-        }
-        if (interior) {
-            if (!in_run) {
-                run_start = static_cast<std::uint32_t>(i);
-                in_run = true;
-            }
-        } else {
-            if (in_run) {
-                ovl_interior_runs_.emplace_back(
-                    run_start, static_cast<std::uint32_t>(i));
-                in_run = false;
-            }
-            ovl_boundary_.push_back(static_cast<std::uint32_t>(i));
-        }
+        const bool interior = std::all_of(
+            g.neighbors.begin() + g.offsets[i],
+            g.neighbors.begin() + g.offsets[i + 1],
+            [&](std::uint32_t j) { return j >= begin && j < end; });
+        auto &runs =
+            interior ? ovl_interior_runs_ : ovl_boundary_runs_;
+        const auto at = static_cast<std::uint32_t>(i);
+        if (!runs.empty() && runs.back().second == at)
+            ++runs.back().second;
+        else
+            runs.emplace_back(at, at + 1);
     }
-    if (in_run)
-        ovl_interior_runs_.emplace_back(
-            run_start, static_cast<std::uint32_t>(end));
 }
 
 double
-DibaAllocator::roundViaTransport(net::Transport &t,
-                                 std::size_t begin, std::size_t end,
-                                 bool overlap)
+DibaAllocator::iterateShard(net::Transport &t, std::size_t begin,
+                            std::size_t end)
 {
     using clock = std::chrono::steady_clock;
     const auto secs = [](clock::time_point a, clock::time_point b) {
@@ -1270,23 +1230,25 @@ DibaAllocator::roundViaTransport(net::Transport &t,
     };
     const std::size_t n = p_.size();
     DPC_ASSERT(n > 0, "transport round before reset()");
+    DPC_ASSERT(begin <= end && end <= n, "iterateShard range [",
+               begin, ", ", end, ") out of bounds");
     ensureEdgeIndex();
-    // Steady-state sparsity over the wire: when the engine permits
-    // the active-set kernel, the caller asked for it (threshold
-    // above zero), and the transport is synchronous and carries
-    // the wake channel, run the sparse round.  It supersedes the
-    // overlap hint -- a quiesced round has no interior work to
-    // overlap -- and threshold 0 falls through to the dense round
-    // below, bitwise unchanged.
-    if (sparseEngineActive() && cfg_.active_threshold > 0.0 &&
-        t.maxLag() == 0 && t.wakesSupported())
-        return sparseRoundViaTransport(t, begin, end);
+    // Frontier branch (steady-state sparsity over the wire): when
+    // the engine permits the active-set kernel, the caller asked
+    // for it (threshold above zero), and the transport is
+    // synchronous and carries the wake channel, the round's compute
+    // is the frontier sweep.  Threshold 0 stays on the dense
+    // schedule, bitwise unchanged.
+    const bool sparse = sparseEngineActive() &&
+                        cfg_.active_threshold > 0.0 &&
+                        t.maxLag() == 0 && t.wakesSupported();
     pushHistory(t.maxLag() + 1);
-    // Transport-routed rounds touch every node outside the
+    // Dense transport rounds touch every node outside the
     // active-set engine's bookkeeping; keep the frontier
     // conservatively hot so a later iterate() resumes from a valid
     // state.
-    frontier_.reheatAll();
+    if (!sparse)
+        frontier_.reheatAll();
 
     // Offer every live pair in canonical edge_id order, so a
     // seeded fate oracle behind the transport yields one
@@ -1326,7 +1288,21 @@ DibaAllocator::roundViaTransport(net::Transport &t,
         sink.slot_of = layout_active_ ? perm_.data() : nullptr;
         direct_patch = t.filePatchesInto(sink);
     }
+    // A wake-capable transport is by contract a sharded socket
+    // transport: offer elision and the direct patch sink are what
+    // make a quiesced round's cost scale with the cut's CHANGED
+    // values instead of the overlay, so their absence is a wiring
+    // bug, not a mode to fall back from.
+    DPC_ASSERT(!sparse || direct_patch,
+               "wake-capable transport refused offer elision or "
+               "the patch sink");
     const std::vector<double> &pre = hist_.front();
+    // The frontier's hot bits ride along as the wake channel: a
+    // wake-capable transport ships each pair's OWN-endpoint bit,
+    // so the peer enters next round with this shard's verdicts for
+    // the halo it reads (a dense round's reheated mask sends all
+    // hot).
+    const std::uint8_t *hot = frontier_.mask().data();
     const auto offerPair = [&](std::uint32_t id) {
         // The transport sees the edge's ORIGINAL canonical
         // endpoints so endpoint-addressed fault plans and wire
@@ -1340,15 +1316,26 @@ DibaAllocator::roundViaTransport(net::Transport &t,
         pair.round = round;
         pair.e_u = pre[u];
         pair.e_v = pre[v];
+        pair.hot_u = hot[u] != 0;
+        pair.hot_v = hot[v] != 0;
         t.send(pair);
     };
-    bool uniform_fresh = false;
-    if (offer_mask != nullptr && num_active_ == p_.size() &&
-        disabled_edges_ == 0) {
-        // Fully-live overlay under offer elision: every unmasked
-        // pair's fate is {delivered, 0} by construction, so file
-        // them wholesale and walk only the offered (cut) ids --
-        // the offer pass then costs O(cut), not O(E).
+    // Fully-live overlay under offer elision at depth 0 with the
+    // patch sink registered: every unmasked pair's fate is
+    // {delivered, 0} by construction, the offered fate is too, and
+    // no delivery ever reaches file() -- every fate this round is
+    // the same fresh constant, so the fate table is neither
+    // written nor read (the compute below runs the fate-free
+    // kernels) and the offer pass walks only the offered (cut)
+    // ids, O(cut) instead of O(E).  Offered pairs include quiesced
+    // ones: suppression makes them nearly free on the wire, and
+    // the unconditional offer keeps the sender-declared completion
+    // alive on both ends.  The active-set branch always lands here
+    // (its engine implies a fully-live overlay and maxLag 0).
+    const bool uniform_fresh = direct_patch && offered_fate.lag == 0 &&
+                               num_active_ == p_.size() &&
+                               disabled_edges_ == 0;
+    if (uniform_fresh) {
         if (elision_mask_src_ != offer_mask) {
             elision_mask_src_ = offer_mask;
             elision_offer_ids_.clear();
@@ -1357,22 +1344,8 @@ DibaAllocator::roundViaTransport(net::Transport &t,
                     elision_offer_ids_.push_back(
                         static_cast<std::uint32_t>(id));
         }
-        // At depth 0 the offered fate is {delivered, 0} too, and
-        // with the patch sink registered no delivery ever reaches
-        // file(): every fate this round is the same fresh constant,
-        // so the fate table is neither written nor read -- the
-        // diffusion below runs its fate-free kernel instead.
-        uniform_fresh = offered_fate.lag == 0 && direct_patch;
-        if (uniform_fresh) {
-            for (const std::uint32_t id : elision_offer_ids_)
-                offerPair(id);
-        } else {
-            fates_.assign(all_edges_.size(), EdgeFate{true, 0});
-            for (const std::uint32_t id : elision_offer_ids_) {
-                fates_[id] = offered_fate;
-                offerPair(id);
-            }
-        }
+        for (const std::uint32_t id : elision_offer_ids_)
+            offerPair(id);
     } else {
         fates_.assign(all_edges_.size(), EdgeFate{false, 0});
         for (std::size_t id = 0; id < all_edges_.size(); ++id) {
@@ -1401,6 +1374,8 @@ DibaAllocator::roundViaTransport(net::Transport &t,
     // send-time delivery already filed); unflagged ones file the
     // pair's fate.
     const auto file = [&](const net::Delivery &d) {
+        DPC_ASSERT(!uniform_fresh, "stray delivery in a round whose "
+                                   "patch sink was accepted");
         const std::size_t id = d.pair.edge_id;
         DPC_ASSERT(id < fates_.size(),
                    "transport delivered unknown edge ", id);
@@ -1430,99 +1405,47 @@ DibaAllocator::roundViaTransport(net::Transport &t,
         fates_[id] = f;
     };
 
-    // Diffusion from the fate table: node i folds in, per CSR
-    // slot, the paired transfer w * (e_j - e_i) computed on the
-    // snapshot the transport assigned to that edge.  Both
-    // endpoints of an edge use the same snapshot and the same
-    // symmetric Metropolis weight, so the two halves are exact
-    // IEEE negations of each other and sum(e) is conserved
-    // bit-exactly no matter which pairs drop or go stale.  With a
-    // perfect transport every lag is 0 and this reduces, slot for
-    // slot, to the arithmetic of iterate().  Restricted to
-    // [begin, end) in a shard, whose nodes only ever read owned or
-    // halo-patched snapshot entries.
-    const GraphCsr &g = topo_.csr();
-    const std::vector<double> &now = hist_.front();
-    const auto diffuseNode = [&](std::size_t i) {
-        double acc = 0.0;
-        const std::uint32_t hi = g.offsets[i + 1];
-        for (std::uint32_t k = g.offsets[i]; k < hi; ++k) {
-            const EdgeFate &f = fates_[slot_edge_[k]];
-            if (!f.delivered)
-                continue;
-            const std::vector<double> &snap = hist_[f.lag];
-            acc += w_[k] * (snap[g.neighbors[k]] - snap[i]);
-        }
-        e_[i] = now[i] + acc;
-    };
-    // The uniform-fresh kernel: every fate this round is known to
-    // be {delivered, 0}, so the fate table lookup vanishes and
-    // every snapshot read hits the front row.  Slot for slot the
-    // IEEE operation sequence is exactly diffuseNode's with f =
-    // {delivered, 0}, so both kernels produce the same bits.
-    const auto diffuseFresh = [&](std::size_t i) {
-        double acc = 0.0;
-        const std::uint32_t hi = g.offsets[i + 1];
-        for (std::uint32_t k = g.offsets[i]; k < hi; ++k)
-            acc += w_[k] * (now[g.neighbors[k]] - now[i]);
-        e_[i] = now[i] + acc;
-    };
-
-    const auto runRound = [&](const auto &diffuse) {
-        net::Delivery d;
-        if (!overlap) {
-            while (t.poll(d))
-                file(d);
-            if (t.aborted()) {
-                // Control-plane abort (epoch change): the round's
-                // remote halves never arrived, so nothing here may
-                // step.  The caller rolls back to a checkpoint.
-                return 0.0;
-            }
-            const auto t_drained = clock::now();
-            for (std::size_t i = begin; i < end; ++i) {
-                if (!active_[i])
-                    continue;
-                diffuse(i);
-            }
-            const double max_dp = stepRange(begin, end);
-            const auto t_done = clock::now();
-            phase_totals_.send_s += secs(t0, t_sent);
-            phase_totals_.drain_s += secs(t_sent, t_drained);
-            phase_totals_.interior_s += secs(t_drained, t_done);
-            ++phase_totals_.rounds;
-            return max_dp;
-        }
-
-        // Overlapped schedule: interior nodes never read a halo
-        // snapshot entry and their incident fates were all filed by
-        // the send-time deliveries, so they can be diffused + stepped
-        // while the cut batches are in flight; only the boundary
-        // residue waits for the blocking drain.  tryPoll() between
-        // chunks keeps the sockets draining at memory speed instead of
-        // parking the whole round behind the network.
+    // Compute, overlapped with communication: interior nodes never
+    // read a halo snapshot entry and their incident fates were all
+    // filed by the send-time deliveries, so they are diffused +
+    // stepped while the cut batches are in flight; only the
+    // boundary residue waits for the blocking drain.  tryPoll()
+    // between chunks keeps the sockets draining at memory speed
+    // instead of parking the whole round behind the network.  An
+    // in-process round ([0, n), every node interior) drains fully
+    // up front and then computes.  Each pair's transfer is
+    // computed on the snapshot its fate names -- both endpoints on
+    // the same snapshot with the same symmetric weight, so the
+    // halves are exact IEEE negations and sum(e) is conserved no
+    // matter which pairs drop or go stale; a uniform-fresh round
+    // runs the fate-free kernels on the front row, slot for slot
+    // the same arithmetic as iterate().  The frontier sweep cannot
+    // overlap: it needs the halo's hot bits, which arrive with the
+    // round, so all of its compute waits out the drain (with the
+    // patch sink, only the round barrier).
+    const double *now = pre.data();
+    const bool fated = !uniform_fresh;
+    net::Delivery d;
+    double max_dp = 0.0;
+    auto t_flushed = t_sent;
+    if (!sparse) {
         buildOverlapSets(begin, end);
         // Drain cadence: a boundary-riddled block decomposes into
-        // thousands of short interior runs, so draining per run would
-        // mean thousands of empty non-blocking socket polls per round
-        // (each one a syscall).  Count nodes across runs instead and
-        // drain once per ~chunk of interior work.
+        // thousands of short interior runs, so draining per run
+        // would mean thousands of empty non-blocking socket polls
+        // per round (each one a syscall).  Count nodes across runs
+        // instead and drain once per ~chunk of interior work.
         constexpr std::size_t kOverlapChunk = 4096;
         std::size_t since_drain = 0;
         while (t.tryPoll(d))
             file(d);
-        const auto t_flushed = clock::now();
-        double max_dp = 0.0;
+        t_flushed = clock::now();
         for (const auto &[ra, rb] : ovl_interior_runs_) {
             for (std::size_t a = ra; a < rb; a += kOverlapChunk) {
                 const std::size_t b =
                     std::min<std::size_t>(rb, a + kOverlapChunk);
-                for (std::size_t i = a; i < b; ++i) {
-                    if (!active_[i])
-                        continue;
-                    diffuse(i);
-                }
-                max_dp = std::max(max_dp, stepRange(a, b));
+                max_dp =
+                    std::max(max_dp, roundRange(a, b, now, fated));
                 since_drain += b - a;
                 if (since_drain >= kOverlapChunk) {
                     since_drain = 0;
@@ -1531,177 +1454,60 @@ DibaAllocator::roundViaTransport(net::Transport &t,
                 }
             }
         }
-        const auto t_interior = clock::now();
-        while (t.poll(d))
-            file(d);
-        if (t.aborted()) {
-            // Control-plane abort: the interior was speculatively
-            // stepped but the boundary's remote halves are gone.
-            // Discard the whole round via the caller's rollback.
-            return 0.0;
-        }
-        const auto t_drained = clock::now();
-        for (const std::uint32_t i : ovl_boundary_) {
-            if (!active_[i])
-                continue;
-            diffuse(i);
-            const double dp = std::fabs(stepNode(i));
-            max_dp = std::max(max_dp, dp);
-            annealNode(i, dp);
-        }
-        const auto t_done = clock::now();
-        phase_totals_.send_s += secs(t0, t_flushed);
-        phase_totals_.interior_s += secs(t_flushed, t_interior);
-        phase_totals_.drain_s += secs(t_interior, t_drained);
-        phase_totals_.boundary_s += secs(t_drained, t_done);
-        ++phase_totals_.rounds;
-        return max_dp;
-    };
-    return uniform_fresh ? runRound(diffuseFresh)
-                         : runRound(diffuseNode);
-}
-
-double
-DibaAllocator::sparseRoundViaTransport(net::Transport &t,
-                                       std::size_t begin,
-                                       std::size_t end)
-{
-    using clock = std::chrono::steady_clock;
-    const auto secs = [](clock::time_point a, clock::time_point b) {
-        return std::chrono::duration<double>(b - a).count();
-    };
-    const std::size_t n = p_.size();
-    pushHistory(1);
-
-    const auto t0 = clock::now();
-    const std::uint64_t round = transport_round_++;
-    t.beginRound(round, all_edges_.size());
-    // A wake-capable transport is by contract a sharded socket
-    // transport: offer elision and the direct patch sink are what
-    // make the quiesced round's cost scale with the cut's CHANGED
-    // values instead of the overlay, so their absence is a wiring
-    // bug, not a mode to fall back from.
-    const std::vector<std::uint8_t> *offer_mask =
-        t.claimOfferElision();
-    DPC_ASSERT(offer_mask != nullptr &&
-                   offer_mask->size() == all_edges_.size(),
-               "wake-capable transport refused offer elision");
-    if (elision_mask_src_ != offer_mask) {
-        elision_mask_src_ = offer_mask;
-        elision_offer_ids_.clear();
-        for (std::size_t id = 0; id < offer_mask->size(); ++id)
-            if ((*offer_mask)[id] != 0)
-                elision_offer_ids_.push_back(
-                    static_cast<std::uint32_t>(id));
     }
-    patch_rows_.clear();
-    for (std::vector<double> &h : hist_)
-        patch_rows_.push_back(h.data());
-    net::Transport::PatchSink sink;
-    sink.rows = patch_rows_.data();
-    sink.nrows = patch_rows_.size();
-    sink.slot_of = layout_active_ ? perm_.data() : nullptr;
-    DPC_ASSERT(t.filePatchesInto(sink),
-               "wake-capable transport refused the patch sink");
-
-    // Offer EVERY cut pair, quiesced or not: suppression makes the
-    // quiesced ones nearly free on the wire, and the unconditional
-    // offer is what keeps the sender-declared completion and the
-    // receiver's held-value contract alive on both ends.  The hot
-    // bits ride along as the wake channel -- the transport ships
-    // each pair's OWN-endpoint bit, so the peer enters next round
-    // with this shard's frontier verdicts for the halo it reads.
-    const std::vector<double> &pre = hist_.front();
-    const std::uint8_t *DPC_RESTRICT hot = frontier_.mask().data();
-    for (const std::uint32_t id : elision_offer_ids_) {
-        const auto &[u, v] = all_edges_[id];
-        const auto &ov = edgeView(id);
-        net::EdgePair pair;
-        pair.edge_id = id;
-        pair.u = static_cast<std::uint32_t>(ov.first);
-        pair.v = static_cast<std::uint32_t>(ov.second);
-        pair.round = round;
-        pair.e_u = pre[u];
-        pair.e_v = pre[v];
-        pair.hot_u = hot[u] != 0;
-        pair.hot_v = hot[v] != 0;
-        t.send(pair);
-    }
-    const auto t_sent = clock::now();
-
-    // Drain: with elision and a patch sink every remote value is
-    // filed straight into the history row from the frame decode,
-    // so the poll loop only waits out the round barrier.
-    net::Delivery d;
+    const auto t_interior = clock::now();
     while (t.poll(d))
-        DPC_ASSERT(false, "stray delivery in a sparse transport "
-                          "round (patch sink was accepted)");
-    if (t.aborted())
+        file(d);
+    if (t.aborted()) {
+        // Control-plane abort (epoch change): the remote halves
+        // never arrived (the interior was stepped speculatively),
+        // so discard the whole round via the caller's rollback.
         return 0.0;
+    }
     const auto t_drained = clock::now();
-
-    // Sync the remote frontier bits.  A non-owned bit OUTSIDE the
-    // halo can only be hot after a conservative global reheat
-    // (reset, warm start, a dense transport round), all of which
-    // leave the whole mask hot -- cool the remote block once here,
-    // O(n) per reheat instead of per round.  The halo itself is
-    // re-asserted from the wake view every round, so by the
-    // participant build below the mask's owned bits are this
-    // shard's round-(r-1) verdicts and its halo bits the owners'
-    // -- together exactly the single-process mask entering round
-    // r, which is what pins the sharded sparse trajectory to
-    // iterate()'s bit for bit.
-    if (frontier_.hotCount() == n)
-        frontier_.coolOutsideRange(begin, end);
-    const net::Transport::WakeView wv = t.remoteWakes();
-    for (std::size_t k = 0; k < wv.count; ++k)
-        frontier_.setHot(wi(wv.nodes[k]), wv.hot[k] != 0);
-
-    // frontier ∪ N(frontier), owned block only.  Participants are
-    // ascending working ids and the owned block is contiguous, so
-    // the owned sub-list is one binary-searched slice.
-    const GraphCsr &g = topo_.csr();
-    const auto &parts = frontier_.buildParticipants(g);
-    const std::uint32_t *pv = parts.data();
-    const std::size_t lo = static_cast<std::size_t>(
-        std::lower_bound(parts.begin(), parts.end(),
-                         static_cast<std::uint32_t>(begin)) -
-        parts.begin());
-    const std::size_t hi = static_cast<std::size_t>(
-        std::lower_bound(parts.begin(), parts.end(),
-                         static_cast<std::uint32_t>(end)) -
-        parts.begin());
-    // Stage every participant's pre-round estimate, halo included:
-    // owned rows of the history front are this round's e_, halo
-    // rows the owners' patches (held values re-filed each round).
-    for (std::size_t idx = 0; idx < parts.size(); ++idx)
-        e_pre_[pv[idx]] = pre[pv[idx]];
-    double max_dp = 0.0;
-    const std::size_t m = hi - lo;
-    if (m > 0) {
-        if (!pool_) {
-            max_dp = roundSparseRange(pv, lo, hi);
-        } else {
-            const std::size_t chunks = pool_->numChunks();
-            chunk_max_.assign(chunks, 0.0);
-            pool_->parallelFor(
-                m, [this, pv, lo](std::size_t c, std::size_t b,
-                                  std::size_t e) {
-                    chunk_max_[c] =
-                        roundSparseRange(pv, lo + b, lo + e);
-                });
-            for (double v : chunk_max_)
-                max_dp = std::max(max_dp, v);
-        }
-        // Two-phase commit, owned verdicts only: the halo stays
-        // the owners' to assert through next round's wake view.
-        for (std::size_t idx = lo; idx < hi; ++idx)
-            frontier_.setHot(pv[idx], next_hot_[pv[idx]] != 0);
+    if (!sparse) {
+        for (const auto &[ra, rb] : ovl_boundary_runs_)
+            max_dp = std::max(max_dp, roundRange(ra, rb, now, fated));
+    } else {
+        // Sync the remote frontier bits.  A non-owned bit OUTSIDE
+        // the halo can only be hot after a conservative global
+        // reheat (reset, warm start, a dense transport round), all
+        // of which leave the whole mask hot -- cool the remote
+        // block once here, O(n) per reheat instead of per round.
+        // The halo itself is re-asserted from the wake view every
+        // round, so by the participant build below the mask's
+        // owned bits are this shard's round-(r-1) verdicts and its
+        // halo bits the owners' -- together exactly the
+        // single-process mask entering round r, which is what pins
+        // the sharded sparse trajectory to iterate()'s bit for bit.
+        if (frontier_.hotCount() == n)
+            frontier_.coolOutsideRange(begin, end);
+        const net::Transport::WakeView wv = t.remoteWakes();
+        for (std::size_t k = 0; k < wv.count; ++k)
+            frontier_.setHot(wi(wv.nodes[k]), wv.hot[k] != 0);
+        // frontier ∪ N(frontier), owned block only: participants
+        // are ascending working ids and the owned block is
+        // contiguous, so the owned sub-list is one binary-searched
+        // slice.  Staging covers every participant, halo included
+        // (owned rows of the history front are this round's e_,
+        // halo rows the owners' patches); only the owned slice is
+        // swept and committed -- the halo stays the owners' to
+        // assert through next round's wake view.
+        const auto &parts = frontier_.buildParticipants(topo_.csr());
+        const auto slice = [&parts](std::size_t id) {
+            return static_cast<std::size_t>(
+                std::lower_bound(parts.begin(), parts.end(),
+                                 static_cast<std::uint32_t>(id)) -
+                parts.begin());
+        };
+        max_dp = sweepParticipants(parts, now, slice(begin),
+                                   slice(end));
     }
     const auto t_done = clock::now();
-    phase_totals_.send_s += secs(t0, t_sent);
-    phase_totals_.drain_s += secs(t_sent, t_drained);
-    phase_totals_.interior_s += secs(t_drained, t_done);
+    phase_totals_.send_s += secs(t0, t_flushed);
+    phase_totals_.interior_s += secs(t_flushed, t_interior);
+    phase_totals_.drain_s += secs(t_interior, t_drained);
+    phase_totals_.boundary_s += secs(t_drained, t_done);
     ++phase_totals_.rounds;
     return max_dp;
 }
@@ -1722,20 +1528,7 @@ DibaAllocator::gossipTick(Rng &rng, GossipChannel &chan)
     // gradient steps.  The fate is drawn on the edge's ORIGINAL
     // endpoints (see iterateWithChannel).
     const auto &ov = edgeView(id);
-    if (chan.fate(id, ov.first, ov.second).delivered) {
-        const double mean_e = 0.5 * (e_[u] + e_[v]);
-        e_[u] = mean_e;
-        e_[v] = mean_e;
-    }
-    frontier_.reheat(u);
-    frontier_.reheat(v);
-    double max_dp = 0.0;
-    for (std::size_t i : {u, v}) {
-        const double dp = std::fabs(stepNode(i));
-        max_dp = std::max(max_dp, dp);
-        annealNode(i, dp);
-    }
-    return max_dp;
+    return tickEdge(u, v, chan.fate(id, ov.first, ov.second).delivered);
 }
 
 double
@@ -1749,38 +1542,26 @@ DibaAllocator::tickPairImpl(std::size_t u, std::size_t v,
     // pin the two against each other bitwise.  `u` and `v` are
     // ORIGINAL ids: the channel is fed the caller's endpoints, and
     // only the state accesses go through the layout map.
+    DPC_ASSERT(!p_.empty(), "gossipTickPair() before reset()");
+    DPC_ASSERT(u < p_.size() && v < p_.size() && u != v,
+               "gossipTickPair endpoints out of range");
     const std::size_t uw = wi(u);
     const std::size_t vw = wi(v);
+    DPC_ASSERT(active_[uw] && active_[vw],
+               "gossipTickPair on a dead endpoint");
     bool deliver = true;
     if (chan) {
+        ensureEdgeIndex();
         const std::uint32_t id = edge_id_.at(
             edgeKey(std::min(uw, vw), std::max(uw, vw)));
         deliver = chan->fate(id, u, v).delivered;
     }
-    if (deliver) {
-        const double mean_e = 0.5 * (e_[uw] + e_[vw]);
-        e_[uw] = mean_e;
-        e_[vw] = mean_e;
-    }
-    frontier_.reheat(uw);
-    frontier_.reheat(vw);
-    double max_dp = 0.0;
-    for (std::size_t i : {uw, vw}) {
-        const double dp = std::fabs(stepNode(i));
-        max_dp = std::max(max_dp, dp);
-        annealNode(i, dp);
-    }
-    return max_dp;
+    return tickEdge(uw, vw, deliver);
 }
 
 double
 DibaAllocator::gossipTickPair(std::size_t u, std::size_t v)
 {
-    DPC_ASSERT(!p_.empty(), "gossipTickPair() before reset()");
-    DPC_ASSERT(u < p_.size() && v < p_.size() && u != v,
-               "gossipTickPair endpoints out of range");
-    DPC_ASSERT(active_[wi(u)] && active_[wi(v)],
-               "gossipTickPair on a dead endpoint");
     return tickPairImpl(u, v, nullptr);
 }
 
@@ -1788,12 +1569,6 @@ double
 DibaAllocator::gossipTickPair(std::size_t u, std::size_t v,
                               GossipChannel &chan)
 {
-    DPC_ASSERT(!p_.empty(), "gossipTickPair() before reset()");
-    DPC_ASSERT(u < p_.size() && v < p_.size() && u != v,
-               "gossipTickPair endpoints out of range");
-    DPC_ASSERT(active_[wi(u)] && active_[wi(v)],
-               "gossipTickPair on a dead endpoint");
-    ensureEdgeIndex();
     return tickPairImpl(u, v, &chan);
 }
 
@@ -1949,17 +1724,8 @@ DibaAllocator::sweepMatching(std::uint32_t c, GossipChannel *chan)
         double max_dp = 0.0;
         for (std::size_t idx = 0; idx < m; ++idx) {
             const auto &[u, v] = all_edges_[ids[idx]];
-            const bool deliver = !chan || sweep_deliver_[idx];
-            if (deliver) {
-                const double mean_e = 0.5 * (e_[u] + e_[v]);
-                e_[u] = mean_e;
-                e_[v] = mean_e;
-            }
-            for (const std::size_t i : {u, v}) {
-                const double dp = std::fabs(stepNode(i));
-                max_dp = std::max(max_dp, dp);
-                annealNode(i, dp);
-            }
+            max_dp = std::max(
+                max_dp, tickEdge(u, v, !chan || sweep_deliver_[idx]));
         }
         return max_dp;
     }
@@ -2343,21 +2109,66 @@ std::vector<double>
 DibaAllocator::heldBudgets(const std::vector<std::uint32_t> &label_of,
                            std::size_t num_comps) const
 {
+    std::vector<std::vector<double>> sum_p(1), sum_e(1);
+    heldPartials(label_of, num_comps, nullptr, 0, sum_p[0], sum_e[0]);
+    return foldHeldPartials(sum_p, sum_e);
+}
+
+void
+DibaAllocator::heldPartials(const std::vector<std::uint32_t> &label_of,
+                            std::size_t num_comps,
+                            const std::uint32_t *owner_of,
+                            std::uint32_t owner,
+                            std::vector<double> &sum_p,
+                            std::vector<double> &sum_e) const
+{
     DPC_ASSERT(label_of.size() == p_.size(),
-               "heldBudgets label vector size mismatch");
-    std::vector<double> sum_p(num_comps, 0.0), sum_e(num_comps, 0.0);
+               "heldPartials label vector size mismatch");
+    sum_p.assign(num_comps, 0.0);
+    sum_e.assign(num_comps, 0.0);
     for (std::size_t i = 0; i < p_.size(); ++i) {
         const std::size_t iw = wi(i);
-        if (!active_[iw])
+        if (!active_[iw] || (owner_of != nullptr && owner_of[i] != owner))
             continue;
         DPC_ASSERT(label_of[i] < num_comps,
-                   "heldBudgets: active node ", i, " has no label");
+                   "heldPartials: active node ", i, " has no label");
         sum_p[label_of[i]] += p_[iw];
         sum_e[label_of[i]] += e_[iw];
     }
-    std::vector<double> held(num_comps);
-    for (std::size_t j = 0; j < num_comps; ++j)
-        held[j] = sum_p[j] - sum_e[j];
+}
+
+std::vector<double>
+foldHeldPartials(const std::vector<std::vector<double>> &sum_p,
+                 const std::vector<std::vector<double>> &sum_e)
+{
+    DPC_ASSERT(sum_p.size() == sum_e.size(),
+               "foldHeldPartials owner count mismatch");
+    std::size_t k = 0;
+    bool have = false;
+    for (std::size_t s = 0; s < sum_p.size(); ++s) {
+        if (sum_p[s].empty() && sum_e[s].empty())
+            continue; // dead shard: no contribution
+        DPC_ASSERT(sum_p[s].size() == sum_e[s].size(),
+                   "foldHeldPartials partial size mismatch");
+        if (!have) {
+            k = sum_p[s].size();
+            have = true;
+        }
+        DPC_ASSERT(sum_p[s].size() == k,
+                   "owners disagree on component count");
+    }
+    std::vector<double> hp(k, 0.0), he(k, 0.0);
+    for (std::size_t s = 0; s < sum_p.size(); ++s) {
+        if (sum_p[s].empty())
+            continue;
+        for (std::size_t j = 0; j < k; ++j) {
+            hp[j] += sum_p[s][j];
+            he[j] += sum_e[s][j];
+        }
+    }
+    std::vector<double> held(k);
+    for (std::size_t j = 0; j < k; ++j)
+        held[j] = hp[j] - he[j];
     return held;
 }
 

@@ -137,10 +137,11 @@ class DibaAllocator : public IterativeAllocator
          * Control events reheat conservatively: budget steps,
          * churn, link cuts and channel-routed rounds reheat every
          * node, setUtility only the node it touched.  The engine
-         * applies to iterate()/step() in the all-active
-         * all-quadratic zero-deadband configuration; fault-path
-         * entry points (iterateWithChannel, gossipTick) keep their
-         * dedicated code paths.
+         * applies in the all-active all-quadratic zero-deadband
+         * configuration to iterate()/step() and to transport
+         * rounds over a synchronous wake-capable transport (the
+         * sharded sockets); every other transport or channel round
+         * and every gossip tick runs dense and reheats.
          */
         double active_threshold = -1.0;
         /** Initial budget slack fraction at reset(). */
@@ -256,7 +257,8 @@ class DibaAllocator : public IterativeAllocator
      * sum(e) == sum(p) - P is conserved bit-exactly under any
      * loss/delay pattern.  With a perfect channel this is
      * bitwise identical to iterate().  Serial (the fault path does
-     * not use the thread pool); ignores cfg.deadband.
+     * not use the thread pool); a positive cfg.deadband gates each
+     * pair on its fate's snapshot, so both halves still cancel.
      */
     double iterateWithChannel(GossipChannel &chan);
 
@@ -299,24 +301,28 @@ class DibaAllocator : public IterativeAllocator
      * noteExternalRound() for convergence accounting that matches
      * single-process.
      *
-     * With `overlap` (the default) the round is scheduled for
-     * compute/communication overlap: owned INTERIOR nodes (every
-     * CSR neighbour inside the owned range -- their diffusion
-     * never reads a halo entry) are diffused and stepped in chunks
-     * while the transport drains via tryPoll() between chunks;
-     * only the boundary residue waits for the blocking drain.
-     * Per-node arithmetic is node-local and the range max is
-     * order-free, so the overlapped schedule is bitwise identical
-     * to overlap = false (which runs the historical
-     * send -> drain -> compute sequence).
+     * This is the one transport round: iterateWithTransport and
+     * iterateWithChannel run it over [0, n), where every node is
+     * interior.  It overlaps compute with communication: owned
+     * INTERIOR nodes (every CSR neighbour inside the owned range
+     * -- their diffusion never reads a halo entry) are diffused
+     * and stepped in chunks while the transport drains via
+     * tryPoll() between chunks; only the boundary residue waits
+     * for the blocking drain.  Per-node arithmetic is node-local
+     * and the range max is order-free, so the schedule is bitwise
+     * invisible.  On the active-set engine over a synchronous
+     * wake-capable transport the round instead drains first,
+     * syncs the halo's frontier bits from the wake view, and
+     * sweeps the owned slice of frontier ∪ N(frontier) -- bitwise
+     * equal to iterate() under the same threshold.
      */
     double iterateShard(net::Transport &t, std::size_t owned_begin,
-                        std::size_t owned_end,
-                        bool overlap = true);
+                        std::size_t owned_end);
 
     /** Wall-clock totals of the transport-routed round phases
      * (summed over rounds; the bench's per-phase breakdown).
-     * Non-overlapped rounds attribute all compute to interior_s. */
+     * Active-set rounds cannot overlap: all their compute waits
+     * out the drain and lands in boundary_s. */
     struct TransportPhaseTotals
     {
         double send_s = 0.0;
@@ -587,11 +593,27 @@ class DibaAllocator : public IterativeAllocator
      * Because every fault hand-off (failNode gift, joinNode debt,
      * paired transfers) moves estimate mass only along live edges,
      * Q_j is exactly the budget component j is honoring, whether or
-     * not re-federation has been announced.
+     * not re-federation has been announced.  This is the one-shard
+     * case of the canonical fold: heldPartials() over every node,
+     * then foldHeldPartials().
      */
     std::vector<double> heldBudgets(
         const std::vector<std::uint32_t> &label_of,
         std::size_t num_comps) const;
+
+    /**
+     * Per-component (sum p, sum e) partials over the active nodes
+     * with owner_of[i] == owner (every active node when owner_of
+     * is null), accumulated in ascending original id -- one
+     * owner's contribution to the canonical held-budget fold (a
+     * shard's, in the sharded recovery path, with the shard plan's
+     * owner_of indexed by original id).
+     */
+    void heldPartials(const std::vector<std::uint32_t> &label_of,
+                      std::size_t num_comps,
+                      const std::uint32_t *owner_of,
+                      std::uint32_t owner, std::vector<double> &sum_p,
+                      std::vector<double> &sum_e) const;
 
     /**
      * Consensus jump: set every active node's estimate to its live
@@ -651,10 +673,11 @@ class DibaAllocator : public IterativeAllocator
      * refederateBudget() with the per-component held budgets Q_j
      * supplied by the caller instead of computed from the local
      * books.  The sharded recovery path needs this: the canonical
-     * held values are folded from per-shard owned partials in a
-     * fixed order (cluster/shard.hh's foldHeldPartials), which is a
-     * DIFFERENT floating-point summation order than heldBudgets(),
-     * and every survivor must announce from the same bits or their
+     * held values are folded from per-shard owned partials
+     * (foldHeldPartials), and across several shards that is a
+     * different floating-point summation order than one process's
+     * books -- heldBudgets() is only its one-shard case -- so every
+     * survivor must announce from the broker's bits or their
      * estimate shifts diverge.  Share computation, estimate shifts,
      * and the safe-side rounding are identical to
      * refederateBudget(), which delegates here.
@@ -867,6 +890,11 @@ class DibaAllocator : public IterativeAllocator
     double tickPairImpl(std::size_t u, std::size_t v,
                         GossipChannel *chan);
 
+    /** One async tick on the working-id pair {u, v}: average the
+     * two estimates when `deliver`, reheat both, then step +
+     * anneal both.  Returns the larger |dp|. */
+    double tickEdge(std::size_t u, std::size_t v, bool deliver);
+
     /** Build the live-edge coloring if it is not current. */
     void ensureColoring();
 
@@ -882,63 +910,43 @@ class DibaAllocator : public IterativeAllocator
     /** Rotate e_ into e_snapshot_ before a diffusion pass. */
     void snapshotSwap();
 
-    /** diffuse() body over the node range [begin, end). */
-    void diffuseRange(std::size_t begin, std::size_t end);
+    /** Masked per-node diffusion over [begin, end) from row
+     * `now`, or per edge from the row its fate names when `fated`
+     * (dead, cut, undelivered and deadband-gated pairs skipped). */
+    void diffuseMasked(std::size_t begin, std::size_t end,
+                       const double *now, bool fated);
 
-    /** Gradient steps + annealing over [begin, end); returns the
-     * max |dp| moved in the range. */
-    double stepRange(std::size_t begin, std::size_t end);
-
-    /** Shared body of the transport-routed rounds: offer live
-     * pairs, drain deliveries (patching remote snapshot halves,
-     * round-indexed for pipelined transports), diffuse from the
-     * fate table, then gradient-step only [begin, end).  With
-     * `overlap`, interior compute is interleaved with tryPoll()
-     * drains (bitwise identical; see iterateShard). */
-    double roundViaTransport(net::Transport &t, std::size_t begin,
-                             std::size_t end, bool overlap = false);
-
-    /**
-     * Active-set variant of the transport round, for synchronous
-     * (maxLag 0) transports that carry the wake channel
-     * (Transport::wakesSupported).  Offers EVERY cut pair with this
-     * shard's frontier hot bits riding along (quiesced pairs are
-     * suppressed to nothing on a v4 wire), drains the round, syncs
-     * the halo frontier bits from the transport's wake view, then
-     * sweeps frontier ∪ N(frontier) restricted to the owned block
-     * with the same fused kernel as iterateSparse() -- bitwise
-     * equal to the single-process active-set round under the same
-     * threshold.  Selected by roundViaTransport when
-     * active_threshold > 0; threshold 0 keeps the dense path (and
-     * its bitwise pin to the PR 8 trajectory) untouched.
-     */
-    double sparseRoundViaTransport(net::Transport &t,
-                                   std::size_t begin,
-                                   std::size_t end);
-
-    /** Build (cached) the interior-run / boundary-node split of
+    /** Build (cached) the interior / boundary run split of
      * [begin, end) for the overlapped schedule. */
     void buildOverlapSets(std::size_t begin, std::size_t end);
 
     /**
      * One fused round (diffuse + step + anneal) over [begin, end),
-     * reading estimates only from e_snapshot_ and writing only
-     * node-local state; returns the max |dp| in the range.  Fusing
-     * is sound because a node's gradient step never reads another
-     * node's post-diffusion estimate.
+     * reading estimates only from the snapshot row `now` (or the
+     * fate table's rows when `fated`) and writing only node-local
+     * state; returns the max |dp| in the range.  Fusing is sound
+     * because a node's gradient step never reads another node's
+     * post-diffusion estimate.
      */
-    double roundRange(std::size_t begin, std::size_t end);
+    double roundRange(std::size_t begin, std::size_t end,
+                      const double *now, bool fated);
 
     /** roundRange hot kernel: every node active, all-quadratic
-     * SoA, no participation checks. */
-    double roundRangeQuadDense(std::size_t begin, std::size_t end);
+     * SoA, every pair delivered fresh from `now`, no participation
+     * checks. */
+    double roundRangeQuadDense(std::size_t begin, std::size_t end,
+                               const double *now);
 
-    /** One active-set round: compact frontier ∪ N(frontier),
-     * snapshot the participants, sweep them, commit the next
-     * frontier.  Returns the max |dp| moved. */
-    double iterateSparse();
+    /** One active-set round over a compacted frontier ∪
+     * N(frontier) list: stage every participant's pre-round
+     * estimate from `pre`, sweep participant-list indices [lo, hi)
+     * (chunked over the pool) and commit their frontier verdicts.
+     * Returns the max |dp| moved. */
+    double sweepParticipants(const std::vector<std::uint32_t> &parts,
+                             const double *pre, std::size_t lo,
+                             std::size_t hi);
 
-    /** iterateSparse body over participant-list indices
+    /** Participant sweep body over participant-list indices
      * [begin, end); reads e_pre_ and the pre-round hot mask,
      * writes node-local state and next_hot_. */
     double roundSparseRange(const std::uint32_t *parts,
@@ -956,12 +964,18 @@ class DibaAllocator : public IterativeAllocator
         return quad_fast_ ? localStepQuad(i) : localStep(i);
     }
 
+    /** stepNode + the post-step annealing/reheating decision for
+     * one node; returns |dp|. */
+    double stepAnneal(std::size_t i)
+    {
+        const double dp = std::fabs(stepNode(i));
+        eta_now_[i] = annealEta(eta_now_[i], dp, kp_);
+        return dp;
+    }
+
     /** Extract quadratic coefficients into the SoA arrays (or
      * disable the fast path if any utility is not quadratic). */
     void rebuildQuadFastPath();
-
-    /** Post-step annealing/reheating decision for one node. */
-    void annealNode(std::size_t i, double moved);
 
     /** Immediately shed power at nodes whose slack is exhausted. */
     void emergencyShed();
@@ -1124,16 +1138,17 @@ class DibaAllocator : public IterativeAllocator
     std::vector<double *> patch_rows_;
     /** Per-phase wall-clock totals of transport-routed rounds. */
     TransportPhaseTotals phase_totals_;
-    /** Overlap schedule cache for roundViaTransport: maximal
+    /** Overlap schedule cache for iterateShard: maximal
      * contiguous runs of interior nodes (no CSR neighbour outside
-     * the owned range) and the boundary residue, keyed on the
+     * the owned range) and of the boundary residue, keyed on the
      * owned range (the topology CSR is static). */
     std::size_t ovl_begin_ = 0;
     std::size_t ovl_end_ = 0;
     bool ovl_built_ = false;
     std::vector<std::pair<std::uint32_t, std::uint32_t>>
         ovl_interior_runs_;
-    std::vector<std::uint32_t> ovl_boundary_;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>>
+        ovl_boundary_runs_;
     /** Rounds stepped since reset() (step/stepWithChannel only). */
     std::size_t iterations_ = 0;
     /** Consecutive counted rounds under cfg_.tolerance. */
@@ -1208,6 +1223,19 @@ class DibaAllocator : public IterativeAllocator
  * allocator itself and by the lockstep ReplicaBatch engine, so
  * both step with byte-identical constants. */
 RoundKernelParams kernelParamsOf(const DibaAllocator::Config &cfg);
+
+/**
+ * The canonical held-budget fold: held[j] = (sum over owners, in
+ * index order, of sum_p[s][j]) minus (same fold of sum_e[s][j]).
+ * Owners with empty partials (dead shards) are skipped.  Every
+ * recovery stack folds through here -- DibaAllocator::heldBudgets()
+ * as the one-owner case, the sharded broker and its survivors over
+ * one partial per shard -- so all of them announce from the same
+ * bits.
+ */
+std::vector<double> foldHeldPartials(
+    const std::vector<std::vector<double>> &sum_p,
+    const std::vector<std::vector<double>> &sum_e);
 
 } // namespace dpc
 

@@ -30,6 +30,25 @@ using net::EpochPhase;
 using net::Frame;
 using net::FrameType;
 
+/**
+ * The recovery surgery every survivor and applyShardRecovery share:
+ * enter `epoch`, fail the dead blocks' nodes in ONE canonical order
+ * (ascending original id over all dead shards -- they must match
+ * bitwise), and label the surviving components.  Returns the
+ * component count.
+ */
+std::size_t
+failDeadBlocks(DibaAllocator &alloc, const ShardPlan &plan,
+               std::uint64_t dead, std::uint32_t epoch,
+               std::vector<std::uint32_t> &label)
+{
+    alloc.setRecoveryEpoch(epoch);
+    for (std::size_t i = 0; i < plan.owner_of.size(); ++i)
+        if (((dead >> plan.owner_of[i]) & 1) && alloc.isActive(i))
+            alloc.failNodeQuiet(i);
+    return alloc.liveComponents(label);
+}
+
 sockaddr_in
 loopbackAddr(std::uint16_t port)
 {
@@ -462,18 +481,9 @@ shardMain(std::uint32_t shard_id, const ShardPlan &plan,
                        "shard ", shard_id,
                        " cannot roll back to round ", rec,
                        " (checkpoint ring too shallow?)");
-            alloc.setRecoveryEpoch(ep);
-            // Fail the dead blocks' nodes in ONE canonical order
-            // (ascending original id over all dead shards) --
-            // applyShardRecovery and every survivor must match
-            // bitwise.
-            const std::size_t n = plan.owner_of.size();
-            for (std::size_t i = 0; i < n; ++i)
-                if (((dead >> plan.owner_of[i]) & 1) &&
-                    alloc.isActive(i))
-                    alloc.failNodeQuiet(i);
             std::vector<std::uint32_t> label;
-            const std::size_t k = alloc.liveComponents(label);
+            const std::size_t k =
+                failDeadBlocks(alloc, plan, dead, ep, label);
             { // Ack 2: owned held-budget partials.
                 Frame a;
                 a.type = FrameType::EpochAck;
@@ -481,9 +491,9 @@ shardMain(std::uint32_t shard_id, const ShardPlan &plan,
                 a.epoch_ack.epoch = ep;
                 a.epoch_ack.phase = EpochPhase::Rollback;
                 a.epoch_ack.last_completed = rec;
-                shardHeldPartials(alloc, plan, shard_id, label, k,
-                                  a.epoch_ack.sum_p,
-                                  a.epoch_ack.sum_e);
+                alloc.heldPartials(label, k, plan.owner_of.data(),
+                                   shard_id, a.epoch_ack.sum_p,
+                                   a.epoch_ack.sum_e);
                 sendFrame(ctl.bfd, a);
             }
             Frame f2 = recvFrame(ctl.bfd, ctl.bbuf);
@@ -540,8 +550,8 @@ shardMain(std::uint32_t shard_id, const ShardPlan &plan,
                  opt.budget_steps)
                 if (bs.round == r)
                     alloc.warmStart(alloc.result(), bs.delta);
-            const double moved = alloc.iterateShard(
-                *transport, begin, end, opt.overlap);
+            const double moved =
+                alloc.iterateShard(*transport, begin, end);
             if (sock.aborted()) {
                 DPC_ASSERT(ctl.quiesce_pending,
                            "round aborted without a pending "
@@ -705,86 +715,18 @@ makeShardPlan(const DibaAllocator &alloc, std::uint32_t num_shards)
 }
 
 void
-shardHeldPartials(const DibaAllocator &alloc, const ShardPlan &plan,
-                  std::uint32_t shard,
-                  const std::vector<std::uint32_t> &label_of,
-                  std::size_t k, std::vector<double> &sum_p,
-                  std::vector<double> &sum_e)
-{
-    const std::size_t n = plan.owner_of.size();
-    DPC_ASSERT(label_of.size() == n,
-               "shardHeldPartials label vector size mismatch");
-    sum_p.assign(k, 0.0);
-    sum_e.assign(k, 0.0);
-    const std::vector<double> &p = alloc.power();
-    const std::vector<double> &e = alloc.estimates();
-    for (std::size_t i = 0; i < n; ++i) {
-        if (plan.owner_of[i] != shard || !alloc.isActive(i))
-            continue;
-        DPC_ASSERT(label_of[i] < k,
-                   "shardHeldPartials: active node ", i,
-                   " has no component label");
-        sum_p[label_of[i]] += p[i];
-        sum_e[label_of[i]] += e[i];
-    }
-}
-
-std::vector<double>
-foldHeldPartials(const std::vector<std::vector<double>> &sum_p,
-                 const std::vector<std::vector<double>> &sum_e)
-{
-    DPC_ASSERT(sum_p.size() == sum_e.size(),
-               "foldHeldPartials shard count mismatch");
-    std::size_t k = 0;
-    bool have = false;
-    for (std::size_t s = 0; s < sum_p.size(); ++s) {
-        if (sum_p[s].empty() && sum_e[s].empty())
-            continue; // dead shard: no contribution
-        DPC_ASSERT(sum_p[s].size() == sum_e[s].size(),
-                   "foldHeldPartials partial size mismatch");
-        if (!have) {
-            k = sum_p[s].size();
-            have = true;
-        }
-        DPC_ASSERT(sum_p[s].size() == k,
-                   "survivors disagree on component count");
-    }
-    std::vector<double> hp(k, 0.0), he(k, 0.0);
-    for (std::size_t s = 0; s < sum_p.size(); ++s) {
-        if (sum_p[s].empty())
-            continue;
-        for (std::size_t j = 0; j < k; ++j) {
-            hp[j] += sum_p[s][j];
-            he[j] += sum_e[s][j];
-        }
-    }
-    std::vector<double> held(k);
-    for (std::size_t j = 0; j < k; ++j)
-        held[j] = hp[j] - he[j];
-    return held;
-}
-
-void
 applyShardRecovery(DibaAllocator &alloc, const ShardPlan &plan,
                    std::uint64_t dead_mask, std::uint32_t epoch)
 {
-    alloc.setRecoveryEpoch(epoch);
-    const std::size_t n = plan.owner_of.size();
-    // One canonical surgery order: ascending original id over ALL
-    // dead blocks (shardMain's doRecovery must match bitwise).
-    for (std::size_t i = 0; i < n; ++i)
-        if (((dead_mask >> plan.owner_of[i]) & 1) &&
-            alloc.isActive(i))
-            alloc.failNodeQuiet(i);
     std::vector<std::uint32_t> label;
-    const std::size_t k = alloc.liveComponents(label);
+    const std::size_t k =
+        failDeadBlocks(alloc, plan, dead_mask, epoch, label);
     std::vector<std::vector<double>> sp(plan.num_shards),
         se(plan.num_shards);
-    for (std::uint32_t s = 0; s < plan.num_shards; ++s) {
-        if ((dead_mask >> s) & 1)
-            continue;
-        shardHeldPartials(alloc, plan, s, label, k, sp[s], se[s]);
-    }
+    for (std::uint32_t s = 0; s < plan.num_shards; ++s)
+        if (!((dead_mask >> s) & 1))
+            alloc.heldPartials(label, k, plan.owner_of.data(), s,
+                               sp[s], se[s]);
     alloc.refederateBudgetWithHeld(label, k,
                                    foldHeldPartials(sp, se));
 }

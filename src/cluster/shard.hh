@@ -100,9 +100,6 @@ struct ShardRunOptions
     std::size_t rounds = 60;
     net::SocketTransport::Proto proto =
         net::SocketTransport::Proto::Udp;
-    /** Interleave interior compute with the cut-batch flight time
-     * (bitwise identical either way; off is the debug mode). */
-    bool overlap = true;
     /** Bounded-staleness depth d: a shard may run up to d rounds
      * ahead of its slowest adjacent peer, every cut pair at fixed
      * lag d.  0 = synchronous, bitwise equal to the blocking
@@ -264,36 +261,13 @@ struct ShardRunResult
 };
 
 /**
- * Per-component (sum p, sum e) partials over shard `shard`'s OWNED
- * active nodes, ascending original id -- one survivor's
- * contribution to the canonical held-budget fold.  `label_of`/`k`
- * are liveComponents() output on the post-surgery topology.
- */
-void shardHeldPartials(const DibaAllocator &alloc,
-                       const ShardPlan &plan, std::uint32_t shard,
-                       const std::vector<std::uint32_t> &label_of,
-                       std::size_t k, std::vector<double> &sum_p,
-                       std::vector<double> &sum_e);
-
-/**
- * Fold per-shard partials into the canonical held budgets:
- * held[j] = (sum over shards, ascending id, of sum_p[s][j]) minus
- * (same fold of sum_e[s][j]).  Dead shards contribute empty
- * vectors and are skipped.  Every survivor, the broker, and any
- * single-process reference MUST use this exact fold -- it is a
- * different floating-point summation order than
- * DibaAllocator::heldBudgets().
- */
-std::vector<double> foldHeldPartials(
-    const std::vector<std::vector<double>> &sum_p,
-    const std::vector<std::vector<double>> &sum_e);
-
-/**
  * Reference replica of one survivor's recovery transform, applied
  * to a full-size allocator positioned at the resume round: fail
  * every dead-owned node (ascending shard id, ascending original
  * id), then re-federate with the held budgets folded exactly as
- * the broker folds them.  Tests drive this on a single-process
+ * the broker folds them: one DibaAllocator::heldPartials() per
+ * surviving shard over its owned block, through foldHeldPartials()
+ * (alloc/diba.hh).  Tests drive this on a single-process
  * allocator to predict the survivors' post-recovery trajectory
  * bitwise.
  */

@@ -205,8 +205,6 @@ class LossyTransport final : public net::Transport
         return true;
     }
 
-    bool incomplete() const override { return inner_->incomplete(); }
-
     std::size_t maxLag() const override
     {
         return inner_->maxLag() + chan_.maxLag();

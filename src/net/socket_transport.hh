@@ -237,7 +237,6 @@ class SocketTransport final : public Transport
     void send(const EdgePair &pair) override;
     bool poll(Delivery &out) override;
     bool tryPoll(Delivery &out) override;
-    bool incomplete() const override { return !roundComplete(); }
     std::size_t maxLag() const override
     {
         return cfg_.pipeline_depth;

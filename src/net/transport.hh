@@ -176,20 +176,14 @@ class Transport
     /**
      * Non-blocking drain: hand out a delivery that is decidable
      * RIGHT NOW, or return false without waiting.  Unlike poll(),
-     * false does not mean the round is complete -- check
-     * incomplete() to distinguish.  The default delegates to
-     * poll(), which is correct for any transport whose poll()
-     * never blocks (loopback); blocking transports override it.
-     * The compute/communication overlap schedule calls this
-     * between interior work chunks so the network drains while
-     * owned-interior nodes compute.
+     * false does not mean the round is complete.  The default
+     * delegates to poll(), which is correct for any transport
+     * whose poll() never blocks (loopback); blocking transports
+     * override it.  The round's compute/communication overlap
+     * schedule calls this between interior work chunks so the
+     * network drains while owned-interior nodes compute.
      */
     virtual bool tryPoll(Delivery &out) { return poll(out); }
-
-    /** True while outcomes of the open round are still in flight
-     * (poll() would have to wait).  In-process transports are
-     * never incomplete. */
-    virtual bool incomplete() const { return false; }
 
     /**
      * True after the transport aborted the open round from inside

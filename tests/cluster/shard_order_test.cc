@@ -84,10 +84,8 @@ class ScriptTransport final : public net::Transport
         return true;
     }
 
-    bool incomplete() const override
-    {
-        return ppos_ < patches_.size();
-    }
+    /** True while armed patches are still undelivered. */
+    bool undelivered() const { return ppos_ < patches_.size(); }
 
     std::size_t maxLag() const override { return 0; }
 
@@ -215,9 +213,8 @@ TEST(ShardOrderTest, EveryPatchPermutationLandsOnTheSameBits)
         // also exercised split across partial batches.
         t.injectPatches(std::move(patches), 1 + perms % 4);
         shard.iterateShard(t, plan.block_begin[0],
-                           plan.block_end[0],
-                           /*overlap=*/perms % 2 == 0);
-        EXPECT_FALSE(t.incomplete());
+                           plan.block_end[0]);
+        EXPECT_FALSE(t.undelivered());
 
         expectOwnedBitwiseEqual(plan, 0, shard.power(),
                                 ref.power(), "power");
@@ -232,8 +229,8 @@ TEST(ShardOrderTest, ShuffledSplitDeliveriesTrackTheReference)
 {
     // Multi-round trajectory: both shards advance in lockstep with
     // seeded-shuffled patch orders and varying chunked release
-    // (including chunk 1: every patch in its own partial batch),
-    // overlap alternating per shard and per round.  The assembled
+    // (including chunk 1: every patch in its own partial batch).
+    // The assembled
     // owned state must stay bitwise on the single-process
     // trajectory every round.
     const std::size_t n = 48, rounds = 20;
@@ -274,11 +271,9 @@ TEST(ShardOrderTest, ShuffledSplitDeliveriesTrackTheReference)
         tb.injectPatches(std::move(pb), 1 + rng.index(4));
 
         shard_a.iterateShard(ta, plan.block_begin[0],
-                             plan.block_end[0],
-                             /*overlap=*/r % 2 == 0);
+                             plan.block_end[0]);
         shard_b.iterateShard(tb, plan.block_begin[1],
-                             plan.block_end[1],
-                             /*overlap=*/r % 3 != 0);
+                             plan.block_end[1]);
         ref.stepWithTransport(loopback);
 
         expectOwnedBitwiseEqual(plan, 0, shard_a.power(),

@@ -77,6 +77,44 @@ TEST(ShardPlanTest, BlocksPartitionAndCutsAreCounted)
     EXPECT_EQ(replay.cut_edges, plan.cut_edges);
 }
 
+TEST(ShardPlanTest, HeldBudgetsIsTheOneShardFold)
+{
+    // In-process recovery and the sharded broker fold held budgets
+    // through the same code: heldBudgets() must equal the one-shard
+    // owned partial + fold the broker runs, bitwise, also after
+    // churn and a link cut under a non-identity layout.
+    const std::size_t n = 64;
+    const auto prob = test::npbProblem(n, 170.0, 5);
+    Rng topo_rng(9);
+    const auto topo = makeChordalRing(n, 8, topo_rng);
+    DibaAllocator::Config cfg;
+    cfg.layout = Layout::rcm;
+    DibaAllocator alloc(topo, cfg);
+    ASSERT_TRUE(alloc.layoutActive());
+    alloc.reset(prob);
+    for (std::size_t r = 0; r < 20; ++r)
+        alloc.iterate();
+    alloc.failNode(3);
+    alloc.failNode(40);
+    const auto &[cu, cv] = alloc.overlayEdges()[7];
+    alloc.setEdgeEnabled(cu, cv, false);
+    for (std::size_t r = 0; r < 10; ++r)
+        alloc.iterate();
+    alloc.joinNode(3);
+    for (std::size_t r = 0; r < 10; ++r)
+        alloc.iterate();
+
+    std::vector<std::uint32_t> label;
+    const std::size_t k = alloc.liveComponents(label);
+    const auto plan = makeShardPlan(alloc, 1);
+    std::vector<std::vector<double>> sum_p(1), sum_e(1);
+    alloc.heldPartials(label, k, plan.owner_of.data(), 0, sum_p[0],
+                       sum_e[0]);
+    const auto folded = foldHeldPartials(sum_p, sum_e);
+    ASSERT_EQ(folded.size(), k);
+    expectBitwiseEqual(alloc.heldBudgets(label, k), folded, "held");
+}
+
 TEST(ShardProcessTest, TwoShardUdpMatchesSingleProcessBitwise)
 {
     const std::size_t n = 64, rounds = 40;
@@ -100,6 +138,44 @@ TEST(ShardProcessTest, TwoShardUdpMatchesSingleProcessBitwise)
                        "estimate");
 }
 
+TEST(ShardProcessTest, DeadbandGatesEveryRoundPathAlike)
+{
+    // A positive deadband gates each pair on the snapshot both
+    // halves read, and every round path must apply the same gate:
+    // plain iterate(), the identity loopback transport and a
+    // 2-shard run land on the same bits.
+    const std::size_t n = 64, rounds = 40;
+    const auto prob = test::npbProblem(n, 170.0, 5);
+    Rng topo_rng(9);
+    const auto topo = makeChordalRing(n, 8, topo_rng);
+    DibaAllocator::Config cfg;
+    cfg.deadband = 0.05;
+
+    DibaAllocator plain(topo, cfg);
+    plain.reset(prob);
+    for (std::size_t r = 0; r < rounds; ++r)
+        plain.iterate();
+    // The gate must actually bite, or the pins below are vacuous.
+    const auto ungated =
+        referenceRun(prob, topo, DibaAllocator::Config{}, rounds);
+    EXPECT_NE(plain.estimates(), ungated.estimates());
+
+    const auto loop = referenceRun(prob, topo, cfg, rounds);
+    expectBitwiseEqual(plain.power(), loop.power(), "loopback power");
+    expectBitwiseEqual(plain.estimates(), loop.estimates(),
+                       "loopback estimate");
+
+    ShardRunOptions opt;
+    opt.num_shards = 2;
+    opt.rounds = rounds;
+    opt.proto = net::SocketTransport::Proto::Udp;
+    const auto sharded = runShardedDiba(prob, topo, cfg, opt);
+    ASSERT_TRUE(sharded.ok) << sharded.error;
+    expectBitwiseEqual(plain.power(), sharded.power, "sharded power");
+    expectBitwiseEqual(plain.estimates(), sharded.estimates,
+                       "sharded estimate");
+}
+
 TEST(ShardProcessTest, FourShardTcpMatchesSingleProcessBitwise)
 {
     const std::size_t n = 48, rounds = 25;
@@ -116,32 +192,6 @@ TEST(ShardProcessTest, FourShardTcpMatchesSingleProcessBitwise)
     EXPECT_EQ(sharded.rounds_run, rounds);
     // TCP is reliable: a clean loopback run never retransmits.
     EXPECT_EQ(sharded.retransmits, 0u);
-
-    const auto ref = referenceRun(prob, topo, cfg, rounds);
-    expectBitwiseEqual(ref.power(), sharded.power, "power");
-    expectBitwiseEqual(ref.estimates(), sharded.estimates,
-                       "estimate");
-}
-
-TEST(ShardProcessTest, OverlapOffMatchesSingleProcessBitwise)
-{
-    // The compute/communication overlap schedule must be a pure
-    // reordering: overlap off (serialized drain-then-compute) and
-    // the single-process reference pin the same bits, so together
-    // with TwoShardUdpMatchesSingleProcessBitwise this pins
-    // overlap-on == overlap-off.
-    const std::size_t n = 64, rounds = 40;
-    const auto prob = test::npbProblem(n, 170.0, 5);
-    Rng topo_rng(9);
-    const auto topo = makeChordalRing(n, 8, topo_rng);
-    const DibaAllocator::Config cfg{};
-
-    ShardRunOptions opt;
-    opt.num_shards = 2;
-    opt.rounds = rounds;
-    opt.proto = net::SocketTransport::Proto::Udp;
-    opt.overlap = false;
-    const auto sharded = runShardedDiba(prob, topo, cfg, opt);
 
     const auto ref = referenceRun(prob, topo, cfg, rounds);
     expectBitwiseEqual(ref.power(), sharded.power, "power");

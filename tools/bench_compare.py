@@ -62,8 +62,8 @@ matched by identity and their metrics compared:
                               warm-started budget step)
 
 Steady rows are additionally held to absolute cross-record bars
-against the dense (mode=sharded, overlap=on, same proto/n/shards)
-row of the CURRENT run: steady_bytes_per_round must be at most
+against the dense (mode=sharded, same proto/n/shards) row of the
+CURRENT run: steady_bytes_per_round must be at most
 dense bytes_per_round / 8 and steady_rounds_per_sec at least 4x
 dense rounds_per_sec -- the steady-state sparsity claim itself, so
 a stale baseline cannot mask losing it.
@@ -307,7 +307,6 @@ def main():
         for crec in curr.values()
         if crec.get("bench") == "wire_shard"
         and crec.get("mode") == "sharded"
-        and crec.get("overlap") == "on"
     }
     for key, crec in sorted(curr.items()):
         if (
@@ -320,7 +319,7 @@ def main():
         )
         if dense is None:
             failures.append(
-                f"STEADY   {describe(key)}: no dense overlap=on "
+                f"STEADY   {describe(key)}: no dense sharded "
                 f"row to compare against"
             )
             continue

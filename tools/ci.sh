@@ -6,12 +6,10 @@
 #   2. AVX2 build + full ctest                  (bitwise SIMD parity)
 #      + bench smoke runs of gossip_async and the multi-lane
 #        packet engine (bitwise bars only; DPC_BENCH_SMOKE=1)
-#      + loopback-vs-socket + overlap parity smoke: wire_shard
-#        forks 2 shard processes over 127.0.0.1 (UDP and TCP, zero
-#        loss, compute/communication overlap both on and off) and
-#        exits non-zero unless every reassembled result is bitwise
-#        equal to the single-process transport round -- which also
-#        pins the overlap schedule against the serialized one.
+#      + loopback-vs-socket parity smoke: wire_shard forks 2
+#        shard processes over 127.0.0.1 (UDP and TCP, zero loss)
+#        and exits non-zero unless every reassembled result is
+#        bitwise equal to the single-process transport round.
 #        Its dense rows run at active_threshold 0 (the sharded
 #        parity pin for the threshold-0 path) and its steady
 #        section converges, holds, and budget-steps a 2-shard run,
@@ -63,7 +61,7 @@ bench_smoke_dir=$(mktemp -d)
          "$repo/build-avx2/bench/table4_2_packet_level")
 rm -rf "$bench_smoke_dir"
 
-step "loopback-vs-socket, overlap + steady-state smoke (2 shards)"
+step "loopback-vs-socket + steady-state smoke (2 shards)"
 wire_smoke_dir=$(mktemp -d)
 (cd "$wire_smoke_dir" &&
      DPC_BENCH_SMOKE=1 "$repo/build-avx2/bench/wire_shard")

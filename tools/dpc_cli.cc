@@ -19,8 +19,7 @@
  *
  *   dpc shard     --nodes N --shards S [--rounds R] [--proto P]
  *                 [--budget W/node] [--seed X] [--stats 1]
- *                 [--overlap 0|1] [--depth D] [--retrans-ms MS]
- *                 [--threshold M]
+ *                 [--depth D] [--retrans-ms MS] [--threshold M]
  *       Fork S real shard processes that split the overlay and run
  *       DiBA over 127.0.0.1 sockets (proto: udp or tcp), then
  *       verify the reassembled caps bitwise against an in-process
@@ -317,7 +316,6 @@ cmdShard(const Args &args)
     cluster::ShardRunOptions opt;
     opt.num_shards = shards;
     opt.rounds = rounds;
-    opt.overlap = args.num("overlap", 1) != 0;
     opt.pipeline_depth =
         static_cast<std::uint32_t>(args.num("depth", 0));
     opt.retrans_ms =
@@ -497,7 +495,7 @@ usage()
         << "  topology: --nodes N --budget W/node --seed X\n"
         << "  shard:    --nodes N --shards S --rounds R "
            "--proto udp|tcp --budget W/node --seed X\n"
-           "            [--stats 1] [--overlap 0|1] [--depth D] "
+           "            [--stats 1] [--depth D] "
            "[--retrans-ms MS] [--threshold M]\n"
            "            [--kill-shard S@R] [--stall-shard S@R:D_MS]"
            " [--recover 0|1] [--deadline-ms MS]\n";
