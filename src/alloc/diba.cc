@@ -401,7 +401,7 @@ DibaAllocator::tickEdge(std::size_t u, std::size_t v, bool deliver)
 }
 
 std::size_t
-DibaAllocator::failNodeCommon(std::size_t i)
+DibaAllocator::deactivateNode(std::size_t i)
 {
     DPC_ASSERT(i < p_.size(), "failNode index out of range");
     const std::size_t iw = wi(i);
@@ -414,6 +414,12 @@ DibaAllocator::failNodeCommon(std::size_t i)
     // O(1) and the "no live edge" condition is exact (edges_ empty
     // <=> no live edge exists).
     pruneEdgesOf(iw);
+    return iw;
+}
+
+void
+DibaAllocator::membershipLost(std::size_t failed)
+{
     assertLiveEdgesExact();
     // Staleness never spans a membership change: lagged snapshots
     // taken before the event are inconsistent with the post-event
@@ -429,16 +435,16 @@ DibaAllocator::failNodeCommon(std::size_t i)
         // unaffected; each partition simply optimizes within the
         // slack it holds.  Chord-equipped rings avoid this
         // (Sec. 4.4.2).
-        warn("DiBA overlay disconnected after node ", i,
-             " failed; partitions optimize independently");
+        warn("DiBA overlay disconnected after ", failed,
+             " node failure(s); partitions optimize independently");
     }
-    return iw;
 }
 
 void
 DibaAllocator::failNode(std::size_t i)
 {
-    const std::size_t iw = failNodeCommon(i);
+    const std::size_t iw = deactivateNode(i);
+    membershipLost(1);
 
     // The dead server draws no more power: hand its slack estimate
     // plus its entire released cap to the surviving neighbours it
@@ -471,17 +477,28 @@ DibaAllocator::failNode(std::size_t i)
 }
 
 void
-DibaAllocator::failNodeQuiet(std::size_t i)
+DibaAllocator::failNodesQuiet(std::vector<std::size_t> nodes)
 {
-    const std::size_t iw = failNodeCommon(i);
-    // No neighbour gift: the authoritative (p, e) of a remotely
-    // owned dead node never lived in this process, so there is no
-    // slack to hand off -- zero the local mirror and let the
-    // subsequent re-federation reclaim the budget the dead block
-    // held.  Identical on every survivor, so full-size mirrors
-    // stay bitwise aligned.
-    p_[iw] = 0.0;
-    e_[iw] = 0.0;
+    // Prune in ascending original id: the swap-removals then leave
+    // the live-edge list -- and so every later gossip draw -- in
+    // the one canonical order every survivor shares, whatever
+    // order the caller listed the set in.
+    std::sort(nodes.begin(), nodes.end());
+    for (const std::size_t i : nodes) {
+        // No neighbour gift: the authoritative (p, e) of a remotely
+        // owned dead node never lived in this process, so there is
+        // no slack to hand off -- zero the local mirror and let the
+        // subsequent re-federation reclaim the budget the dead
+        // block held.  Identical on every survivor, so full-size
+        // mirrors stay bitwise aligned.
+        const std::size_t iw = deactivateNode(i);
+        p_[iw] = 0.0;
+        e_[iw] = 0.0;
+    }
+    // One history restart, frontier reheat and connectivity check
+    // for the whole set: O(n + E) per event instead of per node.
+    if (!nodes.empty())
+        membershipLost(nodes.size());
 }
 
 bool
@@ -2426,7 +2443,7 @@ DibaAllocator::rollbackToShardCheckpoint(
     problem_.budget = c.budget;
     transport_round_ = rounds_completed;
     // An aborted round may have left a partially stepped frontier;
-    // the post-rollback surgery (failNodeQuiet + re-federation)
+    // the post-rollback surgery (failNodesQuiet + re-federation)
     // reheats anyway, but restore a self-consistent state even if
     // the caller rolls back without surgery.
     frontier_.reheatAll();

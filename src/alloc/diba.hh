@@ -513,18 +513,23 @@ class DibaAllocator : public IterativeAllocator
     void failNode(std::size_t i);
 
     /**
-     * failNode() minus the neighbour slack hand-off, for the
-     * sharded recovery path: the dead node's authoritative (p, e)
-     * lived in a process that no longer exists, so a survivor
-     * cannot gift its slack to the neighbours -- the local mirror
-     * of the dead entries is simply zeroed and the budget the dead
-     * block held is reclaimed by the subsequent re-federation
-     * (refederateBudgetWithHeld).  Every survivor applies the same
-     * transform, which keeps their full-size mirrors bitwise
-     * aligned.  Topology surgery, accounting resets, and the
-     * connectivity warning are identical to failNode().
+     * failNode() minus the neighbour slack hand-off, applied to a
+     * whole set of nodes at once, for the sharded recovery path:
+     * the dead nodes' authoritative (p, e) lived in a process that
+     * no longer exists, so a survivor cannot gift their slack to
+     * the neighbours -- the local mirror of the dead entries is
+     * simply zeroed and the budget the dead block held is
+     * reclaimed by the subsequent re-federation
+     * (refederateBudgetWithHeld).  Edges are pruned in ascending
+     * original id (the set is sorted first), which leaves the
+     * live-edge list bitwise equal to failing the nodes one at a
+     * time in that order; the history restart, frontier reheat and
+     * connectivity check then run once for the set, so surgery on
+     * a dead block is one O(n + E) pass.  Every survivor applies
+     * the same transform, which keeps their full-size mirrors
+     * bitwise aligned.  Every listed node must be active.
      */
-    void failNodeQuiet(std::size_t i);
+    void failNodesQuiet(std::vector<std::size_t> nodes);
 
     /**
      * Re-admit a previously failed server: the exact inverse of
@@ -863,10 +868,15 @@ class DibaAllocator : public IterativeAllocator
     /** Debug-build micro-assert wrapping liveEdgeListExact(). */
     void assertLiveEdgesExact() const;
 
-    /** Shared front half of failNode()/failNodeQuiet(): topology
-     * surgery, accounting resets, connectivity warning.  Returns
-     * the working id; the caller disposes of the slack. */
-    std::size_t failNodeCommon(std::size_t i);
+    /** Shared front half of failNode()/failNodesQuiet(): mark one
+     * node inactive and prune its live edges.  Returns the working
+     * id; the caller disposes of the slack. */
+    std::size_t deactivateNode(std::size_t i);
+
+    /** Shared back half: after `failed` nodes left, restart the
+     * history, reheat the frontier and warn if the survivors
+     * split. */
+    void membershipLost(std::size_t failed);
 
     /** Shared body of the gossipSweep overloads. */
     double sweepImpl(Rng &rng, GossipChannel *chan);
@@ -1111,7 +1121,7 @@ class DibaAllocator : public IterativeAllocator
     /** One shard checkpoint: the mutable between-rounds state a
      * transport-routed round touches (topology, participation and
      * federation bookkeeping are NOT rounds state -- rollback runs
-     * before any failNodeQuiet/refederate surgery). */
+     * before any failNodesQuiet/refederate surgery). */
     struct ShardCheckpoint
     {
         std::uint64_t key = ~0ull; ///< transport_round_ at save

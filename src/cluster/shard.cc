@@ -13,6 +13,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -43,9 +44,11 @@ failDeadBlocks(DibaAllocator &alloc, const ShardPlan &plan,
                std::vector<std::uint32_t> &label)
 {
     alloc.setRecoveryEpoch(epoch);
+    std::vector<std::size_t> nodes;
     for (std::size_t i = 0; i < plan.owner_of.size(); ++i)
         if (((dead >> plan.owner_of[i]) & 1) && alloc.isActive(i))
-            alloc.failNodeQuiet(i);
+            nodes.push_back(i);
+    alloc.failNodesQuiet(std::move(nodes));
     return alloc.liveComponents(label);
 }
 
@@ -118,9 +121,33 @@ trySendFrame(int fd, const Frame &f)
     return trySendAll(fd, bytes.data(), bytes.size());
 }
 
-/** Blocking framed read over a per-connection reassembly buffer. */
-Frame
-recvFrame(int fd, std::vector<std::uint8_t> &buf)
+/** How readFrame() waits while the link holds no whole frame. */
+enum class LinkWait
+{
+    /** Block until one arrives. */
+    Block,
+    /** Return false instead of waiting. */
+    Drain,
+};
+
+/**
+ * The one broker-link reader: decode the next frame out of the
+ * per-connection reassembly buffer, reading more bytes as needed.
+ * Drain never waits.  Block waits in a blocking recv -- or, given a
+ * transport to service, inside its service(), which keeps the
+ * shard's UDP data plane alive while waiting on the broker.  At the
+ * round barrier a shard owes its peers nothing new, but a peer that
+ * lost datagrams keeps retransmitting until a replay unsticks it,
+ * and those nudges land on the DATA socket, not the broker link.
+ * Blocking blind on the broker there deadlocks the pair: we never
+ * see the nudge, the peer never finishes, the broker never releases
+ * the barrier.  service() watches the broker link in the same wait
+ * (SocketTransport::Config::control_fd), so a broker frame still
+ * ends it at once.
+ */
+bool
+readFrame(int fd, std::vector<std::uint8_t> &buf, LinkWait wait,
+          net::SocketTransport *servicing, Frame &out)
 {
     for (;;) {
         Frame f;
@@ -130,75 +157,44 @@ recvFrame(int fd, std::vector<std::uint8_t> &buf)
         if (st == DecodeStatus::Ok) {
             buf.erase(buf.begin(),
                       buf.begin() + static_cast<long>(used));
-            return f;
+            out = std::move(f);
+            return true;
         }
         if (st == DecodeStatus::Bad)
             fatal("corrupt frame on broker link");
+        const bool blocking =
+            wait == LinkWait::Block && servicing == nullptr;
+        if (wait == LinkWait::Block && servicing != nullptr)
+            servicing->service();
         std::uint8_t chunk[16384];
-        const ssize_t k = ::recv(fd, chunk, sizeof(chunk), 0);
+        const ssize_t k = ::recv(fd, chunk, sizeof(chunk),
+                                 blocking ? 0 : MSG_DONTWAIT);
         if (k < 0) {
             if (errno == EINTR)
                 continue;
+            if (errno == EAGAIN || errno == EWOULDBLOCK) {
+                if (wait == LinkWait::Drain)
+                    return false;
+                continue;
+            }
             fatal("broker link recv failed: ",
                   std::strerror(errno));
         }
         if (k == 0)
-            fatal("broker link closed mid-frame");
+            fatal("broker link closed (broker death is fatal in "
+                  "v1)");
         buf.insert(buf.end(), chunk, chunk + k);
     }
 }
 
-/**
- * Like recvFrame, but keeps the shard's UDP data plane alive while
- * waiting on the broker.  At the round barrier a shard owes its
- * peers nothing new -- but a peer that lost datagrams keeps
- * retransmitting until a replay unsticks it, and those nudges land
- * on the DATA socket, not the broker link.  Blocking blind on the
- * broker here deadlocks the pair: we never see the nudge, the peer
- * never finishes, the broker never releases the barrier.  So poll
- * the broker link without blocking and let sock.service() (which
- * waits one retransmit tick on the data socket) fill the gaps.
- */
+/** Blocking read of the next broker frame. */
 Frame
-recvFrameServicing(int fd, std::vector<std::uint8_t> &buf,
-                   net::SocketTransport &sock)
+recvFrame(int fd, std::vector<std::uint8_t> &buf,
+          net::SocketTransport *servicing = nullptr)
 {
-    for (;;) {
-        Frame f;
-        std::size_t used = 0;
-        const DecodeStatus st =
-            net::decodeFrame(buf.data(), buf.size(), f, used);
-        if (st == DecodeStatus::Ok) {
-            buf.erase(buf.begin(),
-                      buf.begin() + static_cast<long>(used));
-            return f;
-        }
-        if (st == DecodeStatus::Bad)
-            fatal("corrupt frame on broker link");
-        pollfd p{fd, POLLIN, 0};
-        const int rc = ::poll(&p, 1, 0);
-        if (rc < 0) {
-            if (errno == EINTR)
-                continue;
-            fatal("broker link poll failed: ",
-                  std::strerror(errno));
-        }
-        if (rc == 0) {
-            sock.service();
-            continue;
-        }
-        std::uint8_t chunk[16384];
-        const ssize_t k = ::recv(fd, chunk, sizeof(chunk), 0);
-        if (k < 0) {
-            if (errno == EINTR)
-                continue;
-            fatal("broker link recv failed: ",
-                  std::strerror(errno));
-        }
-        if (k == 0)
-            fatal("broker link closed mid-frame");
-        buf.insert(buf.end(), chunk, chunk + k);
-    }
+    Frame f;
+    readFrame(fd, buf, LinkWait::Block, servicing, f);
+    return f;
 }
 
 int
@@ -272,45 +268,18 @@ shardMain(std::uint32_t shard_id, const ShardPlan &plan,
     auto drainBroker = [&]() {
         if (ctl.bfd < 0)
             return;
-        for (;;) {
-            Frame f;
-            std::size_t used = 0;
-            const DecodeStatus st = net::decodeFrame(
-                ctl.bbuf.data(), ctl.bbuf.size(), f, used);
-            if (st == DecodeStatus::Ok) {
-                ctl.bbuf.erase(ctl.bbuf.begin(),
-                               ctl.bbuf.begin() +
-                                   static_cast<long>(used));
-                if (f.type == FrameType::EpochChange &&
-                    f.epoch_change.phase == EpochPhase::Quiesce &&
-                    (!ctl.quiesce_pending ||
-                     f.epoch_change.epoch > ctl.quiesce.epoch) &&
-                    (sockp == nullptr ||
-                     f.epoch_change.epoch > sockp->epoch())) {
-                    ctl.quiesce_pending = true;
-                    ctl.quiesce = f.epoch_change;
-                }
-                continue;
+        Frame f;
+        while (readFrame(ctl.bfd, ctl.bbuf, LinkWait::Drain, nullptr,
+                         f)) {
+            if (f.type == FrameType::EpochChange &&
+                f.epoch_change.phase == EpochPhase::Quiesce &&
+                (!ctl.quiesce_pending ||
+                 f.epoch_change.epoch > ctl.quiesce.epoch) &&
+                (sockp == nullptr ||
+                 f.epoch_change.epoch > sockp->epoch())) {
+                ctl.quiesce_pending = true;
+                ctl.quiesce = f.epoch_change;
             }
-            if (st == DecodeStatus::Bad)
-                fatal("corrupt frame on broker link");
-            pollfd p{ctl.bfd, POLLIN, 0};
-            const int rc = ::poll(&p, 1, 0);
-            if (rc <= 0)
-                return;
-            std::uint8_t chunk[16384];
-            const ssize_t k =
-                ::recv(ctl.bfd, chunk, sizeof(chunk), 0);
-            if (k < 0) {
-                if (errno == EINTR)
-                    continue;
-                fatal("broker link recv failed: ",
-                      std::strerror(errno));
-            }
-            if (k == 0)
-                fatal("broker link closed (broker death is fatal "
-                      "in v1)");
-            ctl.bbuf.insert(ctl.bbuf.end(), chunk, chunk + k);
         }
     };
 
@@ -355,6 +324,12 @@ shardMain(std::uint32_t shard_id, const ShardPlan &plan,
     tc.hosts = opt.hosts;
     if (!opt.hosts.empty())
         tc.bind_host = opt.hosts[shard_id];
+    // The broker link is dialed before the transport exists so its
+    // blocking waits can watch it: a Quiesce or the final Bye then
+    // ends a wait the moment it lands instead of up to one
+    // retransmit tick later.
+    ctl.bfd = dialBroker(broker_port);
+    tc.control_fd = ctl.bfd;
     if (guarded)
         tc.tick = tickNow;
     // The canonical edge list both sides of every shard pair
@@ -365,8 +340,6 @@ shardMain(std::uint32_t shard_id, const ShardPlan &plan,
                               static_cast<std::uint32_t>(v));
     net::SocketTransport sock(tc);
     sockp = &sock;
-
-    ctl.bfd = dialBroker(broker_port);
     {
         Frame hello;
         hello.type = FrameType::Hello;
@@ -629,15 +602,12 @@ shardMain(std::uint32_t shard_id, const ShardPlan &plan,
         // Stay on the data plane until every shard has reported: a
         // peer still mid-round may need our retained batches
         // replayed, and going deaf here would wedge it (see
-        // recvFrameServicing).  The broker's Bye (RoundGo, stop=1)
+        // readFrame).  The broker's Bye (RoundGo, stop=1)
         // only comes once all Results are in -- unless a peer dies
         // first, in which case an EpochChange pulls this shard
         // back into the round loop.
         for (;;) {
-            const Frame f =
-                opt.proto == net::SocketTransport::Proto::Udp
-                    ? recvFrameServicing(ctl.bfd, ctl.bbuf, sock)
-                    : recvFrame(ctl.bfd, ctl.bbuf);
+            const Frame f = recvFrame(ctl.bfd, ctl.bbuf, &sock);
             if (f.type == FrameType::RoundGo &&
                 f.round_go.stop != 0) {
                 released = true;
@@ -653,6 +623,38 @@ shardMain(std::uint32_t shard_id, const ShardPlan &plan,
         }
     }
     ::close(ctl.bfd);
+}
+
+/** A pidfd for child `pid` (readable once it exits), or -1 where
+ * the kernel has none. */
+int
+openPidfd(pid_t pid)
+{
+#ifdef SYS_pidfd_open
+    return static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+#else
+    (void)pid;
+    return -1;
+#endif
+}
+
+/**
+ * Wait until the child behind `pidfd` exits, for at most
+ * `timeout_ms` -- and at most 50 ms, because a pidfd does not wake
+ * on a stop, which the caller's waitpid(WUNTRACED) must still see.
+ * Without a pidfd, nap 2 ms.
+ */
+void
+awaitExit(int pidfd, std::int64_t timeout_ms)
+{
+    if (pidfd < 0) {
+        ::usleep(2000);
+        return;
+    }
+    pollfd p{pidfd, POLLIN, 0};
+    ::poll(&p, 1,
+           static_cast<int>(std::clamp<std::int64_t>(timeout_ms, 0,
+                                                     50)));
 }
 
 /** Human-readable waitpid status. */
@@ -1038,6 +1040,7 @@ runShardedDiba(const AllocationProblem &prob, const Graph &topo,
             }
             const std::int64_t give_up = nowMs() + 5000;
             bool killed = force;
+            const int pidfd = openPidfd(sh[s].pid);
             for (;;) {
                 int st = 0;
                 const pid_t rc =
@@ -1070,8 +1073,10 @@ runShardedDiba(const AllocationProblem &prob, const Graph &topo,
                          ") is unreapable");
                     break;
                 }
-                ::usleep(2000);
+                awaitExit(pidfd, give_up - nowMs());
             }
+            if (pidfd >= 0)
+                ::close(pidfd);
         }
         for (std::uint32_t s = 0; s < opt.num_shards; ++s)
             out.shard_status[s] = sh[s].status;
@@ -1277,7 +1282,9 @@ runShardedDiba(const AllocationProblem &prob, const Graph &topo,
      * itself while further deaths land mid-handshake.  @return
      * false (with `err` set) only on an unrecoverable state. */
     auto recoverNow = [&](std::string &err) {
-        const std::int64_t rec_t0 = nowMs();
+        // steady_clock, not nowMs(): a recovery is often well under
+        // a millisecond, which whole-ms ticks would report as 0.
+        const auto rec_t0 = std::chrono::steady_clock::now();
         for (;;) {
             death_pending = false;
             if (aliveCount() == 0) {
@@ -1354,8 +1361,10 @@ runShardedDiba(const AllocationProblem &prob, const Graph &topo,
             out.recovery_round = rec;
             out.quiesce_round = qmax;
             ++out.recoveries;
-            out.recovery_s +=
-                static_cast<double>(nowMs() - rec_t0) / 1000.0;
+            out.recovery_s += std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() -
+                                  rec_t0)
+                                  .count();
             inform("broker: epoch ", cur_epoch,
                    " recovery: dead_mask=", dead_mask,
                    " resume_round=", rec, " quiesce_round=",

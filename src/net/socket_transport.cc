@@ -1158,29 +1158,38 @@ SocketTransport::roundComplete() const
     return rx_emitted_ >= need;
 }
 
-bool
-SocketTransport::receiveSome(int timeout_ms)
+SocketTransport::Wake
+SocketTransport::receiveSome(int timeout_ms, bool data_plane,
+                             bool control)
 {
+    Wake w;
     std::vector<pollfd> fds;
-    if (cfg_.proto == Proto::Udp) {
+    if (data_plane && cfg_.proto == Proto::Udp) {
         fds.push_back({sock_, POLLIN, 0});
-    } else {
+    } else if (data_plane) {
         for (int fd : peer_fd_)
             if (fd >= 0)
                 fds.push_back({fd, POLLIN, 0});
     }
+    // The control link rides at the end of the wait set, after the
+    // data fds the decode loops below walk.
+    const std::size_t ndata = fds.size();
+    if (control && cfg_.control_fd >= 0)
+        fds.push_back({cfg_.control_fd, POLLIN, 0});
     if (fds.empty())
-        return false;
+        return w;
     const int rc = ::poll(fds.data(), fds.size(), timeout_ms);
     if (rc < 0) {
         if (errno == EINTR)
-            return false;
+            return w;
         fatal("shard poll(): ", std::strerror(errno));
     }
     if (rc == 0)
-        return false;
+        return w;
+    w.control = fds.size() > ndata && fds[ndata].revents != 0;
+    if (ndata == 0)
+        return w;
 
-    bool any = false;
     if (cfg_.proto == Proto::Udp) {
         std::uint8_t buf[65536];
         for (;;) {
@@ -1208,12 +1217,13 @@ SocketTransport::receiveSome(int timeout_ms)
                 }
                 ++stats_.frames_received;
                 fileBatch(f.cut_batch, f.version);
-                any = true;
+                w.data = true;
                 off += used;
             }
         }
     } else {
-        for (const pollfd &p : fds) {
+        for (std::size_t x = 0; x < ndata; ++x) {
+            const pollfd &p = fds[x];
             if ((p.revents & POLLIN) == 0)
                 continue;
             std::uint32_t s = 0;
@@ -1271,7 +1281,7 @@ SocketTransport::receiveSome(int timeout_ms)
                           ": unexpected frame type on data plane");
                 ++stats_.frames_received;
                 fileBatch(f.cut_batch, f.version);
-                any = true;
+                w.data = true;
                 off += used;
             }
             if (off > 0)
@@ -1279,21 +1289,22 @@ SocketTransport::receiveSome(int timeout_ms)
                          rb.begin() + static_cast<long>(off));
         }
     }
-    return any;
+    return w;
 }
 
 void
 SocketTransport::service()
 {
-    // UDP only: the whole point is answering retransmit nudges,
-    // which TCP never sends -- and a TCP peer that finished its
-    // final round has legitimately closed its stream, which
-    // receiveSome() would misread as a mid-run death.
-    if (!started_ || cfg_.proto != Proto::Udp)
-        return;
-    ensureFlushed();
-    replayed_this_poll_ = false;
-    receiveSome(cfg_.retrans_ms);
+    // The data plane only on UDP: the whole point is answering
+    // retransmit nudges, which TCP never sends -- and a TCP peer
+    // that finished its final round has legitimately closed its
+    // stream, which receiveSome() would misread as a mid-run death.
+    const bool data_plane = started_ && cfg_.proto == Proto::Udp;
+    if (data_plane) {
+        ensureFlushed();
+        replayed_this_poll_ = false;
+    }
+    receiveSome(cfg_.retrans_ms, data_plane, true);
 }
 
 void
@@ -1318,7 +1329,7 @@ SocketTransport::tryPoll(Delivery &out)
     if (roundComplete())
         return false;
     replayed_this_poll_ = false;
-    receiveSome(0);
+    receiveSome(0, true, false);
     resolveRx();
     if (head_ < ready_.size()) {
         out = ready_[head_++];
@@ -1397,7 +1408,11 @@ SocketTransport::poll(Delivery &out)
         if (abort_)
             return false;
         replayed_this_poll_ = false;
-        const bool got = receiveSome(cfg_.retrans_ms);
+        // The control link shares the wait (under a tick, which
+        // consumes it), so a broker Quiesce aborts the round the
+        // moment it lands rather than on the next timeout.
+        const Wake w = receiveSome(cfg_.retrans_ms, true,
+                                   static_cast<bool>(cfg_.tick));
         // The control-plane hook runs on EVERY wait iteration --
         // steady data-plane traffic must not starve heartbeats or
         // delay an epoch-change abort.
@@ -1405,8 +1420,11 @@ SocketTransport::poll(Delivery &out)
             abort_ = true;
             return false;
         }
-        if (!got) {
-            tickRetransmit();
+        if (!w.data) {
+            // Only a wait that ran out is a fruitless tick; a
+            // control frame waking it early resends nothing.
+            if (!w.control)
+                tickRetransmit();
             if (nowMs() > give_up)
                 fatalTimeout();
         }

@@ -137,6 +137,18 @@ class SocketTransport final : public Transport
          */
         std::function<bool()> tick;
         /**
+         * The control-plane link (the shard runtime's broker
+         * socket), or -1.  The transport never reads it; its
+         * blocking waits just watch it next to the data plane, so
+         * a control frame ends the wait at once instead of after
+         * up to one retransmit tick.  poll() watches it only under
+         * a `tick` (which must consume what arrived) and then runs
+         * the tick; service() returns to its caller.  A wake from
+         * this link alone is not a fruitless retransmit tick: no
+         * resend, no suspicion.
+         */
+        int control_fd = -1;
+        /**
          * Negotiated CutBatch wire version (the broker's agreed
          * version).  >= 4: delta-suppressed frames (quiesced
          * halves ship nothing, live halves ship XOR varints,
@@ -284,12 +296,14 @@ class SocketTransport final : public Transport
     /**
      * Keep the data plane alive while the shard is parked outside
      * poll() -- e.g. waiting for the broker's final release.  Waits
-     * up to one retransmit tick for incoming frames; a duplicate
-     * from a peer still mid-round triggers a replay of our retained
+     * up to one retransmit tick for incoming frames, returning as
+     * soon as Config::control_fd turns readable; a duplicate from
+     * a peer still mid-round triggers a replay of our retained
      * rounds to it.  Without this, a shard that finishes its last
      * round and blocks on the broker goes deaf: a peer that lost
      * datagrams retransmits into the void until it times out.
-     * No-op before the first beginRound.
+     * Before the first beginRound, and on TCP (whose peers never
+     * need a replay), it waits on the control link alone.
      */
     void service();
 
@@ -481,9 +495,20 @@ class SocketTransport final : public Transport
     /** Dup-triggered replay of [from, round_] to peer s. */
     void nudgePeer(std::uint32_t s, std::uint64_t from);
 
-    /** Wait up to timeout_ms for bytes on the data plane; decode
-     * and file frames.  Returns true if any frame was consumed. */
-    bool receiveSome(int timeout_ms);
+    /** What ended one receiveSome() wait (neither: it timed
+     * out). */
+    struct Wake
+    {
+        /** At least one data-plane frame was consumed. */
+        bool data = false;
+        /** Config::control_fd turned readable. */
+        bool control = false;
+    };
+
+    /** Wait up to timeout_ms for bytes on the data plane (when
+     * `data_plane`) or on the control link (when `control`);
+     * decode and file the data frames. */
+    Wake receiveSome(int timeout_ms, bool data_plane, bool control);
 
     /** File one decoded CutBatch (version = its frame version;
      * frames from the wrong negotiated layout are dropped). */

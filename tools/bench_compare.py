@@ -68,6 +68,10 @@ dense bytes_per_round / 8 and steady_rounds_per_sec at least 4x
 dense rounds_per_sec -- the steady-state sparsity claim itself, so
 a stale baseline cannot mask losing it.
 
+wire_recovery rows are held to absolute bars of their own (see
+AVAILABILITY_BAR and below), among them recovery_ms <= 10: half the
+20 ms retransmit tick, so recovery must be event-driven.
+
 A baseline record with no current match is a FAIL (a benchmark
 disappeared); new current records pass (coverage grew).  Exit code
 is 1 on any failure, 0 otherwise.
@@ -148,6 +152,11 @@ WIRE_BYTES_SLACK = 0.001
 AVAILABILITY_BAR = 0.999
 DETECTION_ROUNDS_BAR = 8
 RECOVERY_ROUNDS_BAR = 8
+# Death confirmed -> Resume sent, in ms: half of the default 20 ms
+# retransmit tick.  A survivor that waits out a tick before it sees
+# the Quiesce, or dead-block surgery that goes quadratic in the
+# block size again, cannot clear it.
+RECOVERY_MS_BAR = 10.0
 # The steady-state sparsity claim, held against the CURRENT run's
 # own dense row (see module docstring).
 STEADY_BYTES_DIVISOR = 8.0
@@ -362,6 +371,11 @@ def main():
             failures.append(
                 f"RECOVERY {describe(key)}: recovery_rounds "
                 f"{crec['recovery_rounds']} > {RECOVERY_ROUNDS_BAR}"
+            )
+        if float(crec.get("recovery_ms", 0.0)) > RECOVERY_MS_BAR:
+            failures.append(
+                f"RECOVERY {describe(key)}: recovery_ms "
+                f"{float(crec['recovery_ms']):.3g} > {RECOVERY_MS_BAR:g}"
             )
 
     grown = len(curr.keys() - base.keys())
