@@ -4,16 +4,12 @@
  * DiBA absorb before its allocation quality degrades?
  *
  * Grid: pair-drop rate 0%..50% x churn off / on (5 crashes + 3
- * rejoins drawn by FaultPlan::randomChurn).  The six loss-only
- * cells share one live topology and differ only in their drop
- * rate, so they run as six lanes of a single ReplicaBatch -- one
- * lockstep pass over the cluster per round instead of six separate
- * engine runs -- with the lane budget invariant audited every
- * round.  The churn cells mutate cluster membership (which lanes
- * cannot share), so each keeps its own FaultSession with the
- * lossy channel's stale-delivery tail and the full InvariantChecker
- * audit.  Every cell then scores its surviving allocation against
- * the KKT optimum of the survivors' problem.
+ * rejoins drawn by FaultPlan::randomChurn).  Every cell drives its
+ * own DibaAllocator through a FaultSession, which audits the
+ * InvariantChecker invariants after every round.  Loss-only cells
+ * draw i.i.d. pair drops; the churn cells add the lossy channel's
+ * stale-delivery tail.  Every cell then scores its surviving
+ * allocation against the KKT optimum of the survivors' problem.
  *
  * Emits BENCH_fault_storm.json (one record per cell) for
  * machine-readable tracking, next to the human-readable table.
@@ -23,7 +19,6 @@
 
 #include <cmath>
 
-#include "alloc/replica_batch.hh"
 #include "bench/common.hh"
 #include "fault/session.hh"
 #include "tools/bench_json.hh"
@@ -44,59 +39,6 @@ struct CellResult
     std::size_t rounds = 0;
 };
 
-/** All loss-only cells at once: one batched lockstep run, one
- * lane per drop rate, per-round invariant audit per lane. */
-std::vector<CellResult>
-runLossCells(const AllocationProblem &prob,
-             const std::vector<double> &drops)
-{
-    const std::size_t n = prob.size();
-    const std::size_t rounds = 800;
-    Rng topo_rng(7);
-    const Graph g = makeChordalRing(n, 30, topo_rng);
-
-    std::vector<ReplicaSpec> specs;
-    for (std::size_t r = 0; r < drops.size(); ++r)
-        specs.push_back(ReplicaSpec{
-            0x5709a + static_cast<std::uint64_t>(
-                          std::lround(drops[r] * 100.0)),
-            drops[r], 0.0});
-    ReplicaBatch batch(g, prob, specs);
-
-    std::vector<double> worst(drops.size(), 0.0);
-    std::vector<std::size_t> quiet_total(drops.size(), 0);
-    for (std::size_t round = 0; round < rounds; ++round) {
-        batch.stepAll();
-        for (std::size_t r = 0; r < drops.size(); ++r) {
-            const double resid = std::fabs(
-                sum(batch.estimatesOf(r)) -
-                (batch.totalPower(r) - batch.budget(r)));
-            worst[r] = std::max(worst[r], resid);
-            if (batch.totalPower(r) >= batch.budget(r))
-                worst[r] = std::max(worst[r], 1e9); // cap breach
-            if (batch.moved(r) <
-                DibaAllocator::Config().tolerance)
-                ++quiet_total[r];
-        }
-    }
-
-    const auto opt = solveKkt(prob);
-    std::vector<CellResult> cells(drops.size());
-    for (std::size_t r = 0; r < drops.size(); ++r) {
-        CellResult &cell = cells[r];
-        cell.active = n;
-        cell.util_frac =
-            totalUtility(prob.utilities, batch.powerOf(r)) /
-            opt.utility;
-        cell.total_power = batch.totalPower(r);
-        cell.observed_loss = batch.lossRate(r);
-        cell.worst_residual = worst[r];
-        cell.quiet_rounds = quiet_total[r];
-        cell.rounds = rounds;
-    }
-    return cells;
-}
-
 CellResult
 runCell(const AllocationProblem &prob, double drop, bool churn)
 {
@@ -113,11 +55,13 @@ runCell(const AllocationProblem &prob, double drop, bool churn)
               : FaultPlan();
     LossyChannel::Config loss;
     loss.drop_rate = drop;
-    // A staleness tail rides along: 10% of delivered pairs arrive
-    // up to 3 rounds late.
-    loss.delay_rate = 0.1;
-    loss.max_lag = 3;
-    plan.loss(loss).seed(0x5709a + static_cast<int>(drop * 100));
+    if (churn) {
+        // A staleness tail rides along: 10% of delivered pairs
+        // arrive up to 3 rounds late.
+        loss.delay_rate = 0.1;
+        loss.max_lag = 3;
+    }
+    plan.loss(loss).seed(0x5709a + std::lround(drop * 100.0));
 
     FaultSession session(diba, plan);
     CellResult cell;
@@ -150,8 +94,8 @@ main()
 {
     bench::banner(
         "Fault storm sweep",
-        "N=300 chordal ring; pair-drop 0..50% + stale tail, with "
-        "and without 5-crash/3-rejoin churn; 800 audited rounds "
+        "N=300 chordal ring; pair-drop 0..50%, with and without "
+        "5-crash/3-rejoin churn (+ stale tail); 800 audited rounds "
         "per cell");
 
     const std::size_t n = 300;
@@ -162,13 +106,9 @@ main()
                  "worst_residual_W", "quiet_rounds"});
     tools::BenchJsonWriter json;
 
-    const std::vector<double> drops{0.0, 0.1, 0.2, 0.3, 0.4, 0.5};
-    const auto loss_cells = runLossCells(prob, drops);
-    for (std::size_t d = 0; d < drops.size(); ++d) {
-        const double drop = drops[d];
+    for (const double drop : {0.0, 0.1, 0.2, 0.3, 0.4, 0.5}) {
         for (const bool churn : {false, true}) {
-            const CellResult cell =
-                churn ? runCell(prob, drop, true) : loss_cells[d];
+            const CellResult cell = runCell(prob, drop, churn);
             table.addRow(
                 {Table::num(100.0 * drop, 0),
                  std::string(churn ? "yes" : "no"),
@@ -197,8 +137,7 @@ main()
 
     std::cout << "\nEvery cell passed the per-round invariant "
                  "audit (budget safety, mask consistency, "
-                 "estimate-sum conservation); the six loss-only "
-                 "cells ran as one batched lockstep sweep; "
-                 "results saved to BENCH_fault_storm.json\n";
+                 "estimate-sum conservation); results saved to "
+                 "BENCH_fault_storm.json\n";
     return 0;
 }

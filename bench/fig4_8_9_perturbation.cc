@@ -6,13 +6,13 @@
  * outward over rounds while decaying in magnitude.  Fig. 4.9: the
  * final |delta p_i| after re-settling is concentrated near the
  * perturbed node.  A second section sweeps the perturbation
- * magnitude with every strength as one lane of a ReplicaBatch
- * seeded from the settled allocation.
+ * magnitude: one allocator per strength, each warm-started from the
+ * settled allocation, stepped in lockstep until all converge.
  */
 
+#include <algorithm>
 #include <cmath>
 
-#include "alloc/replica_batch.hh"
 #include "bench/common.hh"
 #include "util/stats.hh"
 
@@ -103,40 +103,51 @@ main()
                  "vicinity of the perturbed server need to adjust "
                  "their power'.\n";
 
-    // Batched perturbation sweep: the study above, repeated for a
-    // spectrum of perturbation strengths, used to re-run the whole
-    // engine once per magnitude.  The magnitudes are independent
-    // replicas of one cluster, so they run as lanes of a single
-    // ReplicaBatch seeded from the settled allocation -- one
-    // lockstep pass answers the entire locality-vs-magnitude
-    // question.  Lane 0 keeps the original workload as the
-    // control.
+    // Perturbation sweep: the study above, repeated for a spectrum
+    // of perturbation strengths.  Every magnitude is one lane: an
+    // allocator warm-started from the settled allocation with a
+    // different utility swap at node 50, all stepped in lockstep
+    // until every lane has converged.  Lane 0 keeps the original
+    // workload as the control.
     bench::banner("Fig. 4.8/4.9 (magnitude sweep)",
-                  "Perturbation strength vs. locality: lanes of "
-                  "one ReplicaBatch, seeded from the settled "
+                  "Perturbation strength vs. locality: one lane per "
+                  "strength, warm-started from the settled "
                   "allocation, each with a different utility swap "
                   "at node 50");
 
     const std::vector<double> shapes{0.30, 0.55, 0.75, 0.95};
-    std::vector<ReplicaSpec> specs(shapes.size() + 1);
-    for (std::size_t r = 0; r < specs.size(); ++r)
-        specs[r].seed = r + 1;
-    ReplicaBatch sweep(makeRing(n), prob, specs);
-    sweep.seedFrom(p0);
-    for (std::size_t r = 0; r < shapes.size(); ++r)
-        sweep.setUtility(r + 1, 50,
-                         QuadraticUtility::fromShape(
-                             shapes[r], shapes[r], 120.0, 220.0));
+    AllocationResult settled;
+    settled.power = p0;
+    std::vector<DibaAllocator> lanes;
+    lanes.reserve(shapes.size() + 1);
+    for (std::size_t r = 0; r <= shapes.size(); ++r) {
+        DibaAllocator &lane = lanes.emplace_back(makeRing(n));
+        lane.reset(prob);
+        lane.warmStart(settled, 0.0);
+        if (r > 0)
+            lane.setUtility(
+                50, std::make_shared<QuadraticUtility>(
+                        QuadraticUtility::fromShape(
+                            shapes[r - 1], shapes[r - 1], 120.0,
+                            220.0)));
+    }
+    const auto all_converged = [&] {
+        return std::all_of(
+            lanes.begin(), lanes.end(),
+            [](const DibaAllocator &l) { return l.converged(); });
+    };
+    Rng rng(1);
     std::size_t sweep_rounds = 0;
-    while (!sweep.allConverged() && sweep_rounds < 6000) {
-        sweep.stepAll();
+    while (!all_converged() && sweep_rounds < 6000) {
+        for (DibaAllocator &lane : lanes)
+            lane.step(rng);
         ++sweep_rounds;
     }
 
     Table mag({"lane", "shape_r0", "|dp|@50", "med_|dp|_d1-5",
                "med_|dp|_d>=30", "total_W"});
-    for (std::size_t r = 0; r < specs.size(); ++r) {
-        const auto p = sweep.powerOf(r);
+    for (std::size_t r = 0; r < lanes.size(); ++r) {
+        const auto &p = lanes[r].power();
         std::vector<double> near_r, far_r;
         for (std::size_t i = 0; i < n; ++i) {
             const std::size_t d =
@@ -155,13 +166,12 @@ main()
              Table::num(std::fabs(p[50] - p0[50]), 3),
              Table::num(percentile(near_r, 50.0), 3),
              Table::num(percentile(far_r, 50.0), 3),
-             Table::num(sweep.totalPower(r), 1)});
+             Table::num(lanes[r].totalPower(), 1)});
     }
     mag.print(std::cout);
-    std::cout << "\nAll " << specs.size()
-              << " magnitudes settled in one batched run ("
-              << sweep_rounds
-              << " lockstep rounds); disturbance at distance >= 30 "
+    std::cout << "\nAll " << lanes.size()
+              << " magnitudes settled in " << sweep_rounds
+              << " lockstep rounds; disturbance at distance >= 30 "
                  "stays near zero across the sweep while the "
                  "near-field response grows with the perturbation "
                  "strength.\n";

@@ -4,17 +4,16 @@
  * (diffuse + local steps) under the three engine configurations
  * the scalability work introduced --
  *
- *   seed:      generic virtual-dispatch utility path, serial loop
- *              over std::vector<std::vector> adjacency semantics
- *              (enable_quad_fastpath = false, num_threads = 0);
+ *   seed:      generic virtual-dispatch utility path (the same
+ *              quadratics behind test::OpaqueQuadratic), serial
+ *              loop (num_threads = 0);
  *   soa:       devirtualized quadratic struct-of-arrays fast path
  *              over the CSR overlay, still serial;
  *   parallel:  soa + the static-chunked ThreadPool with one chunk
  *              per hardware thread.
  *
- * plus steady-state rounds (dense vs. active-set frontier), the
- * batched replica engine, and the primal-dual best-response sweep
- * reusing the same pool.
+ * plus steady-state rounds (dense vs. active-set frontier) and the
+ * primal-dual best-response sweep reusing the same pool.
  * The serial/parallel DiBA rounds are bitwise-identical by
  * construction (see DESIGN.md "Round engine"), so these measure
  * the same computation.  Problems come from the shared cache so
@@ -25,8 +24,8 @@
 
 #include "alloc/diba.hh"
 #include "alloc/primal_dual.hh"
-#include "alloc/replica_batch.hh"
 #include "bench/common.hh"
+#include "tests/alloc/test_problems.hh"
 #include "util/thread_pool.hh"
 
 using namespace dpc;
@@ -36,23 +35,16 @@ namespace {
 constexpr double kWattsPerNode = 172.0;
 constexpr std::uint64_t kSeed = 23;
 
-DibaAllocator::Config
-engineConfig(bool soa, std::size_t threads)
-{
-    DibaAllocator::Config cfg;
-    cfg.enable_quad_fastpath = soa;
-    cfg.num_threads = threads;
-    return cfg;
-}
-
 void
 roundBench(benchmark::State &state, bool soa, std::size_t threads)
 {
     const auto n = static_cast<std::size_t>(state.range(0));
-    const auto &prob = bench::cachedNpbProblem(n, kWattsPerNode,
+    const auto &quad = bench::cachedNpbProblem(n, kWattsPerNode,
                                                kSeed);
-    DibaAllocator diba(makeRing(n), engineConfig(soa, threads));
-    diba.reset(prob);
+    DibaAllocator::Config cfg;
+    cfg.num_threads = threads;
+    DibaAllocator diba(makeRing(n), cfg);
+    diba.reset(soa ? quad : test::opaqueProblem(quad));
     for (auto _ : state)
         benchmark::DoNotOptimize(diba.iterate());
     state.SetLabel(bench::problemLabel(n, kWattsPerNode, kSeed));
@@ -137,32 +129,6 @@ BM_RoundActiveSteady(benchmark::State &state)
     steadyBench(state, 0.25 * probe.tolerance);
 }
 
-/**
- * Batched replicas vs. one-at-a-time: R lockstep lanes through
- * ReplicaBatch, timed per round; node_ns is normalized per LANE
- * per node, so it is directly comparable to BM_RoundSoa (one lane
- * through the standalone engine).
- */
-void
-BM_ReplicaBatchRound(benchmark::State &state)
-{
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const auto R = static_cast<std::size_t>(state.range(1));
-    const auto &prob = bench::cachedNpbProblem(n, kWattsPerNode,
-                                               kSeed);
-    std::vector<ReplicaSpec> specs(R);
-    for (std::size_t r = 0; r < R; ++r)
-        specs[r].seed = r + 1;
-    ReplicaBatch batch(makeRing(n), prob, specs);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(batch.stepAll());
-    state.SetLabel(bench::problemLabel(n, kWattsPerNode, kSeed));
-    state.counters["lane_node_ns"] = benchmark::Counter(
-        static_cast<double>(n * R),
-        benchmark::Counter::kIsIterationInvariantRate |
-            benchmark::Counter::kInvert);
-}
-
 void
 BM_PdSolve(benchmark::State &state)
 {
@@ -201,10 +167,6 @@ BENCHMARK(BM_RoundSoaParallel)
     ->Complexity();
 BENCHMARK(BM_RoundDenseSteady)->Arg(1600)->Arg(6400)->Arg(25600);
 BENCHMARK(BM_RoundActiveSteady)->Arg(1600)->Arg(6400)->Arg(25600);
-BENCHMARK(BM_ReplicaBatchRound)
-    ->Args({1600, 1})
-    ->Args({1600, 8})
-    ->Args({6400, 8});
 BENCHMARK(BM_PdSolve)
     ->Args({6400, 0})
     ->Args({6400, static_cast<long>(ThreadPool::hardwareChunks())});

@@ -20,6 +20,7 @@
 #include "alloc/centralized.hh"
 #include "bench/common.hh"
 #include "net/comm_model.hh"
+#include "tests/alloc/test_problems.hh"
 #include "tools/bench_json.hh"
 #include "util/thread_pool.hh"
 
@@ -34,11 +35,9 @@ ms(std::chrono::steady_clock::duration d)
 }
 
 DibaAllocator::Config
-engineConfig(bool soa, std::size_t threads,
-             double active_threshold = -1.0)
+engineConfig(std::size_t threads, double active_threshold = -1.0)
 {
     DibaAllocator::Config cfg;
-    cfg.enable_quad_fastpath = soa;
     cfg.num_threads = threads;
     cfg.active_threshold = active_threshold;
     return cfg;
@@ -147,20 +146,24 @@ main()
         {
             const char *name;
             DibaAllocator::Config cfg;
+            /** Same utilities behind a non-quadratic type: the
+             * generic virtual-dispatch path. */
+            bool generic = false;
             double per_round_ms = 0.0;
         } runs[] = {
-            {"seed", engineConfig(false, 0), 0.0},
-            {"soa", engineConfig(true, 0), 0.0},
-            {"par", engineConfig(true, hw), 0.0},
+            {"seed", engineConfig(0), true},
+            {"soa", engineConfig(0)},
+            {"par", engineConfig(hw)},
             // Active-set engine, measured over a converging run:
             // the first rounds sweep everyone, then the frontier
             // narrows with the residuals, so the mean reflects the
             // cost of an actual solve rather than the worst round.
-            {"active", engineConfig(true, 0, thr), 0.0},
+            {"active", engineConfig(0, thr)},
         };
         for (auto &run : runs) {
             DibaAllocator diba(makeRing(n), run.cfg);
-            diba.reset(prob);
+            diba.reset(run.generic ? test::opaqueProblem(prob)
+                                   : prob);
             bench::timeRounds(n, 5, [&] {
                 diba.iterate(); // warm caches / page in state
             });
@@ -218,7 +221,7 @@ main()
             const double delta = frac * prob.budget;
             Rng rng(3);
 
-            DibaAllocator cold(makeRing(n), engineConfig(true, 0));
+            DibaAllocator cold(makeRing(n), engineConfig(0));
             auto shifted = prob;
             shifted.budget += delta;
             cold.reset(shifted);
@@ -228,8 +231,7 @@ main()
                 ++cold_rounds;
             }
 
-            DibaAllocator warm_alloc(makeRing(n),
-                                     engineConfig(true, 0));
+            DibaAllocator warm_alloc(makeRing(n), engineConfig(0));
             warm_alloc.allocate(prob); // settle at the old budget
             warm_alloc.warmStart(warm_alloc.result(), delta);
             std::size_t warm_rounds = 0;

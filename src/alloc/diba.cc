@@ -9,10 +9,11 @@
 
 #include "metrics/performance.hh"
 #include "util/logging.hh"
-#include "util/numa.hh"
 #include "util/stats.hh"
 
 namespace dpc {
+
+namespace {
 
 /** Flatten the hot-loop Config subset for the shared kernels. */
 RoundKernelParams
@@ -30,8 +31,6 @@ kernelParamsOf(const DibaAllocator::Config &cfg)
     k.eta_reheat = cfg.eta_reheat;
     return k;
 }
-
-namespace {
 
 /** Pack an undirected edge (u < v) into one 64-bit map key. */
 inline std::uint64_t
@@ -171,17 +170,6 @@ DibaAllocator::doReset()
     for (ShardCheckpoint &c : ckpt_)
         c.key = ~0ull;
     rebuildQuadFastPath();
-    if (cfg_.numa_interleave && pool_) {
-        // First-touch placement: re-write every hot SoA stream
-        // along the chunk partition so each worker's slice lives on
-        // its own NUMA node (util/numa.hh; bitwise invisible).
-        std::vector<double> scratch;
-        const std::size_t n = p_.size();
-        for (std::vector<double> *v :
-             {&p_, &e_, &e_snapshot_, &eta_now_, &e_pre_, &qb_,
-              &qc_, &qmin_, &qmax_})
-            firstTouchPartition(*v, n, *pool_, scratch);
-    }
     if (e0 >= 0.0)
         emergencyShed();
 }
@@ -296,8 +284,6 @@ void
 DibaAllocator::rebuildQuadFastPath()
 {
     quad_fast_ = false;
-    if (!cfg_.enable_quad_fastpath)
-        return;
     const std::size_t n = u_.size();
     qb_.resize(n);
     qc_.resize(n);

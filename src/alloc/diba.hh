@@ -163,35 +163,9 @@ class DibaAllocator : public IterativeAllocator
          */
         std::size_t num_threads = 0;
         /**
-         * NUMA-aware first-touch placement of the round-engine SoA
-         * streams: when true (and a thread pool is active), reset()
-         * re-places each stream's pages along the static chunk
-         * partition by dropping the serially initialized pages and
-         * letting every chunk re-write -- and hence first-touch --
-         * its own slice (util/numa.hh).  The values are rewritten
-         * bitwise unchanged, so trajectories are identical with the
-         * flag on or off; on a single-socket host (or off Linux)
-         * the pass degrades to a harmless parallel copy.  Pays off
-         * when chunk-local accesses dominate, which they do for the
-         * contiguous-id overlays DiBA uses: the SoA streams are
-         * indexed by node id, matchings are processed in ascending
-         * edge id, and csrChunkLocality() reports the neighbour
-         * locality of the chunk partition.
-         */
-        bool numa_interleave = false;
-        /**
-         * When every utility in the problem is a QuadraticUtility,
-         * reset() extracts the coefficients into flat arrays and
-         * localStep() computes the gradient and the exact
-         * curvature 2|c| inline with zero virtual dispatch.  The
-         * switch exists for ablation; the fast path agrees with
-         * the generic finite-difference path to rounding error.
-         */
-        bool enable_quad_fastpath = true;
-        /**
          * Vertex-layout policy (graph/reorder.hh): the constructor
          * computes a permutation of the overlay's vertex ids and
-         * runs the entire round engine -- SoA streams, CSR, NUMA
+         * runs the entire round engine -- SoA streams, CSR, thread
          * chunking, sweep coloring -- in the relabeled "working"
          * id space, where topological neighbours are numerical
          * neighbours and the per-edge gathers stay cache-local.
@@ -813,7 +787,11 @@ class DibaAllocator : public IterativeAllocator
     const Config &config() const { return cfg_; }
 
     /** True when the devirtualized quadratic SoA path is active
-     * for the current problem. */
+     * for the current problem: every utility is a QuadraticUtility,
+     * whose coefficients reset() and setUtility() extract into flat
+     * arrays so localStep() computes the gradient and the exact
+     * curvature 2|c| inline with no virtual dispatch.  Any other
+     * utility runs the generic finite-difference path. */
     bool quadFastPathActive() const { return quad_fast_; }
 
     /** True when synchronized rounds run the active-set engine
@@ -1040,7 +1018,7 @@ class DibaAllocator : public IterativeAllocator
     }
 
     /** The working topology, relabeled by the layout permutation;
-     * every hot loop (CSR diffusion, SoA kernels, sweeps, NUMA
+     * every hot loop (CSR diffusion, SoA kernels, sweeps, thread
      * chunking) runs in this id space. */
     Graph topo_;
     /** Original-id topology (populated only under a non-identity
@@ -1227,12 +1205,6 @@ class DibaAllocator : public IterativeAllocator
     /** Component labels the federation was announced with. */
     std::vector<std::uint32_t> fed_comp_of_;
 };
-
-/** Flatten a DiBA Config's hot-loop subset into the shared
- * round-kernel parameter block (round_kernel.hh); used by the
- * allocator itself and by the lockstep ReplicaBatch engine, so
- * both step with byte-identical constants. */
-RoundKernelParams kernelParamsOf(const DibaAllocator::Config &cfg);
 
 /**
  * The canonical held-budget fold: held[j] = (sum over owners, in

@@ -6,10 +6,10 @@
  *
  * Every engine that advances DiBA state goes through these
  * primitives — the serial reference path, the fused dense kernel,
- * the active-set sparse kernel, the lockstep ReplicaBatch — so the
- * arithmetic is defined in exactly one place and the bitwise
- * equivalence the tests pin (scalar == SIMD == threaded == batched)
- * is equivalence of *call schedules*, never of re-implementations.
+ * the active-set sparse kernel — so the arithmetic is defined in
+ * exactly one place and the bitwise equivalence the tests pin
+ * (scalar == SIMD == threaded) is equivalence of *call schedules*,
+ * never of re-implementations.
  *
  * Branchless form.  quadNodeDp() computes both candidate updates —
  * the curvature-scaled barrier step (e < 0) and the emergency shed

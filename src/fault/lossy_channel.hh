@@ -23,7 +23,10 @@
  * All draws come from one explicitly seeded Rng, consumed in the
  * allocator's canonical edge order (dead edges consume no draw), so
  * a (seed, fault-schedule) pair reproduces the identical trajectory
- * run-to-run.
+ * run-to-run.  A zero-config channel makes no draws and delivers
+ * every pair fresh: routing a round through it is bitwise identical
+ * to the plain round, which the fault tests use as the zero-fault
+ * control.
  */
 
 #ifndef DPC_FAULT_LOSSY_CHANNEL_HH
@@ -124,20 +127,6 @@ class LossyChannel : public GossipChannel
     /** Borrowed live-edge mask (null: every edge is queryable). */
     const std::vector<std::uint8_t> *mask_ = nullptr;
     Stats stats_;
-};
-
-/** The identity transport: every pair delivered fresh.  Routing a
- * round through it is bitwise identical to the plain round, which
- * the fault tests use as the zero-fault control. */
-class PerfectChannel : public GossipChannel
-{
-  public:
-    void beginRound(std::size_t) override {}
-    EdgeFate fate(std::size_t, std::size_t, std::size_t) override
-    {
-        return EdgeFate{};
-    }
-    std::size_t maxLag() const override { return 0; }
 };
 
 namespace fault {

@@ -166,15 +166,14 @@ class Graph
 };
 
 /**
- * NUMA-locality diagnostic for the chunk-partitioned round
- * engines: the fraction of directed CSR neighbour references whose
- * target vertex lies in the *same* static chunk as the referencing
- * vertex when [0, n) is cut into `chunks` contiguous pieces with
- * ThreadPool::chunkBegin geometry.  With first-touch placement the
- * SoA streams of a chunk live on the worker's NUMA node, so this is
- * the fraction of neighbour reads that stay node-local.  Rings and
- * chordal rings with contiguous vertex ids score near 1; 1.0 for
- * chunks <= 1 or an edgeless graph.
+ * Locality diagnostic for the chunk-partitioned round engines: the
+ * fraction of directed CSR neighbour references whose target vertex
+ * lies in the *same* static chunk as the referencing vertex when
+ * [0, n) is cut into `chunks` contiguous pieces with
+ * ThreadPool::chunkBegin geometry, i.e. the fraction of neighbour
+ * reads that stay inside the worker's own slice of the SoA
+ * streams.  Rings and chordal rings with contiguous vertex ids
+ * score near 1; 1.0 for chunks <= 1 or an edgeless graph.
  *
  * The masked overload measures only the slots the round engines
  * actually stream after failure pruning: `slot_live` (size

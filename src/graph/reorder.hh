@@ -82,7 +82,7 @@ std::vector<std::uint32_t> reverseCuthillMcKee(const Graph &g);
  * vertex set by BFS halving from a pseudo-peripheral vertex and
  * assign each half a contiguous new-id range, recursing until the
  * parts are leaf-sized.  Keeps tightly coupled regions in
- * contiguous id blocks (and hence in the same NUMA chunk).
+ * contiguous id blocks (and hence in the same thread chunk).
  */
 std::vector<std::uint32_t> recursiveBisectionOrder(const Graph &g);
 

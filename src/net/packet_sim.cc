@@ -1,11 +1,68 @@
 #include "net/packet_sim.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <queue>
 
 #include "util/logging.hh"
 
 namespace dpc {
+
+namespace {
+
+/**
+ * Resource-id layout of the two-tier fabric: per-server NIC
+ * transmit and protocol-read resources, one ToR per rack, one core
+ * switch, and a coordinator NIC pair.
+ */
+struct FabricLayout
+{
+    std::size_t n;
+    std::size_t racks;
+    std::size_t rack_size;
+
+    std::size_t tx(std::size_t s) const { return s; }
+    std::size_t rx(std::size_t s) const { return n + s; }
+    std::size_t tor(std::size_t s) const
+    {
+        return 2 * n + s / rack_size;
+    }
+    std::size_t core() const { return 2 * n + racks; }
+    std::size_t coordTx() const { return core() + 1; }
+    std::size_t coordRx() const { return core() + 2; }
+    std::size_t numResources() const { return core() + 3; }
+};
+
+/**
+ * Counter-based launch jitter: an Exp(1/mean_us) variate derived
+ * from a splitmix64-style hash of (src, dst) instead of a
+ * sequential rng draw.  Packet jitter therefore depends only on
+ * the packet's identity, never on the iteration order that
+ * generated it, which makes simulated rounds
+ * schedule-independent.
+ */
+double
+launchJitterUs(std::size_t src, std::size_t dst, double mean_us)
+{
+    std::uint64_t x = static_cast<std::uint64_t>(src) *
+                          0x9e3779b97f4a7c15ull ^
+                      static_cast<std::uint64_t>(dst) *
+                          0xbf58476d1ce4e5b9ull;
+    // splitmix64 finalizer: full avalanche, so nearby ids give
+    // independent-looking uniforms.
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ull;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebull;
+    x ^= x >> 31;
+    // 53-bit mantissa uniform in [0, 1), then the exponential
+    // inverse CDF (u == 0 maps to zero jitter, never to infinity).
+    const double u =
+        static_cast<double>(x >> 11) * 0x1.0p-53;
+    return -mean_us * std::log1p(-u);
+}
+
+} // namespace
 
 double
 PacketLevelSim::simulate(std::vector<Packet> packets,
@@ -15,9 +72,8 @@ PacketLevelSim::simulate(std::vector<Packet> packets,
     // FIFO and serves in arrival order, handling "arrive at
     // resource" events in global time order yields the exact
     // store-and-forward schedule.  Ties break on (packet, stage) --
-    // an explicit total order, shared with the multi-lane batch
-    // engine's calendar queue, so the two produce bitwise-identical
-    // schedules rather than agreeing only up to tie permutations.
+    // an explicit total order, so the schedule is reproducible
+    // bitwise rather than only up to tie permutations.
     struct Event
     {
         double time;
@@ -78,8 +134,7 @@ PacketLevelSim::coordinatorRoundUs(std::size_t n, Rng &rng) const
         Packet p;
         // The coordinator plays "destination n" in the jitter hash
         // (no server has that id).
-        p.launch = launchJitterUs(s, n, params_.jitter_round,
-                                  params_.launch_jitter_us);
+        p.launch = launchJitterUs(s, n, params_.launch_jitter_us);
         p.route = {f.tx(s), f.tor(s), f.core(), f.coordRx()};
         p.service = {params_.write_us, params_.switch_us,
                      params_.switch_us, params_.read_us};
@@ -119,8 +174,7 @@ PacketLevelSim::dibaRoundUs(const Graph &overlay, Rng &rng) const
     for (std::size_t s = 0; s < n; ++s) {
         for (std::size_t d : overlay.neighbors(s)) {
             Packet p;
-            p.launch = launchJitterUs(s, d, params_.jitter_round,
-                                      params_.launch_jitter_us);
+            p.launch = launchJitterUs(s, d, params_.launch_jitter_us);
             if (f.tor(s) == f.tor(d)) {
                 p.route = {f.tx(s), f.tor(s), f.rx(d)};
                 p.service = {params_.write_us, params_.switch_us,
@@ -156,8 +210,7 @@ PacketLevelSim::dibaRoundLossyUs(const Graph &overlay,
     for (std::size_t s = 0; s < n; ++s) {
         for (std::size_t d : overlay.neighbors(s)) {
             const double jitter =
-                launchJitterUs(s, d, params_.jitter_round,
-                               params_.launch_jitter_us);
+                launchJitterUs(s, d, params_.launch_jitter_us);
             // Geometric number of attempts, capped: the last copy
             // always counts as the delivery.  At zero loss no
             // draw is consumed, keeping the entry bitwise

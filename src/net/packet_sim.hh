@@ -12,9 +12,8 @@
  * receiver's protocol stack serializes reads (the paper's measured
  * 200 us TCP read).  Packet launch times get a small exponential
  * jitter so arrival order is realistic; the jitter is counter-based
- * (a hash of src/dst/round, launchJitterUs above the class), so it
- * is a function of the packet's identity rather than of iteration
- * order, and batched and standalone runs agree bitwise.
+ * (a hash of src and dst), so it is a function of the packet's
+ * identity rather than of iteration order.
  *
  * Two round types are simulated:
  *  - a coordinator gather/scatter (centralized and primal-dual
@@ -30,9 +29,7 @@
 #ifndef DPC_NET_PACKET_SIM_HH
 #define DPC_NET_PACKET_SIM_HH
 
-#include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "graph/graph.hh"
@@ -40,64 +37,6 @@
 #include "util/rng.hh"
 
 namespace dpc {
-
-/**
- * Resource-id layout of the two-tier fabric (shared by the
- * standalone simulator and the multi-lane batch engine, which
- * offsets each lane's ids by numResources() of the lanes before
- * it): per-server NIC transmit and protocol-read resources, one
- * ToR per rack, one core switch, and a coordinator NIC pair.
- */
-struct FabricLayout
-{
-    std::size_t n;
-    std::size_t racks;
-    std::size_t rack_size;
-
-    std::size_t tx(std::size_t s) const { return s; }
-    std::size_t rx(std::size_t s) const { return n + s; }
-    std::size_t tor(std::size_t s) const
-    {
-        return 2 * n + s / rack_size;
-    }
-    std::size_t core() const { return 2 * n + racks; }
-    std::size_t coordTx() const { return core() + 1; }
-    std::size_t coordRx() const { return core() + 2; }
-    std::size_t numResources() const { return core() + 3; }
-};
-
-/**
- * Counter-based launch jitter: an Exp(1/mean_us) variate derived
- * from a splitmix64-style hash of (src, dst, round) instead of a
- * sequential rng draw.  Packet jitter therefore depends only on
- * the packet's identity, never on the iteration order that
- * generated it -- which is what lets the multi-lane batch engine
- * and the standalone simulator agree bitwise, and makes simulated
- * rounds schedule-independent.  `round` distinguishes repeated
- * rounds over the same overlay (FabricParams::jitter_round).
- */
-inline double
-launchJitterUs(std::size_t src, std::size_t dst,
-               std::uint64_t round, double mean_us)
-{
-    std::uint64_t x = static_cast<std::uint64_t>(src) *
-                          0x9e3779b97f4a7c15ull ^
-                      static_cast<std::uint64_t>(dst) *
-                          0xbf58476d1ce4e5b9ull ^
-                      round * 0x94d049bb133111ebull;
-    // splitmix64 finalizer: full avalanche, so nearby ids give
-    // independent-looking uniforms.
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    // 53-bit mantissa uniform in [0, 1), then the exponential
-    // inverse CDF (u == 0 maps to zero jitter, never to infinity).
-    const double u =
-        static_cast<double>(x >> 11) * 0x1.0p-53;
-    return -mean_us * std::log1p(-u);
-}
 
 /** Packet-level fabric simulator. */
 class PacketLevelSim
@@ -117,10 +56,6 @@ class PacketLevelSim
         std::size_t rack_size = 40;
         /** Retransmission timeout for lossy rounds (us). */
         double retx_timeout_us = 1000.0;
-        /** Round counter hashed into the per-packet launch jitter
-         * (launchJitterUs); bump it to simulate successive rounds
-         * with fresh-but-reproducible jitter. */
-        std::uint64_t jitter_round = 0;
     };
 
     PacketLevelSim() = default;

@@ -33,8 +33,14 @@ Rng::uniformInt(std::int64_t lo, std::int64_t hi)
 double
 Rng::normal(double mean, double stddev)
 {
-    std::normal_distribution<double> dist(mean, stddev);
-    return dist(engine_);
+    // std::normal_distribution requires stddev > 0, so draw a
+    // standard normal and scale it ourselves: z * stddev + mean is
+    // the expression libstdc++ evaluates for a (mean, stddev)
+    // distribution, so streams with stddev > 0 are unchanged, and
+    // stddev == 0 returns the mean after the same engine advance.
+    DPC_ASSERT(stddev >= 0.0, "normal stddev must be non-negative");
+    std::normal_distribution<double> dist;
+    return dist(engine_) * stddev + mean;
 }
 
 double

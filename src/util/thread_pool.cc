@@ -96,19 +96,12 @@ ThreadPool::workerLoop(std::size_t chunk)
 void
 ThreadPool::parallelFor(std::size_t n, const ChunkFn &fn)
 {
-    parallelFor(n, fn, kSerialCutoff);
-}
-
-void
-ThreadPool::parallelFor(std::size_t n, const ChunkFn &fn,
-                        std::size_t serial_cutoff)
-{
     if (workers_.empty()) {
         if (n > 0)
             fn(0, 0, n);
         return;
     }
-    if (n <= serial_cutoff) {
+    if (n <= kSerialCutoff) {
         // Same chunk geometry, caller-inline: cheaper than the
         // worker wake/park round-trip at this size, bitwise the
         // same result.

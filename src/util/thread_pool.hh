@@ -61,8 +61,8 @@ class ThreadPool
     /**
      * Process-wide pool registry: returns the live pool with this
      * chunk count, or creates one.  Engine objects (allocators,
-     * replica batches, bench fixtures) come and go far more often
-     * than a worker set is worth spawning -- a bench sweep builds
+     * solvers, bench fixtures) come and go far more often than a
+     * worker set is worth spawning -- a bench sweep builds
      * hundreds of allocator instances -- so they share one set of
      * parked OS threads per width instead of respawning per
      * instance; the pool dies with its last owner.  Chunk
@@ -92,19 +92,6 @@ class ThreadPool
      * bitwise the same and only the wall clock changes.
      */
     void parallelFor(std::size_t n, const ChunkFn &fn);
-
-    /**
-     * parallelFor with an explicit inline cutoff.  The default
-     * cutoff assumes cheap per-index bodies (a few dozen ns of
-     * node-local arithmetic); callers whose indices are heavy --
-     * e.g. the packet-level batch engine, where one "index" is an
-     * entire simulation lane -- pass a small cutoff (0 forces the
-     * workers awake for any n >= 2) so coarse-grained work still
-     * fans out.  Chunk geometry is identical for every cutoff, so
-     * the choice only moves wall-clock, never results.
-     */
-    void parallelFor(std::size_t n, const ChunkFn &fn,
-                     std::size_t serial_cutoff);
 
     /** parallelFor range size at or below which the chunks run
      * inline on the calling thread. */

@@ -29,12 +29,10 @@ testTopology()
 }
 
 DibaAllocator
-makeAllocator(const Graph &g, std::size_t threads = 0,
-              bool numa = false)
+makeAllocator(const Graph &g, std::size_t threads = 0)
 {
     DibaAllocator::Config cfg;
     cfg.num_threads = threads;
-    cfg.numa_interleave = numa;
     return DibaAllocator(g, cfg);
 }
 
@@ -138,14 +136,12 @@ TEST(GossipSweepTest, ThreadCountAndNumaInvariance)
         ref.gossipSweep(rng_ref);
 
     for (const std::size_t threads : {2u, 5u}) {
-        for (const bool numa : {false, true}) {
-            DibaAllocator mt = makeAllocator(g, threads, numa);
-            mt.reset(prob);
-            Rng rng(kSweepSeed);
-            for (int s = 0; s < 6; ++s)
-                mt.gossipSweep(rng);
-            expectBitwiseEqual(ref, mt, "threaded sweep");
-        }
+        DibaAllocator mt = makeAllocator(g, threads);
+        mt.reset(prob);
+        Rng rng(kSweepSeed);
+        for (int s = 0; s < 6; ++s)
+            mt.gossipSweep(rng);
+        expectBitwiseEqual(ref, mt, "threaded sweep");
     }
 
     // Run-twice determinism: a reset + reseeded engine reproduces

@@ -23,11 +23,10 @@ namespace dpc {
 namespace {
 
 DibaAllocator::Config
-engineConfig(std::size_t threads, bool quad_fastpath = true)
+engineConfig(std::size_t threads)
 {
     DibaAllocator::Config cfg;
     cfg.num_threads = threads;
-    cfg.enable_quad_fastpath = quad_fastpath;
     return cfg;
 }
 
@@ -95,12 +94,11 @@ TEST(RoundEngineTest, GenericPathIsAlsoThreadCountInvariant)
     // The fallback (finite-difference, virtual-dispatch) path goes
     // through the same chunked engine and must be deterministic
     // too.
-    const auto prob = test::npbProblem(64, 172.0, 7);
+    const auto prob =
+        test::opaqueProblem(test::npbProblem(64, 172.0, 7));
     const Graph g = makeRing(64);
-    const auto serial =
-        runRounds(g, prob, engineConfig(0, false), 200);
-    const auto four =
-        runRounds(g, prob, engineConfig(4, false), 200);
+    const auto serial = runRounds(g, prob, engineConfig(0), 200);
+    const auto four = runRounds(g, prob, engineConfig(4), 200);
     expectBitwiseEqual(serial, four);
 }
 
@@ -112,9 +110,9 @@ TEST(RoundEngineTest, QuadFastPathMatchesGenericPath)
     // ulps of rounding-order difference.
     const auto prob = test::npbProblem(64, 172.0, 13);
     const Graph g = makeRing(64);
-    const auto fast = runRounds(g, prob, engineConfig(0, true), 3);
+    const auto fast = runRounds(g, prob, engineConfig(0), 3);
     const auto generic =
-        runRounds(g, prob, engineConfig(0, false), 3);
+        runRounds(g, test::opaqueProblem(prob), engineConfig(0), 3);
     for (std::size_t i = 0; i < fast.p.size(); ++i) {
         EXPECT_NEAR(fast.p[i], generic.p[i], 1e-12);
         EXPECT_NEAR(fast.e[i], generic.e[i], 1e-12);
@@ -124,10 +122,10 @@ TEST(RoundEngineTest, QuadFastPathMatchesGenericPath)
 TEST(RoundEngineTest, QuadFastPathConvergesToTheSameAllocation)
 {
     const auto prob = test::npbProblem(48, 172.0, 17);
-    DibaAllocator fast(makeRing(48), engineConfig(0, true));
-    DibaAllocator generic(makeRing(48), engineConfig(0, false));
+    DibaAllocator fast(makeRing(48), engineConfig(0));
+    DibaAllocator generic(makeRing(48), engineConfig(0));
     const auto rf = fast.allocate(prob);
-    const auto rg = generic.allocate(prob);
+    const auto rg = generic.allocate(test::opaqueProblem(prob));
     EXPECT_TRUE(fast.quadFastPathActive());
     EXPECT_FALSE(generic.quadFastPathActive());
     EXPECT_NEAR(rf.utility, rg.utility,

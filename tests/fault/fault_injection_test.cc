@@ -38,7 +38,7 @@ TEST(FaultInjectionTest, PerfectChannelIsBitwiseIdentical)
     DibaAllocator b(makeChordalRing(48, 12, tb));
     a.reset(prob);
     b.reset(prob);
-    PerfectChannel chan;
+    LossyChannel chan({}, 1); // zero config: every pair fresh
     for (int it = 0; it < 600; ++it) {
         const double ma = a.iterate();
         const double mb = b.iterateWithChannel(chan);

@@ -9,7 +9,8 @@ namespace {
 
 TEST(LossyChannelTest, PerfectChannelDeliversEverythingFresh)
 {
-    PerfectChannel chan;
+    // A zero-config channel is the perfect one: no loss, no lag.
+    LossyChannel chan({}, 1);
     chan.beginRound(100);
     for (std::size_t e = 0; e < 100; ++e) {
         const auto f = chan.fate(e, e, e + 1);
@@ -17,6 +18,8 @@ TEST(LossyChannelTest, PerfectChannelDeliversEverythingFresh)
         EXPECT_EQ(f.lag, 0u);
     }
     EXPECT_EQ(chan.maxLag(), 0u);
+    EXPECT_EQ(chan.stats().dropped, 0u);
+    EXPECT_EQ(chan.stats().stale, 0u);
 }
 
 TEST(LossyChannelTest, IidLossRateMatchesConfig)

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "alloc/diba.hh"
@@ -141,6 +142,45 @@ TEST(FaultSessionTest, RunReportsQuietRoundsOnceSettled)
     const std::size_t quiet = session.run(3000);
     EXPECT_GT(quiet, 0u);
     EXPECT_EQ(session.checker().roundsChecked(), 3000u);
+}
+
+TEST(FaultSessionTest, LossOnlyPlanIsBitwiseTheLossyChannelRound)
+{
+    // The recipe bench/fault_storm's loss-only cells use: a
+    // FaultSession over an empty plan with an i.i.d. loss config
+    // must step exactly like stepWithChannel over a LossyChannel
+    // with the same config and seed, round for round, over the
+    // bench's 800-round horizon.
+    const std::size_t n = 300;
+    const auto prob = test::npbProblem(n, 172.0, 97);
+    for (const double drop : {0.0, 0.3}) {
+        Rng ta(7), tb(7);
+        DibaAllocator a(makeChordalRing(n, 30, ta));
+        DibaAllocator b(makeChordalRing(n, 30, tb));
+        a.reset(prob);
+        b.reset(prob);
+        LossyChannel::Config loss;
+        loss.drop_rate = drop;
+        const std::uint64_t seed =
+            0x5709a + std::lround(drop * 100.0);
+        FaultPlan plan;
+        plan.loss(loss).seed(seed);
+        FaultSession session(a, plan);
+        LossyChannel chan(loss, seed);
+        for (int round = 0; round < 800; ++round) {
+            ASSERT_EQ(session.stepRound(), b.stepWithChannel(chan))
+                << "drop " << drop << ", round " << round;
+            ASSERT_EQ(a.power(), b.power())
+                << "drop " << drop << ", round " << round;
+            ASSERT_EQ(a.estimates(), b.estimates())
+                << "drop " << drop << ", round " << round;
+        }
+        EXPECT_EQ(session.channel().stats().dropped,
+                  chan.stats().dropped);
+        if (drop > 0.0) {
+            EXPECT_GT(chan.stats().dropped, 0u);
+        }
+    }
 }
 
 } // namespace

@@ -50,6 +50,20 @@ TEST(RngTest, UniformIntCoversRangeInclusive)
     EXPECT_TRUE(saw_hi);
 }
 
+TEST(RngTest, ZeroStddevNormalIsTheMean)
+{
+    // A zero-spread draw returns the mean exactly and consumes the
+    // engine exactly as a unit-spread draw does, so noise-free
+    // configurations keep every later draw of the stream.
+    Rng zero(5);
+    Rng unit(5);
+    for (int i = 0; i < 100; ++i) {
+        EXPECT_EQ(zero.normal(3.5, 0.0), 3.5);
+        unit.normal(3.5, 1.0);
+        EXPECT_EQ(zero.uniform(), unit.uniform());
+    }
+}
+
 TEST(RngTest, NormalMomentsApproximate)
 {
     Rng rng(5);

@@ -110,42 +110,38 @@ TEST(ThreadPoolTest, HardwareChunksIsPositive)
 
 TEST(ThreadPoolTest, ExplicitCutoffKeepsChunkGeometry)
 {
-    // The cutoff only decides who executes the chunks (caller vs
-    // workers); the (chunk, begin, end) triples handed to the body
-    // must be identical for every cutoff, including 0, which
-    // forces the workers awake for ranges the default cutoff would
-    // run inline (coarse-grained lane work).
+    // The serial cutoff only decides who executes the chunks
+    // (caller inline vs workers); the (chunk, begin, end) triples
+    // handed to the body must be chunkBegin's geometry either way.
     ThreadPool pool(4);
-    const std::size_t n = 10; // far below kSerialCutoff
     using Triple = std::tuple<std::size_t, std::size_t, std::size_t>;
-    const auto collect = [&](std::size_t cutoff) {
+    const auto collect = [&](std::size_t n) {
         std::mutex m;
         std::vector<Triple> triples;
         pool.parallelFor(
-            n,
-            [&](std::size_t c, std::size_t b, std::size_t e) {
+            n, [&](std::size_t c, std::size_t b, std::size_t e) {
                 std::lock_guard<std::mutex> lock(m);
                 triples.emplace_back(c, b, e);
-            },
-            cutoff);
+            });
         std::sort(triples.begin(), triples.end());
         return triples;
     };
-    const auto inline_run = collect(ThreadPool::kSerialCutoff);
-    const auto fanned_out = collect(0);
-    EXPECT_EQ(inline_run, fanned_out);
-
-    // And the work itself lands identically.
-    std::vector<int> hits(n, 0);
-    pool.parallelFor(
-        n,
-        [&](std::size_t, std::size_t b, std::size_t e) {
-            for (std::size_t i = b; i < e; ++i)
-                ++hits[i];
-        },
-        0);
-    for (std::size_t i = 0; i < n; ++i)
-        EXPECT_EQ(hits[i], 1) << "index " << i;
+    const auto geometry = [&](std::size_t n) {
+        std::vector<Triple> triples;
+        const std::size_t chunks = pool.numChunks();
+        for (std::size_t c = 0; c < chunks; ++c) {
+            const auto b = ThreadPool::chunkBegin(n, chunks, c);
+            const auto e = ThreadPool::chunkBegin(n, chunks, c + 1);
+            if (b < e)
+                triples.emplace_back(c, b, e);
+        }
+        return triples;
+    };
+    // Far below the cutoff (runs inline), and just past it (wakes
+    // the workers).
+    for (const std::size_t n : {std::size_t{10},
+                                ThreadPool::kSerialCutoff + 1})
+        EXPECT_EQ(collect(n), geometry(n)) << "n = " << n;
 }
 
 } // namespace

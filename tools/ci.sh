@@ -4,8 +4,8 @@
 #
 #   1. scalar Release build + full ctest        (correctness)
 #   2. AVX2 build + full ctest                  (bitwise SIMD parity)
-#      + bench smoke runs of gossip_async and the multi-lane
-#        packet engine (bitwise bars only; DPC_BENCH_SMOKE=1)
+#      + bench smoke run of gossip_async (bitwise bars only;
+#        DPC_BENCH_SMOKE=1)
 #      + loopback-vs-socket parity smoke: wire_shard forks 2
 #        shard processes over 127.0.0.1 (UDP and TCP, zero loss)
 #        and exits non-zero unless every reassembled result is
@@ -56,9 +56,7 @@ ctest --test-dir "$repo/build-avx2" --output-on-failure -j"$(nproc)"
 step "AVX2 bench smoke (bitwise bars, no perf gate)"
 bench_smoke_dir=$(mktemp -d)
 (cd "$bench_smoke_dir" &&
-     DPC_BENCH_SMOKE=1 "$repo/build-avx2/bench/gossip_async" &&
-     DPC_BENCH_SMOKE=1 \
-         "$repo/build-avx2/bench/table4_2_packet_level")
+     DPC_BENCH_SMOKE=1 "$repo/build-avx2/bench/gossip_async")
 rm -rf "$bench_smoke_dir"
 
 step "loopback-vs-socket + steady-state smoke (2 shards)"

@@ -23,9 +23,6 @@
 #                             matching sweeps -- ns_per_edge gated
 #                             at the perf threshold, quality at the
 #                             1% util_frac slack)
-#   BENCH_packet_lanes.json  (table4_2_packet_level: multi-lane
-#                             calendar-queue engine vs lane-by-lane
-#                             standalone DES)
 #   BENCH_wire.json          (wire_shard: forked shard processes
 #                             over 127.0.0.1 sockets -- cut-edge
 #                             bytes/round gated at 0.1% growth,
@@ -53,8 +50,7 @@ if [ ! -d "$BUILD_DIR" ]; then
 fi
 cmake --build "$BUILD_DIR" -j \
     --target table4_2_scalability fault_storm recovery_storm \
-    gossip_async table4_2_packet_level wire_shard \
-    wire_recovery micro_round_engine
+    gossip_async wire_shard wire_recovery micro_round_engine
 
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
@@ -71,9 +67,6 @@ echo
 echo "== gossip_async =="
 (cd "$workdir" && "$BUILD_DIR/bench/gossip_async")
 echo
-echo "== table4_2_packet_level =="
-(cd "$workdir" && "$BUILD_DIR/bench/table4_2_packet_level")
-echo
 echo "== wire_shard =="
 (cd "$workdir" && "$BUILD_DIR/bench/wire_shard")
 echo
@@ -87,8 +80,7 @@ echo "== micro_round_engine (informational) =="
 status=0
 for name in BENCH_diba_rounds.json BENCH_fault_storm.json \
             BENCH_recovery.json BENCH_gossip_async.json \
-            BENCH_packet_lanes.json BENCH_wire.json \
-            BENCH_wire_recovery.json; do
+            BENCH_wire.json BENCH_wire_recovery.json; do
     if [ -f "$ROOT/$name" ]; then
         echo
         echo "== compare $name =="

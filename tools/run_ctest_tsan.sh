@@ -4,10 +4,10 @@
 # handoff protocol, the bitwise-determinism tests that spin the
 # chunked DiBA engine with several thread counts, the batched
 # gossip sweeps (vertex-disjoint matchings chunked across the
-# pool), the layout-invariance suite (threaded rounds under a
-# permuted overlay), and the lane-chunked packet batch engine.  A
-# clean pass here is the evidence behind DESIGN.md's "every phase
-# is snapshot-read / local-write" argument.
+# pool), and the layout-invariance suite (threaded rounds under a
+# permuted overlay).  A clean pass here is the evidence behind
+# DESIGN.md's "every phase is snapshot-read / local-write"
+# argument.
 #
 # Usage: tools/run_ctest_tsan.sh [build-dir]   (default: build-tsan)
 set -eu
@@ -18,9 +18,9 @@ build=${1:-"$repo/build-tsan"}
 cmake -S "$repo" -B "$build" -DDPC_SANITIZE=thread \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       ${DPC_CMAKE_ARGS:-}
-cmake --build "$build" --target test_util test_alloc test_net \
+cmake --build "$build" --target test_util test_alloc \
       -j"$(nproc)"
 
 TSAN_OPTIONS=${TSAN_OPTIONS:-"halt_on_error=1"} \
     ctest --test-dir "$build" --output-on-failure -j2 \
-          -R 'ThreadPoolTest|RoundEngineTest|GossipSweepTest|DibaLayoutTest|PacketLevelBatchTest'
+          -R 'ThreadPoolTest|RoundEngineTest|GossipSweepTest|DibaLayoutTest'
