@@ -12,8 +12,9 @@
  *   parallel:  soa + the static-chunked ThreadPool with one chunk
  *              per hardware thread.
  *
- * plus steady-state rounds (dense vs. active-set frontier) and the
- * primal-dual best-response sweep reusing the same pool.
+ * plus steady-state rounds (dense vs. active-set frontier), the
+ * warm-start seed of a budget step, and the primal-dual
+ * best-response sweep reusing the same pool.
  * The serial/parallel DiBA rounds are bitwise-identical by
  * construction (see DESIGN.md "Round engine"), so these measure
  * the same computation.  Problems come from the shared cache so
@@ -21,6 +22,8 @@
  */
 
 #include <benchmark/benchmark.h>
+
+#include <chrono>
 
 #include "alloc/diba.hh"
 #include "alloc/primal_dual.hh"
@@ -129,6 +132,40 @@ BM_RoundActiveSteady(benchmark::State &state)
     steadyBench(state, 0.25 * probe.tolerance);
 }
 
+/**
+ * Budget-step seeding: warmStart() from the live state re-seeds
+ * every node at the new barrier equilibrium.  The timed region is
+ * the steady state (breakpoint table already built), alternating
+ * +-5% steps; the first warmStart() after reset(), which also
+ * builds the table, is reported as the first_us counter.
+ */
+void
+BM_WarmStart(benchmark::State &state)
+{
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const auto &prob = bench::cachedNpbProblem(n, kWattsPerNode,
+                                               kSeed);
+    DibaAllocator diba(makeRing(n), DibaAllocator::Config{});
+    diba.reset(prob);
+    AllocationResult prev = diba.result();
+    const double step = 0.05 * prob.budget;
+    const auto t0 = std::chrono::steady_clock::now();
+    diba.warmStart(prev, step);
+    const std::chrono::duration<double, std::micro> first =
+        std::chrono::steady_clock::now() - t0;
+    double sign = -1.0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        prev.power = diba.power();
+        state.ResumeTiming();
+        diba.warmStart(prev, sign * step);
+        benchmark::ClobberMemory();
+        sign = -sign;
+    }
+    state.SetLabel(bench::problemLabel(n, kWattsPerNode, kSeed));
+    state.counters["first_us"] = first.count();
+}
+
 void
 BM_PdSolve(benchmark::State &state)
 {
@@ -167,6 +204,7 @@ BENCHMARK(BM_RoundSoaParallel)
     ->Complexity();
 BENCHMARK(BM_RoundDenseSteady)->Arg(1600)->Arg(6400)->Arg(25600);
 BENCHMARK(BM_RoundActiveSteady)->Arg(1600)->Arg(6400)->Arg(25600);
+BENCHMARK(BM_WarmStart)->Arg(1600)->Arg(6400)->Arg(25600);
 BENCHMARK(BM_PdSolve)
     ->Args({6400, 0})
     ->Args({6400, static_cast<long>(ThreadPool::hardwareChunks())});

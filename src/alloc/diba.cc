@@ -32,6 +32,22 @@ kernelParamsOf(const DibaAllocator::Config &cfg)
     return k;
 }
 
+/** Neumaier-compensated running sum. */
+struct CompensatedSum
+{
+    double s = 0.0;
+    double comp = 0.0;
+
+    void add(double x)
+    {
+        const double t = s + x;
+        comp += std::fabs(s) >= std::fabs(x) ? (s - t) + x
+                                             : (x - t) + s;
+        s = t;
+    }
+    double value() const { return s + comp; }
+};
+
 /** Pack an undirected edge (u < v) into one 64-bit map key. */
 inline std::uint64_t
 edgeKey(std::size_t u, std::size_t v)
@@ -284,6 +300,7 @@ void
 DibaAllocator::rebuildQuadFastPath()
 {
     quad_fast_ = false;
+    seed_table_.clear();
     const std::size_t n = u_.size();
     qb_.resize(n);
     qc_.resize(n);
@@ -942,74 +959,151 @@ DibaAllocator::placeBudgetDelta(double delta)
     return remaining;
 }
 
+void
+DibaAllocator::buildSeedTable()
+{
+    // Every box breakpoint of the equilibrium demand curve: a node
+    // with c < 0 enters the interior at lambda = b + 2c hi and
+    // leaves it at b + 2c lo; a linear node steps from hi down to
+    // lo at lambda = b.  Keyed by (lambda, ORIGINAL id) so the
+    // table -- and every sum taken along it -- is the same under
+    // every layout.
+    enum Kind : std::uint32_t { kEnter, kLeave, kStep };
+    struct Break
+    {
+        double lam;
+        std::uint32_t id;
+        Kind kind;
+    };
+    const std::size_t n = p_.size();
+    std::vector<Break> br;
+    br.reserve(2 * n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t iw = wi(i);
+        const auto id = static_cast<std::uint32_t>(i);
+        const double b = qb_[iw];
+        const double c = qc_[iw];
+        if (c < 0.0) {
+            br.push_back({b + 2.0 * c * qmax_[iw], id, kEnter});
+            br.push_back({b + 2.0 * c * qmin_[iw], id, kLeave});
+        } else {
+            br.push_back({b, id, kStep});
+        }
+    }
+    std::sort(br.begin(), br.end(), [](const Break &x, const Break &y) {
+        if (x.lam != y.lam)
+            return x.lam < y.lam;
+        return x.id != y.id ? x.id < y.id : x.kind < y.kind;
+    });
+
+    // Sums below lambda -> -inf: every node at hi.  Each breakpoint
+    // then adds and later removes the same terms, so the sums are
+    // compensated to keep that cancellation exact.
+    CompensatedSum a, s1;
+    for (std::size_t i = 0; i < n; ++i)
+        a.add(qmax_[wi(i)]);
+    const auto apply = [&](const Break &x) {
+        const std::size_t iw = wi(x.id);
+        if (x.kind == kStep) {
+            a.add(-qmax_[iw]);
+            a.add(qmin_[iw]);
+            return;
+        }
+        // Entering trades hi for (lambda - b)/(2c); leaving trades
+        // that back for lo.
+        const double sign = x.kind == kEnter ? 1.0 : -1.0;
+        const double inv2c = 1.0 / (2.0 * qc_[iw]);
+        a.add(x.kind == kEnter ? -qmax_[iw] : qmin_[iw]);
+        a.add(-sign * qb_[iw] * inv2c);
+        s1.add(sign * inv2c);
+    };
+    std::size_t k = 0;
+    for (; k < br.size() && br[k].lam <= 0.0; ++k)
+        apply(br[k]);
+    seed_table_.clear();
+    seed_table_.reserve(br.size() - k + 1);
+    seed_table_.push_back({0.0, a.value(), s1.value()});
+    while (k < br.size()) {
+        const double lam = br[k].lam;
+        for (; k < br.size() && br[k].lam == lam; ++k)
+            apply(br[k]);
+        seed_table_.push_back({lam, a.value(), s1.value()});
+    }
+}
+
 bool
 DibaAllocator::seedBarrierEquilibrium(double new_budget)
 {
-    // Coefficients are extracted -- and every demand/total sum
-    // below runs -- in ORIGINAL id order, so the bisection
-    // trajectory and the seeded state are layout-invariant.
-    const std::size_t n = p_.size();
-    std::vector<double> b(n), c(n), lo(n), hi(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto *q = dynamic_cast<const QuadraticUtility *>(
-            u_[wi(i)].get());
-        if (q == nullptr)
-            return false;
-        b[i] = q->coeffB();
-        c[i] = q->coeffC();
-        lo[i] = q->minPower();
-        hi[i] = q->maxPower();
-    }
-    const double eta = cfg_.eta;
-    // Power demanded at water level lambda: marginals b + 2cp pin
-    // at lambda, clamped into the boxes (c == 0 degenerates to an
-    // all-or-nothing step at lambda == b).
-    const auto demand = [&](double lambda) {
-        double total = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            double p = c[i] < 0.0
-                           ? (lambda - b[i]) / (2.0 * c[i])
-                           : (lambda < b[i] ? hi[i] : lo[i]);
-            total += std::clamp(p, lo[i], hi[i]);
-        }
-        return total;
-    };
-    // f(lambda) = demand - P + n eta/lambda is strictly decreasing
-    // with f(0+) = +inf and f(inf) = sum(lo) - P < 0 (the budget
-    // exceeds the total power floor), so the root is unique.
-    const auto f = [&](double lambda) {
-        return demand(lambda) - new_budget +
-               static_cast<double>(n) * eta / lambda;
-    };
-    double lam_lo = 1e-12;
-    double lam_hi = 1.0;
-    int guard = 0;
-    while (f(lam_hi) > 0.0 && guard++ < 128)
-        lam_hi *= 2.0;
-    if (guard >= 128)
+    if (!quad_fast_)
         return false;
-    for (int it = 0; it < 200; ++it) {
-        const double mid = 0.5 * (lam_lo + lam_hi);
-        if (mid == lam_lo || mid == lam_hi)
-            break;
-        (f(mid) > 0.0 ? lam_lo : lam_hi) = mid;
+    if (seed_table_.empty())
+        buildSeedTable();
+    const std::size_t n = p_.size();
+    const double neta = static_cast<double>(n) * cfg_.eta;
+    // f(lambda) = demand - P + n eta/lambda on the segment with
+    // sums (a, s1), where demand(lambda) = a + lambda s1.  f is
+    // strictly decreasing with f(0+) = +inf and f(inf) = sum(lo) - P,
+    // so the root is unique when the budget exceeds the power floor.
+    const auto f = [&](double lam, double a, double s1) {
+        return a + lam * s1 - new_budget + neta / lam;
+    };
+    // The first breakpoint at which f (taken from the right) is no
+    // longer positive closes the segment that holds the root.
+    const std::vector<SeedBreak> &tab = seed_table_;
+    const std::size_t j = static_cast<std::size_t>(
+        std::partition_point(tab.begin() + 1, tab.end(),
+                             [&](const SeedBreak &s) {
+                                 return f(s.lam, s.a, s.s1) > 0.0;
+                             }) -
+        tab.begin());
+    const bool last = j == tab.size();
+    const double a = tab[j - 1].a;
+    // Past the last breakpoint every node sits at lo, so s1 is
+    // zero; elsewhere rounding must not leave it positive.
+    const double s1 = last ? 0.0 : std::min(tab[j - 1].s1, 0.0);
+    double lambda;
+    if (!last && f(tab[j].lam, a, s1) > 0.0) {
+        // f jumps across zero at the breakpoint (a linear node's
+        // step): lambda sits on it, with the step taken, so the
+        // stepping nodes hold lo and e0 stays negative.
+        lambda = tab[j].lam;
+    } else {
+        // lambda f(lambda) = s1 lambda^2 + (a - P) lambda + n eta is
+        // a concave quadratic with exactly one positive root; take
+        // it without cancellation.
+        const double qb = a - new_budget;
+        if (last && !(qb < 0.0))
+            return false; // P <= sum(lo): no strictly feasible seed
+        const double d = std::sqrt(qb * qb - 4.0 * s1 * neta);
+        lambda = qb >= 0.0 ? (qb + d) / (-2.0 * s1)
+                           : 2.0 * neta / (d - qb);
+        lambda = std::max(lambda, tab[j - 1].lam);
+        if (!last)
+            lambda = std::min(lambda, tab[j].lam);
     }
-    const double lambda = 0.5 * (lam_lo + lam_hi);
+    // Caps at lambda, summed in ORIGINAL id order so the seeded
+    // state is layout-invariant; they land in scratch so a refusal
+    // leaves the state untouched.
+    seed_p_.resize(n);
     double total = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-        double p = c[i] < 0.0 ? (lambda - b[i]) / (2.0 * c[i])
-                              : (lambda < b[i] ? hi[i] : lo[i]);
-        p_[wi(i)] = std::clamp(p, lo[i], hi[i]);
-        total += p_[wi(i)];
+        const std::size_t iw = wi(i);
+        const double b = qb_[iw];
+        const double c = qc_[iw];
+        const double p = c < 0.0 ? (lambda - b) / (2.0 * c)
+                                 : (lambda < b ? qmax_[iw] : qmin_[iw]);
+        seed_p_[iw] = std::clamp(p, qmin_[iw], qmax_[iw]);
+        total += seed_p_[iw];
     }
-    // The uniform estimate that makes the invariant exact; by
-    // construction it sits at ~-eta/lambda < 0, so the barrier is
+    // The uniform estimate that makes the invariant exact; it sits
+    // at ~-eta/lambda < 0 (below it on a step), so the barrier is
     // strictly feasible from round one.
     const double e0 = (total - new_budget) / static_cast<double>(n);
-    if (e0 >= 0.0)
+    if (!(e0 < 0.0))
         return false;
+    p_.swap(seed_p_);
     e_.assign(n, e0);
-    eta_now_.assign(n, eta);
+    eta_now_.assign(n, cfg_.eta);
     return true;
 }
 
@@ -1065,8 +1159,8 @@ DibaAllocator::warmStart(const AllocationResult &prev,
         // converged estimates leaves each node off-equilibrium and
         // the re-balancing transports estimate mass at ring speed.
         // Instead the quadratic path re-seeds straight AT the new
-        // barrier equilibrium -- one scalar water level found by
-        // bisection, then per-node local arithmetic -- and gossip
+        // barrier equilibrium -- one scalar water level solved in
+        // closed form, then per-node local arithmetic -- and gossip
         // only has to confirm quiescence.  Non-quadratic clusters
         // fall back to pre-placing the delta curvature-weighted
         // onto the caps (waterfilled across box clamps), announcing

@@ -962,7 +962,8 @@ class DibaAllocator : public IterativeAllocator
     }
 
     /** Extract quadratic coefficients into the SoA arrays (or
-     * disable the fast path if any utility is not quadratic). */
+     * disable the fast path if any utility is not quadratic) and
+     * mark the seed table stale. */
     void rebuildQuadFastPath();
 
     /** Immediately shed power at nodes whose slack is exhausted. */
@@ -985,13 +986,26 @@ class DibaAllocator : public IterativeAllocator
      * Seed (p, e, eta) at the barrier equilibrium of the round
      * dynamics for budget P: the unique water level lambda > 0
      * with sum_i clamp((lambda - b_i)/(2 c_i)) - P = -n eta/lambda
-     * (marginals pinned at lambda, estimates uniform at -eta/lambda,
-     * barriers at the floor) found by bisection.  One scalar
-     * broadcast plus per-node local arithmetic -- the control-plane
-     * fast path for warm re-entry.  Requires every utility to be
-     * quadratic; returns false (state untouched) otherwise.
+     * (marginals pinned at lambda, estimates uniform at
+     * (sum p - P)/n ~ -eta/lambda, barriers at the floor).  The
+     * root is exact: an O(log n) search of the breakpoint table
+     * (buildSeedTable) for the segment where the sign changes, a
+     * closed-form quadratic there, then one O(n) pass writing the
+     * caps.  A root on a linear node's step (c = 0) is that
+     * breakpoint with the step taken, which keeps e0 < 0.  One
+     * scalar broadcast plus per-node local arithmetic -- the
+     * control-plane fast path for warm re-entry.  Returns false
+     * with the state untouched unless every utility is quadratic
+     * and P exceeds the total power floor.
      */
     bool seedBarrierEquilibrium(double new_budget);
+
+    /**
+     * Build seed_table_ from the quadratic SoA mirror: O(n log n),
+     * run by the first seed after reset() or setUtility() marked
+     * the table stale (rebuildQuadFastPath).
+     */
+    void buildSeedTable();
 
     /** True if the active subgraph is connected. */
     bool activeSubgraphConnected() const;
@@ -1151,6 +1165,28 @@ class DibaAllocator : public IterativeAllocator
     /** Quadratic SoA mirror of u_ (valid iff quad_fast_). */
     std::vector<double> qb_, qc_, qmin_, qmax_;
     bool quad_fast_ = false;
+    /**
+     * One distinct breakpoint lambda of the equilibrium demand
+     * curve and the segment it opens: on [lam, next lam) demand is
+     * a + lambda * s1: s1 sums 1/(2c) over the interior nodes, and
+     * a is the other nodes' clamped caps minus the sum of b/(2c)
+     * over the interior ones.
+     */
+    struct SeedBreak
+    {
+        double lam, a, s1;
+    };
+    /**
+     * Breakpoints lambda > 0 ascending after a lam = 0 row for the
+     * first segment; ties merged and the sums taken in (lambda,
+     * original id) order, so the table is layout- and
+     * shard-invariant.  Empty (stale) after reset() or setUtility()
+     * until the next seed rebuilds it.
+     */
+    std::vector<SeedBreak> seed_table_;
+    /** Seed scratch caps (working ids), swapped into p_ on
+     * success. */
+    std::vector<double> seed_p_;
     /** Per-chunk max |dp| partials for the parallel reduction. */
     std::vector<double> chunk_max_;
     /** Active-set engine state: the hot frontier and its

@@ -1,0 +1,365 @@
+/**
+ * @file
+ * Pins the barrier-equilibrium seed behind warmStart() and
+ * reseedEquilibrium(): the exact breakpoint solve must land where a
+ * bisection of the same equation lands, hold every interior
+ * marginal at eta/(-e), refuse exactly where the bisection does,
+ * keep sum(e) = sum(p) - P when it seeds a cluster with linear
+ * utilities, and follow utility swaps (its breakpoint table is
+ * rebuilt lazily after setUtility()).
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "alloc/diba.hh"
+#include "graph/topologies.hh"
+#include "model/utility.hh"
+#include "tests/alloc/test_problems.hh"
+#include "util/rng.hh"
+
+using namespace dpc;
+
+namespace {
+
+/** A seed: the water level, the caps (original ids) and the
+ * uniform estimate, or ok == false for a refusal. */
+struct Seed
+{
+    bool ok = false;
+    double lambda = 0.0;
+    std::vector<double> p;
+    double e0 = 0.0;
+};
+
+/**
+ * Reference seed: bisection of f(lambda) = sum_i clamp((lambda -
+ * b_i)/(2 c_i)) - P + n eta/lambda, strictly decreasing in lambda.
+ * It brackets the root by doubling and halves the bracket down to
+ * adjacent doubles, then takes the bracket's upper end (f <= 0):
+ * on a linear node's step that is the step itself, the side that
+ * keeps e0 < 0.
+ */
+Seed
+bisectionSeed(const std::vector<UtilityPtr> &us, double budget,
+              double eta)
+{
+    const std::size_t n = us.size();
+    std::vector<double> b(n), c(n), lo(n), hi(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto &q = dynamic_cast<const QuadraticUtility &>(*us[i]);
+        b[i] = q.coeffB();
+        c[i] = q.coeffC();
+        lo[i] = q.minPower();
+        hi[i] = q.maxPower();
+    }
+    const auto cap = [&](std::size_t i, double lambda) {
+        const double p = c[i] < 0.0 ? (lambda - b[i]) / (2.0 * c[i])
+                                    : (lambda < b[i] ? hi[i] : lo[i]);
+        return std::clamp(p, lo[i], hi[i]);
+    };
+    const auto f = [&](double lambda) {
+        double total = 0.0;
+        for (std::size_t i = 0; i < n; ++i)
+            total += cap(i, lambda);
+        return total - budget + static_cast<double>(n) * eta / lambda;
+    };
+    Seed s;
+    double lam_lo = 1e-12;
+    double lam_hi = 1.0;
+    int guard = 0;
+    while (f(lam_hi) > 0.0 && guard++ < 128)
+        lam_hi *= 2.0;
+    if (guard >= 128)
+        return s;
+    for (int it = 0; it < 200; ++it) {
+        const double mid = 0.5 * (lam_lo + lam_hi);
+        if (mid == lam_lo || mid == lam_hi)
+            break;
+        (f(mid) > 0.0 ? lam_lo : lam_hi) = mid;
+    }
+    s.lambda = lam_hi;
+    s.p.resize(n);
+    double total = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        s.p[i] = cap(i, s.lambda);
+        total += s.p[i];
+    }
+    s.e0 = (total - budget) / static_cast<double>(n);
+    s.ok = s.e0 < 0.0;
+    return s;
+}
+
+UtilityPtr
+shape(double r0, double kappa, double lo, double hi, double scale)
+{
+    return std::make_shared<QuadraticUtility>(
+        QuadraticUtility::fromShape(r0, kappa, lo, hi, scale));
+}
+
+/** Random cluster mixing curved quadratics with linear ones
+ * (kappa = 0, so c = 0: a one-step demand curve). */
+std::vector<UtilityPtr>
+mixedUtilities(std::size_t n, Rng &rng)
+{
+    std::vector<UtilityPtr> us;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double lo = rng.uniform(60.0, 120.0);
+        const double hi = lo + rng.uniform(40.0, 140.0);
+        const double kappa =
+            rng.uniform() < 0.4 ? 0.0 : rng.uniform(0.2, 1.0);
+        us.push_back(shape(rng.uniform(0.2, 0.9), kappa, lo, hi,
+                           rng.uniform(0.5, 2.0)));
+    }
+    return us;
+}
+
+double
+minTotal(const std::vector<UtilityPtr> &us)
+{
+    double s = 0.0;
+    for (const UtilityPtr &u : us)
+        s += u->minPower();
+    return s;
+}
+
+double
+maxTotal(const std::vector<UtilityPtr> &us)
+{
+    double s = 0.0;
+    for (const UtilityPtr &u : us)
+        s += u->maxPower();
+    return s;
+}
+
+/**
+ * Seed `d` at `budget` through reseedEquilibrium() and hold it to
+ * the bisection: the same verdict, caps within 1e-9 W, a uniform
+ * estimate, and every interior marginal at the water level.  The
+ * water level is eta/(-e) unless the root sits on a linear node's
+ * step, where the step is taken and e falls below -eta/lambda.
+ */
+void
+expectSeedMatchesBisection(DibaAllocator &d, double budget,
+                           const std::string &what)
+{
+    SCOPED_TRACE(what);
+    const std::vector<UtilityPtr> &us = d.utilities();
+    const double eta = d.config().eta;
+    const Seed ref = bisectionSeed(us, budget, eta);
+    d.setBudget(budget);
+    const bool ok = d.reseedEquilibrium();
+    ASSERT_EQ(ok, ref.ok) << "budget " << budget;
+    if (!ok)
+        return;
+    const std::vector<double> &p = d.power();
+    const std::vector<double> &e = d.estimates();
+    bool on_step = false;
+    for (std::size_t i = 0; i < us.size(); ++i) {
+        ASSERT_NEAR(p[i], ref.p[i], 1e-9) << "node " << i;
+        ASSERT_EQ(e[i], e[0]) << "node " << i;
+        const auto &q = dynamic_cast<const QuadraticUtility &>(*us[i]);
+        if (q.coeffC() == 0.0 && q.coeffB() == ref.lambda)
+            on_step = true;
+        if (q.coeffC() < 0.0 && p[i] > q.minPower() &&
+            p[i] < q.maxPower()) {
+            const double marginal =
+                q.coeffB() + 2.0 * q.coeffC() * p[i];
+            ASSERT_NEAR(marginal, ref.lambda, 1e-9 * ref.lambda)
+                << "node " << i;
+        }
+    }
+    const double pinned = eta / -e[0];
+    if (on_step)
+        EXPECT_LT(pinned, ref.lambda);
+    else
+        EXPECT_NEAR(pinned, ref.lambda, 1e-9 * ref.lambda);
+    EXPECT_LT(e[0], 0.0);
+    EXPECT_NEAR(e[0], ref.e0, 1e-9 * std::fabs(ref.e0));
+    double se = 0.0;
+    for (const double x : e)
+        se += x;
+    EXPECT_NEAR(se, d.totalPower() - budget, 1e-9 * budget);
+}
+
+} // namespace
+
+TEST(WarmStartTest, LinearUtilitiesKeepConservation)
+{
+    // Small clusters with linear utilities put the water level on a
+    // demand step often; every warm step must leave the invariant
+    // exact whether it seeds or falls back.
+    Rng rng(0x5eed);
+    std::size_t steps = 0;
+    for (int cluster = 0; cluster < 400; ++cluster) {
+        const std::size_t n = 3 + rng.index(10);
+        AllocationProblem prob;
+        prob.utilities = mixedUtilities(n, rng);
+        const double lo = minTotal(prob.utilities);
+        const double hi = maxTotal(prob.utilities);
+        prob.budget = lo + rng.uniform(0.2, 0.8) * (hi - lo);
+        DibaAllocator d(makeRing(n), DibaAllocator::Config{});
+        d.reset(prob);
+        Rng step_rng(1);
+        for (int ev = 0; ev < 25; ++ev) {
+            const double target = lo + rng.uniform(0.05, 1.1) * (hi - lo);
+            d.warmStart(d.result(), target - d.budget());
+            ++steps;
+            const double budget = d.budget();
+            double se = 0.0;
+            for (const double x : d.estimates())
+                se += x;
+            ASSERT_NEAR(se, d.totalPower() - budget, 1e-9 * budget)
+                << "cluster " << cluster << " event " << ev;
+            for (int r = 0; r < 3; ++r)
+                d.step(step_rng);
+        }
+    }
+    EXPECT_EQ(steps, 400u * 25u);
+}
+
+TEST(WarmSeedOracleTest, NpbClusterMatchesBisection)
+{
+    const std::size_t n = 6400;
+    const auto prob = test::npbProblem(n, 172.0, 5);
+    DibaAllocator d(makeRing(n), DibaAllocator::Config{});
+    d.reset(prob);
+    for (const double w : {130.0, 150.0, 172.0, 195.0})
+        expectSeedMatchesBisection(d, w * static_cast<double>(n),
+                                   "npb " + std::to_string(w) + " W");
+}
+
+TEST(WarmSeedOracleTest, BudgetsAtTheBoxEdgesMatchBisection)
+{
+    const std::size_t n = 1024;
+    const auto prob = test::npbProblem(n, 172.0, 9);
+    const double lo = prob.minTotalPower();
+    const double hi = prob.maxTotalPower();
+    DibaAllocator d(makeRing(n), DibaAllocator::Config{});
+    d.reset(prob);
+    expectSeedMatchesBisection(d, lo + 1e-3, "floor + 1 mW");
+    expectSeedMatchesBisection(d, lo * (1.0 + 1e-9), "floor + 1e-9");
+    expectSeedMatchesBisection(d, hi - 1e-3, "ceiling - 1 mW");
+    expectSeedMatchesBisection(d, hi * (1.0 - 1e-9), "ceiling - 1e-9");
+    expectSeedMatchesBisection(d, hi + 50.0, "above the ceiling");
+    // At or under the floor no strictly feasible seed exists: both
+    // refuse (checked inside).
+    expectSeedMatchesBisection(d, lo, "at the floor");
+    expectSeedMatchesBisection(d, lo - 1.0, "under the floor");
+}
+
+TEST(WarmSeedOracleTest, IdenticalUtilitiesMatchBisection)
+{
+    // Two shapes repeated: every breakpoint is shared by half the
+    // cluster, so the table merges ties.
+    const std::size_t n = 600;
+    std::vector<UtilityPtr> us;
+    for (std::size_t i = 0; i < n; ++i)
+        us.push_back(i % 2 == 0 ? shape(0.4, 0.6, 100.0, 200.0, 1.0)
+                                : shape(0.7, 0.9, 90.0, 180.0, 1.3));
+    AllocationProblem prob;
+    prob.utilities = us;
+    prob.budget = 150.0 * static_cast<double>(n);
+    DibaAllocator d(makeRing(n), DibaAllocator::Config{});
+    d.reset(prob);
+    const double lo = minTotal(us);
+    const double hi = maxTotal(us);
+    for (const double frac : {0.01, 0.2, 0.5, 0.8, 0.99})
+        expectSeedMatchesBisection(d, lo + frac * (hi - lo),
+                                   "ties " + std::to_string(frac));
+}
+
+TEST(WarmSeedOracleTest, LinearMixesMatchBisection)
+{
+    // Roots inside segments and on linear steps alike; the layout
+    // permutes working ids, which the seed must not see.
+    Rng rng(77);
+    for (const Layout layout : {Layout::identity, Layout::rcm}) {
+        for (int cluster = 0; cluster < 8; ++cluster) {
+            const std::size_t n = 64 + rng.index(400);
+            AllocationProblem prob;
+            prob.utilities = mixedUtilities(n, rng);
+            const double lo = minTotal(prob.utilities);
+            const double hi = maxTotal(prob.utilities);
+            prob.budget = 0.5 * (lo + hi);
+            DibaAllocator::Config cfg;
+            cfg.layout = layout;
+            Rng topo_rng(cluster);
+            DibaAllocator d(makeChordalRing(n, n / 8, topo_rng), cfg);
+            d.reset(prob);
+            for (int k = 0; k < 12; ++k)
+                expectSeedMatchesBisection(
+                    d, lo + rng.uniform(0.001, 1.0) * (hi - lo),
+                    "mix " + std::to_string(cluster) + "/" +
+                        std::to_string(k));
+        }
+    }
+}
+
+TEST(WarmSeedTableTest, UtilitySwapsRebuildTheTable)
+{
+    const std::size_t n = 400;
+    const auto prob = test::npbProblem(n, 172.0, 41);
+    const Graph g = makeRing(n);
+    DibaAllocator d(g, DibaAllocator::Config{});
+    d.reset(prob);
+    d.warmStart(d.result(), 0.05 * prob.budget); // builds the table
+
+    // Another quadratic: the next seed must come from the swapped
+    // problem, bitwise as a fresh allocator seeds it.
+    const UtilityPtr quad = shape(0.3, 0.5, 110.0, 210.0, 1.7);
+    d.setUtility(17, quad);
+    const double delta = -0.08 * prob.budget;
+    const auto freshSeed = [&](const AllocationProblem &swapped) {
+        auto fresh = std::make_unique<DibaAllocator>(
+            g, DibaAllocator::Config{});
+        fresh->reset(swapped);
+        fresh->warmStart(fresh->result(), delta);
+        return fresh;
+    };
+    auto swapped = prob;
+    swapped.utilities[17] = quad;
+    swapped.budget = d.budget();
+    d.warmStart(d.result(), delta);
+    {
+        const auto fresh = freshSeed(swapped);
+        EXPECT_EQ(d.power(), fresh->power());
+        EXPECT_EQ(d.estimates(), fresh->estimates());
+        EXPECT_EQ(d.budget(), fresh->budget());
+    }
+
+    // A non-quadratic: no seed; the delta is pre-placed onto the
+    // caps and only the residue the boxes refused moves the
+    // estimates, all by one uniform shift.
+    d.setUtility(17, std::make_shared<PiecewiseLinearUtility>(
+                         std::vector<double>{100.0, 150.0, 200.0},
+                         std::vector<double>{0.4, 0.8, 0.9}));
+    Rng rng(3);
+    for (int r = 0; r < 40; ++r)
+        d.step(rng);
+    const std::vector<double> e_before = d.estimates();
+    const double p_before = d.totalPower();
+    const double step = 0.01 * prob.budget;
+    d.warmStart(d.result(), step);
+    const double shift = d.estimates()[0] - e_before[0];
+    for (std::size_t i = 0; i < n; ++i)
+        ASSERT_NEAR(d.estimates()[i] - e_before[i], shift, 1e-12)
+            << "node " << i;
+    EXPECT_NE(d.estimates()[0], d.estimates()[1]);
+    EXPECT_NEAR(d.totalPower() - p_before,
+                step + static_cast<double>(n) * shift,
+                1e-9 * prob.budget);
+
+    // Back to a quadratic: seeding resumes, again bitwise.
+    d.setUtility(17, quad);
+    swapped.budget = d.budget();
+    d.warmStart(d.result(), delta);
+    const auto fresh = freshSeed(swapped);
+    EXPECT_EQ(d.power(), fresh->power());
+    EXPECT_EQ(d.estimates(), fresh->estimates());
+}

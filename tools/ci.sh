@@ -3,6 +3,11 @@
 # merging, in the order that fails fastest.
 #
 #   1. scalar Release build + full ctest        (correctness)
+#      + time-to-cap benchmark smoke: perfbench/run.py --smoke
+#        builds perfbench/ into .bench_build/ and runs every
+#        workload at tiny sizes, traced and untraced, failing
+#        unless each prints every BENCHMARK.json metric and
+#        passes its cap/invariant/parity checks
 #   2. AVX2 build + full ctest                  (bitwise SIMD parity)
 #      + bench smoke run of gossip_async (bitwise bars only;
 #        DPC_BENCH_SMOKE=1)
@@ -46,6 +51,9 @@ step "scalar build + full test suite"
 cmake -S "$repo" -B "$repo/build" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$repo/build" -j"$(nproc)"
 ctest --test-dir "$repo/build" --output-on-failure -j"$(nproc)"
+
+step "time-to-cap benchmark smoke (perfbench, all workloads)"
+(cd "$repo" && python3 perfbench/run.py --smoke)
 
 step "AVX2 build + full test suite"
 cmake -S "$repo" -B "$repo/build-avx2" -DCMAKE_BUILD_TYPE=Release \
