@@ -374,17 +374,31 @@ DibaAllocator::roundRange(std::size_t begin, std::size_t end,
 }
 
 double
-DibaAllocator::gossipTick(Rng &rng)
+DibaAllocator::gossipTick(Rng &rng, GossipChannel *chan)
 {
     DPC_ASSERT(!p_.empty(), "gossipTick() before reset()");
     // failNode() prunes dead edges from edges_, so a uniform draw
     // lands on a live edge in one attempt even when survivors are
     // rare (a dead neighbour simply never answers).
     DPC_ASSERT(!edges_.empty(), "no live edge left in the overlay");
-    const auto &[u, v] = edges_[rng.index(edges_.size())];
+    const std::size_t pos = rng.index(edges_.size());
+    const auto &[u, v] = edges_[pos];
     DPC_ASSERT(active_[u] && active_[v],
                "stale dead edge in the live-edge list");
-    return tickEdge(u, v, true);
+    // Async ticks have no round clock to be stale against: the
+    // exchange either happens now or not at all, so only the
+    // delivered bit of the fate applies.  A dropped exchange
+    // leaves both estimates untouched (their sum is trivially
+    // conserved) while both endpoints still take their local
+    // gradient steps.  The fate is drawn on the edge's ORIGINAL
+    // endpoints (see iterateShard).
+    bool deliver = true;
+    if (chan != nullptr) {
+        const std::uint32_t id = live_ids_[pos];
+        const auto &ov = edgeView(id);
+        deliver = chan->fate(id, ov.first, ov.second).delivered;
+    }
+    return tickEdge(u, v, deliver);
 }
 
 double
@@ -1258,35 +1272,9 @@ DibaAllocator::messagesPerRound() const
 }
 
 double
-DibaAllocator::iterateWithChannel(GossipChannel &chan)
+DibaAllocator::stepWithTransport(net::Transport &t, GossipChannel *chan)
 {
-    // The channel path IS the transport path: the loopback adapter
-    // queries chan.fate() inside send(), edge for edge in the same
-    // canonical order with the same arguments as the historical
-    // fate loop, so a seeded channel consumes its generator
-    // identically and the round is bitwise-pinned by construction.
-    net::LoopbackTransport loopback(chan);
-    return iterateShard(loopback, 0, p_.size());
-}
-
-double
-DibaAllocator::stepWithChannel(GossipChannel &chan)
-{
-    const double moved = iterateWithChannel(chan);
-    noteRound(moved);
-    return moved;
-}
-
-double
-DibaAllocator::iterateWithTransport(net::Transport &t)
-{
-    return iterateShard(t, 0, p_.size());
-}
-
-double
-DibaAllocator::stepWithTransport(net::Transport &t)
-{
-    const double moved = iterateWithTransport(t);
+    const double moved = iterateShard(t, 0, p_.size(), chan);
     noteRound(moved);
     return moved;
 }
@@ -1319,7 +1307,7 @@ DibaAllocator::buildOverlapSets(std::size_t begin, std::size_t end)
 
 double
 DibaAllocator::iterateShard(net::Transport &t, std::size_t begin,
-                            std::size_t end)
+                            std::size_t end, GossipChannel *chan)
 {
     using clock = std::chrono::steady_clock;
     const auto secs = [](clock::time_point a, clock::time_point b) {
@@ -1332,14 +1320,16 @@ DibaAllocator::iterateShard(net::Transport &t, std::size_t begin,
     ensureEdgeIndex();
     // Frontier branch (steady-state sparsity over the wire): when
     // the engine permits the active-set kernel, the caller asked
-    // for it (threshold above zero), and the transport is
-    // synchronous and carries the wake channel, the round's compute
-    // is the frontier sweep.  Threshold 0 stays on the dense
-    // schedule, bitwise unchanged.
+    // for it (threshold above zero), no channel decides fates, and
+    // the transport is synchronous and carries the wake channel,
+    // the round's compute is the frontier sweep.  Threshold 0
+    // stays on the dense schedule, bitwise unchanged.
     const bool sparse = sparseEngineActive() &&
                         cfg_.active_threshold > 0.0 &&
-                        t.maxLag() == 0 && t.wakesSupported();
-    pushHistory(t.maxLag() + 1);
+                        chan == nullptr && t.maxLag() == 0 &&
+                        t.wakesSupported();
+    const std::size_t chan_lag = chan != nullptr ? chan->maxLag() : 0;
+    pushHistory(chan_lag + t.maxLag() + 1);
     // Dense transport rounds touch every node outside the
     // active-set engine's bookkeeping; keep the frontier
     // conservatively hot so a later iterate() resumes from a valid
@@ -1347,52 +1337,32 @@ DibaAllocator::iterateShard(net::Transport &t, std::size_t begin,
     if (!sparse)
         frontier_.reheatAll();
 
-    // Offer every live pair in canonical edge_id order, so a
-    // seeded fate oracle behind the transport yields one
-    // reproducible fault pattern per round; dead or cut edges are
-    // never offered and consume no draw.  Pairs that receive no
-    // delivery stay dropped.  A transport granting offer elision
-    // (sharded sockets) delivers no pair echoes at all: unmasked
-    // live pairs file {delivered, 0} right here without ever being
-    // offered, offered (cut) pairs file {delivered, maxLag} at
-    // send, and the round's delivery traffic scales with the cut
-    // instead of the overlay.
+    // Open the round with the history ring as the patch sink: the
+    // transport writes every incoming peer half straight into the
+    // snapshot row of the round it belongs to (row addresses
+    // rotate with pushHistory, so the sink is handed over anew
+    // every round).
     const auto t0 = clock::now();
     const std::uint64_t round = transport_round_++;
-    t.beginRound(round, all_edges_.size());
-    const std::vector<std::uint8_t> *offer_mask =
-        t.claimOfferElision();
-    DPC_ASSERT(offer_mask == nullptr ||
-                   offer_mask->size() == all_edges_.size(),
-               "transport offer mask does not cover the overlay");
-    // Same clamp file() applies to echoed fates: the first rounds
-    // after a reset have less history than maxLag.
-    EdgeFate offered_fate{
-        true, static_cast<std::uint32_t>(
-                  std::min(t.maxLag(), hist_.size() - 1))};
-    bool direct_patch = false;
-    if (offer_mask != nullptr) {
-        // Under elision the only deliveries left are snapshot
-        // patches; offer the transport the history ring so it can
-        // file them straight from the frame decode (it re-checks
-        // every round -- row addresses rotate with pushHistory).
-        patch_rows_.clear();
-        for (std::vector<double> &h : hist_)
-            patch_rows_.push_back(h.data());
-        net::Transport::PatchSink sink;
-        sink.rows = patch_rows_.data();
-        sink.nrows = patch_rows_.size();
-        sink.slot_of = layout_active_ ? perm_.data() : nullptr;
-        direct_patch = t.filePatchesInto(sink);
-    }
-    // A wake-capable transport is by contract a sharded socket
-    // transport: offer elision and the direct patch sink are what
-    // make a quiesced round's cost scale with the cut's CHANGED
-    // values instead of the overlay, so their absence is a wiring
-    // bug, not a mode to fall back from.
-    DPC_ASSERT(!sparse || direct_patch,
-               "wake-capable transport refused offer elision or "
-               "the patch sink");
+    patch_rows_.clear();
+    for (std::vector<double> &h : hist_)
+        patch_rows_.push_back(h.data());
+    net::Transport::PatchSink sink;
+    sink.rows = patch_rows_.data();
+    sink.nrows = patch_rows_.size();
+    sink.slot_of = layout_active_ ? perm_.data() : nullptr;
+    t.beginRound(round, sink);
+    if (chan != nullptr)
+        chan->beginRound(all_edges_.size());
+    const std::vector<std::uint8_t> *cut = t.cutMask();
+    DPC_ASSERT(cut == nullptr || cut->size() == all_edges_.size(),
+               "transport cut mask does not cover the overlay");
+    // The first rounds after a reset have less history than the
+    // lag asks for; every lag clamps to the oldest snapshot taken.
+    const auto clampLag = [this](std::size_t lag) {
+        return static_cast<std::uint32_t>(
+            std::min(lag, hist_.size() - 1));
+    };
     const std::vector<double> &pre = hist_.front();
     // The frontier's hot bits ride along as the wake channel: a
     // wake-capable transport ships each pair's OWN-endpoint bit,
@@ -1402,8 +1372,8 @@ DibaAllocator::iterateShard(net::Transport &t, std::size_t begin,
     const std::uint8_t *hot = frontier_.mask().data();
     const auto offerPair = [&](std::uint32_t id) {
         // The transport sees the edge's ORIGINAL canonical
-        // endpoints so endpoint-addressed fault plans and wire
-        // frames hit the same physical link under every layout.
+        // endpoints so wire frames hit the same physical link
+        // under every layout.
         const auto &[u, v] = all_edges_[id];
         const auto &ov = edgeView(id);
         net::EdgePair pair;
@@ -1417,100 +1387,72 @@ DibaAllocator::iterateShard(net::Transport &t, std::size_t begin,
         pair.hot_v = hot[v] != 0;
         t.send(pair);
     };
-    // Fully-live overlay under offer elision at depth 0 with the
-    // patch sink registered: every unmasked pair's fate is
-    // {delivered, 0} by construction, the offered fate is too, and
-    // no delivery ever reaches file() -- every fate this round is
-    // the same fresh constant, so the fate table is neither
+    // Fully-live overlay, no channel, no effective cut lag: every
+    // pair's fate is {delivered, 0}, so the fate table is neither
     // written nor read (the compute below runs the fate-free
-    // kernels) and the offer pass walks only the offered (cut)
-    // ids, O(cut) instead of O(E).  Offered pairs include quiesced
-    // ones: suppression makes them nearly free on the wire, and
-    // the unconditional offer keeps the sender-declared completion
-    // alive on both ends.  The active-set branch always lands here
-    // (its engine implies a fully-live overlay and maxLag 0).
-    const bool uniform_fresh = direct_patch && offered_fate.lag == 0 &&
+    // kernels, slot for slot the arithmetic of iterate()) and the
+    // offer pass walks only the cut ids, O(cut) instead of O(E).
+    // Offered pairs include quiesced ones: suppression makes them
+    // nearly free on the wire, and the unconditional offer keeps
+    // the sender-declared completion alive on both ends.  The
+    // active-set branch always lands here (its engine implies a
+    // fully-live overlay and maxLag 0).
+    const bool uniform_fresh = chan == nullptr &&
+                               clampLag(t.maxLag()) == 0 &&
                                num_active_ == p_.size() &&
                                disabled_edges_ == 0;
     if (uniform_fresh) {
-        if (elision_mask_src_ != offer_mask) {
-            elision_mask_src_ = offer_mask;
-            elision_offer_ids_.clear();
-            for (std::size_t id = 0; id < offer_mask->size(); ++id)
-                if ((*offer_mask)[id] != 0)
-                    elision_offer_ids_.push_back(
-                        static_cast<std::uint32_t>(id));
+        if (cut != nullptr) {
+            if (cut_ids_src_ != cut) {
+                cut_ids_src_ = cut;
+                cut_ids_.clear();
+                for (std::size_t id = 0; id < cut->size(); ++id)
+                    if ((*cut)[id] != 0)
+                        cut_ids_.push_back(
+                            static_cast<std::uint32_t>(id));
+            }
+            for (const std::uint32_t id : cut_ids_)
+                offerPair(id);
         }
-        for (const std::uint32_t id : elision_offer_ids_)
-            offerPair(id);
     } else {
+        // Draw every live pair's fate in canonical edge_id order,
+        // so a seeded channel yields one reproducible fault pattern
+        // per round on every shard and in the single-process run;
+        // dead or cut-off edges consume no draw and stay dropped.
+        // A cut pair is offered whatever its fate (the frame flows
+        // even when the transfer is cancelled, which keeps remote
+        // snapshots exact) and lags by the transport's maxLag() on
+        // top of the channel's lag.
         fates_.assign(all_edges_.size(), EdgeFate{false, 0});
         for (std::size_t id = 0; id < all_edges_.size(); ++id) {
             const auto &[u, v] = all_edges_[id];
             if (!edge_enabled_[id] || !active_[u] || !active_[v])
                 continue;
-            if (offer_mask != nullptr) {
-                if ((*offer_mask)[id] == 0) {
-                    fates_[id] = EdgeFate{true, 0};
-                    continue;
-                }
-                fates_[id] = offered_fate;
+            EdgeFate f;
+            if (chan != nullptr) {
+                const auto &ov = edgeView(id);
+                f = chan->fate(id, ov.first, ov.second);
+                DPC_ASSERT(f.lag <= chan_lag, "channel returned lag ",
+                           f.lag, " above its maxLag()");
             }
-            offerPair(static_cast<std::uint32_t>(id));
+            if (cut != nullptr && (*cut)[id] != 0) {
+                f.lag += static_cast<std::uint32_t>(t.maxLag());
+                offerPair(static_cast<std::uint32_t>(id));
+            }
+            f.lag = clampLag(f.lag);
+            fates_[id] = f;
         }
     }
     const auto t_sent = clock::now();
 
-    // Delivery filing.  A sharded transport flags the halves whose
-    // authoritative snapshot value lives in another process;
-    // folding them into the snapshot of the round they belong to
-    // BEFORE the diffusion reads it is what makes a shard's owned
-    // arithmetic bitwise equal to the single-process round.
-    // Flagged deliveries are pure snapshot patches (a pipelined
-    // transport may emit them for an earlier round, whose fate a
-    // send-time delivery already filed); unflagged ones file the
-    // pair's fate.
-    const auto file = [&](const net::Delivery &d) {
-        DPC_ASSERT(!uniform_fresh, "stray delivery in a round whose "
-                                   "patch sink was accepted");
-        const std::size_t id = d.pair.edge_id;
-        DPC_ASSERT(id < fates_.size(),
-                   "transport delivered unknown edge ", id);
-        if (d.update_u || d.update_v) {
-            DPC_ASSERT(d.pair.round <= round,
-                       "snapshot patch from a future round");
-            std::uint64_t age = round - d.pair.round;
-            // The first rounds after a reset or a churn event have
-            // less history than maxLag; clamp to the oldest
-            // snapshot actually taken.
-            if (age >= hist_.size())
-                age = hist_.size() - 1;
-            std::vector<double> &snap =
-                hist_[static_cast<std::size_t>(age)];
-            if (d.update_u)
-                snap[wi(d.pair.u)] = d.pair.e_u;
-            if (d.update_v)
-                snap[wi(d.pair.v)] = d.pair.e_v;
-            return;
-        }
-        EdgeFate f = d.fate;
-        DPC_ASSERT(f.lag <= t.maxLag(),
-                   "transport returned lag ", f.lag,
-                   " above its maxLag()");
-        if (f.lag >= hist_.size())
-            f.lag = static_cast<std::uint32_t>(hist_.size() - 1);
-        fates_[id] = f;
-    };
-
     // Compute, overlapped with communication: interior nodes never
-    // read a halo snapshot entry and their incident fates were all
-    // filed by the send-time deliveries, so they are diffused +
-    // stepped while the cut batches are in flight; only the
-    // boundary residue waits for the blocking drain.  tryPoll()
-    // between chunks keeps the sockets draining at memory speed
-    // instead of parking the whole round behind the network.  An
-    // in-process round ([0, n), every node interior) drains fully
-    // up front and then computes.  Each pair's transfer is
+    // read a halo snapshot entry and every fate was filed above,
+    // so they are diffused + stepped while the cut batches are in
+    // flight; only the boundary residue waits for the blocking
+    // drain.  tryPoll() between chunks keeps the sockets draining
+    // at memory speed instead of parking the whole round behind
+    // the network.  An in-process round ([0, n), every node
+    // interior) has nothing to drain.  Each pair's transfer is
     // computed on the snapshot its fate names -- both endpoints on
     // the same snapshot with the same symmetric weight, so the
     // halves are exact IEEE negations and sum(e) is conserved no
@@ -1518,11 +1460,9 @@ DibaAllocator::iterateShard(net::Transport &t, std::size_t begin,
     // runs the fate-free kernels on the front row, slot for slot
     // the same arithmetic as iterate().  The frontier sweep cannot
     // overlap: it needs the halo's hot bits, which arrive with the
-    // round, so all of its compute waits out the drain (with the
-    // patch sink, only the round barrier).
+    // round, so all of its compute waits out the round barrier.
     const double *now = pre.data();
     const bool fated = !uniform_fresh;
-    net::Delivery d;
     double max_dp = 0.0;
     auto t_flushed = t_sent;
     if (!sparse) {
@@ -1534,8 +1474,7 @@ DibaAllocator::iterateShard(net::Transport &t, std::size_t begin,
         // instead and drain once per ~chunk of interior work.
         constexpr std::size_t kOverlapChunk = 4096;
         std::size_t since_drain = 0;
-        while (t.tryPoll(d))
-            file(d);
+        t.tryPoll();
         t_flushed = clock::now();
         for (const auto &[ra, rb] : ovl_interior_runs_) {
             for (std::size_t a = ra; a < rb; a += kOverlapChunk) {
@@ -1546,15 +1485,13 @@ DibaAllocator::iterateShard(net::Transport &t, std::size_t begin,
                 since_drain += b - a;
                 if (since_drain >= kOverlapChunk) {
                     since_drain = 0;
-                    while (t.tryPoll(d))
-                        file(d);
+                    t.tryPoll();
                 }
             }
         }
     }
     const auto t_interior = clock::now();
-    while (t.poll(d))
-        file(d);
+    t.poll();
     if (t.aborted()) {
         // Control-plane abort (epoch change): the remote halves
         // never arrived (the interior was stepped speculatively),
@@ -1610,29 +1547,10 @@ DibaAllocator::iterateShard(net::Transport &t, std::size_t begin,
 }
 
 double
-DibaAllocator::gossipTick(Rng &rng, GossipChannel &chan)
+DibaAllocator::gossipTickPair(std::size_t u, std::size_t v,
+                              GossipChannel *chan)
 {
-    DPC_ASSERT(!p_.empty(), "gossipTick() before reset()");
-    DPC_ASSERT(!edges_.empty(), "no live edge left in the overlay");
-    const std::size_t pos = rng.index(edges_.size());
-    const auto &[u, v] = edges_[pos];
-    const std::uint32_t id = live_ids_[pos];
-    // Async ticks have no round clock to be stale against: the
-    // exchange either happens now or not at all, so only the
-    // delivered bit of the fate applies.  A dropped exchange
-    // leaves both estimates untouched (their sum is trivially
-    // conserved) while both endpoints still take their local
-    // gradient steps.  The fate is drawn on the edge's ORIGINAL
-    // endpoints (see iterateWithChannel).
-    const auto &ov = edgeView(id);
-    return tickEdge(u, v, chan.fate(id, ov.first, ov.second).delivered);
-}
-
-double
-DibaAllocator::tickPairImpl(std::size_t u, std::size_t v,
-                            GossipChannel *chan)
-{
-    // The gossipTick body on a named pair: averaging (channel
+    // The gossipTick body on a named live edge: averaging (channel
     // permitting), then the local gradient step + annealing at
     // both endpoints.  Must stay arithmetic-identical to one lane
     // pair of the batched kernel -- the sweep equivalence tests
@@ -1644,29 +1562,16 @@ DibaAllocator::tickPairImpl(std::size_t u, std::size_t v,
                "gossipTickPair endpoints out of range");
     const std::size_t uw = wi(u);
     const std::size_t vw = wi(v);
-    DPC_ASSERT(active_[uw] && active_[vw],
-               "gossipTickPair on a dead endpoint");
-    bool deliver = true;
-    if (chan) {
-        ensureEdgeIndex();
-        const std::uint32_t id = edge_id_.at(
-            edgeKey(std::min(uw, vw), std::max(uw, vw)));
-        deliver = chan->fate(id, u, v).delivered;
-    }
+    ensureEdgeIndex();
+    const auto it =
+        edge_id_.find(edgeKey(std::min(uw, vw), std::max(uw, vw)));
+    DPC_ASSERT(it != edge_id_.end(), "gossipTickPair on {", u, ", ",
+               v, "}, which is not an overlay edge");
+    const std::uint32_t id = it->second;
+    DPC_ASSERT(live_pos_[id] != kNoLivePos, "gossipTickPair on {", u,
+               ", ", v, "}, which is cut or has a dead endpoint");
+    const bool deliver = chan == nullptr || chan->fate(id, u, v).delivered;
     return tickEdge(uw, vw, deliver);
-}
-
-double
-DibaAllocator::gossipTickPair(std::size_t u, std::size_t v)
-{
-    return tickPairImpl(u, v, nullptr);
-}
-
-double
-DibaAllocator::gossipTickPair(std::size_t u, std::size_t v,
-                              GossipChannel &chan)
-{
-    return tickPairImpl(u, v, &chan);
 }
 
 void
@@ -1753,23 +1658,12 @@ DibaAllocator::edgeColoring()
 }
 
 double
-DibaAllocator::gossipSweep(Rng &rng)
-{
-    return sweepImpl(rng, nullptr);
-}
-
-double
-DibaAllocator::gossipSweep(Rng &rng, GossipChannel &chan)
-{
-    ensureEdgeIndex();
-    return sweepImpl(rng, &chan);
-}
-
-double
-DibaAllocator::sweepImpl(Rng &rng, GossipChannel *chan)
+DibaAllocator::gossipSweep(Rng &rng, GossipChannel *chan)
 {
     DPC_ASSERT(!p_.empty(), "gossipSweep() before reset()");
     DPC_ASSERT(!edges_.empty(), "no live edge left in the overlay");
+    if (chan != nullptr)
+        ensureEdgeIndex();
     ensureColoring();
     // Exactly one rng draw sequence per sweep: the shuffle of the
     // non-empty color indices (ascending before the shuffle).

@@ -222,76 +222,57 @@ class DibaAllocator : public IterativeAllocator
     double iterate();
 
     /**
-     * One synchronized round whose estimate exchanges are routed
-     * through `chan`: the channel decides, per undirected edge,
-     * whether this round's paired transfer is delivered and with
-     * what staleness.  A dropped pair cancels both halves (neither
-     * endpoint moves estimate mass), a stale pair is computed by
-     * both endpoints from the same lagged snapshot, so
-     * sum(e) == sum(p) - P is conserved bit-exactly under any
-     * loss/delay pattern.  With a perfect channel this is
-     * bitwise identical to iterate().  Serial (the fault path does
-     * not use the thread pool); a positive cfg.deadband gates each
-     * pair on its fate's snapshot, so both halves still cancel.
-     */
-    double iterateWithChannel(GossipChannel &chan);
-
-    /** iterateWithChannel + convergence accounting (the fault
-     * harness's step()). */
-    double stepWithChannel(GossipChannel &chan);
-
-    /**
-     * One synchronized round whose paired exchanges are routed
-     * through a net::Transport: every live pair is offered with
-     * send() in canonical edge_id order (carrying the pre-round
-     * snapshot estimates and the ORIGINAL endpoint ids), then
-     * poll() is drained and each Delivery's fate gates the paired
-     * transfer exactly as in iterateWithChannel.  Deliveries
-     * flagged update_u/update_v (remote halves of cut edges, in a
-     * sharded run) are folded into the current snapshot before the
-     * diffusion reads it.  iterateWithChannel(chan) is exactly
-     * this routed through net::LoopbackTransport, so the transport
-     * path is pinned bitwise-identical to the historical channel
-     * path by construction.
-     */
-    double iterateWithTransport(net::Transport &t);
-
-    /** iterateWithTransport + convergence accounting. */
-    double stepWithTransport(net::Transport &t);
-
-    /**
-     * Shard-local round: iterateWithTransport restricted to the
-     * gradient phase over the working-id range
-     * [owned_begin, owned_end).  The fate/send loop still offers
-     * EVERY live pair of the full overlay (so a seeded fate oracle
-     * consumes the same draws on every shard and in the
-     * single-process reference) and the diffusion still uses the
-     * full snapshot (patched with the remote halves the transport
-     * delivered), but only owned nodes move -- per-node arithmetic
-     * is range-independent, so owned caps/estimates are bitwise
-     * equal to the single-process run.  @return max |dp| over the
-     * owned range only; all-reduce it across shards (the
-     * piggybacked dp reports) and feed resolved global values to
-     * noteExternalRound() for convergence accounting that matches
-     * single-process.
+     * Shard-local synchronized round over the working-id range
+     * [owned_begin, owned_end): the one routed round (an
+     * in-process caller passes [0, n), where every node is
+     * interior).
      *
-     * This is the one transport round: iterateWithTransport and
-     * iterateWithChannel run it over [0, n), where every node is
-     * interior.  It overlaps compute with communication: owned
-     * INTERIOR nodes (every CSR neighbour inside the owned range
-     * -- their diffusion never reads a halo entry) are diffused
-     * and stepped in chunks while the transport drains via
-     * tryPoll() between chunks; only the boundary residue waits
-     * for the blocking drain.  Per-node arithmetic is node-local
-     * and the range max is order-free, so the schedule is bitwise
-     * invisible.  On the active-set engine over a synchronous
-     * wake-capable transport the round instead drains first,
-     * syncs the halo's frontier bits from the wake view, and
-     * sweeps the owned slice of frontier ∪ N(frontier) -- bitwise
-     * equal to iterate() under the same threshold.
+     * Fates: with a channel, every live pair's fate is drawn from
+     * `chan` in canonical edge_id order over the FULL overlay (so
+     * a seeded channel consumes the same draws on every shard and
+     * in the single-process run).  A dropped pair cancels both
+     * halves (neither endpoint moves estimate mass), a stale pair
+     * is computed by both endpoints from the same lagged snapshot,
+     * so sum(e) == sum(p) - P is conserved bit-exactly under any
+     * loss/delay pattern.  Without a channel every pair is
+     * delivered fresh.  Either way a cut pair (non-zero
+     * t.cutMask() entry) lags by t.maxLag() more; a drop wins.
+     *
+     * Values: every live cut pair is offered to `t` whatever its
+     * fate, carrying the pre-round snapshot estimates and the
+     * ORIGINAL endpoint ids, and the transport writes the peer
+     * halves straight into the round's snapshot rows.  Only owned
+     * nodes move -- per-node arithmetic is range-independent, so
+     * owned caps/estimates are bitwise equal to the
+     * single-process run.  With an identity transport and no
+     * channel this is bitwise identical to iterate().
+     *
+     * It overlaps compute with communication: owned INTERIOR
+     * nodes (every CSR neighbour inside the owned range -- their
+     * diffusion never reads a halo entry) are diffused and
+     * stepped in chunks while the transport drains via tryPoll()
+     * between chunks; only the boundary residue waits for the
+     * blocking poll().  Per-node arithmetic is node-local and the
+     * range max is order-free, so the schedule is bitwise
+     * invisible.  On the active-set engine with no channel over a
+     * synchronous wake-capable transport the round instead drains
+     * first, syncs the halo's frontier bits from the wake view,
+     * and sweeps the owned slice of frontier ∪ N(frontier) --
+     * bitwise equal to iterate() under the same threshold.
+     *
+     * @return max |dp| over the owned range only; all-reduce it
+     * across shards (the piggybacked dp reports) and feed resolved
+     * global values to noteExternalRound() for convergence
+     * accounting that matches single-process.
      */
     double iterateShard(net::Transport &t, std::size_t owned_begin,
-                        std::size_t owned_end);
+                        std::size_t owned_end,
+                        GossipChannel *chan = nullptr);
+
+    /** iterateShard over the whole overlay + convergence
+     * accounting (the fault harnesses' step()). */
+    double stepWithTransport(net::Transport &t,
+                             GossipChannel *chan = nullptr);
 
     /** Wall-clock totals of the transport-routed round phases
      * (summed over rounds; the bench's per-phase breakdown).
@@ -316,15 +297,11 @@ class DibaAllocator : public IterativeAllocator
      * all-reduce over every shard's iterateShard return) into the
      * iteration/convergence accounting, exactly as
      * stepWithTransport would with the locally computed value.
-     */
-    void noteExternalRound(double moved) { noteRound(moved); }
-
-    /**
-     * Epoch-fenced variant for the sharded deployment: the fold is
-     * applied only when `epoch` matches the current recovery epoch,
-     * so a globally resolved max |dp| that raced across an epoch
-     * change (it describes a round the rollback discarded) cannot
-     * leak into the post-recovery convergence accounting.
+     * The fold is applied only when `epoch` matches the current
+     * recovery epoch, so a globally resolved max |dp| that raced
+     * across an epoch change (it describes a round the rollback
+     * discarded) cannot leak into the post-recovery convergence
+     * accounting.
      */
     void noteExternalRound(std::uint32_t epoch, double moved)
     {
@@ -387,21 +364,17 @@ class DibaAllocator : public IterativeAllocator
      * NTP round barrier) is required in this mode; N ticks do
      * roughly the work of one synchronized round.
      *
+     * With a channel, the activated edge's exchange is delivered
+     * or dropped by `chan`.  On a drop the pairwise averaging
+     * simply does not happen (the endpoints never learn the
+     * message was lost) but both still take their local gradient
+     * steps; the sum invariant is conserved either way.
+     * Staleness does not apply to async ticks (there is no round
+     * clock to be stale against), so any returned lag is ignored.
+     *
      * @return the largest |dp| moved by the two endpoints (W)
      */
-    double gossipTick(Rng &rng);
-
-    /**
-     * Asynchronous gossip tick over a faulty transport: the
-     * activated edge's exchange is delivered or dropped by `chan`.
-     * On a drop the pairwise averaging simply does not happen (the
-     * endpoints never learn the message was lost) but both still
-     * take their local gradient steps; the sum invariant is
-     * conserved either way.  Staleness does not apply to async
-     * ticks (there is no round clock to be stale against), so any
-     * returned lag is ignored.
-     */
-    double gossipTick(Rng &rng, GossipChannel &chan);
+    double gossipTick(Rng &rng, GossipChannel *chan = nullptr);
 
     /**
      * One batched asynchronous gossip *sweep*: the live overlay is
@@ -424,34 +397,27 @@ class DibaAllocator : public IterativeAllocator
      * batched kernel; other utilities fall back to scalar ticks
      * over the identical schedule.
      *
+     * With a channel, per edge `chan` decides whether the pairwise
+     * averaging happens (fates are drawn serially in schedule
+     * order, so the draw sequence matches the scalar replay); both
+     * endpoints take their local gradient steps either way,
+     * exactly like gossipTick.
+     *
      * @return the largest |dp| moved by any endpoint (W)
      */
-    double gossipSweep(Rng &rng);
+    double gossipSweep(Rng &rng, GossipChannel *chan = nullptr);
 
     /**
-     * Batched asynchronous sweep over a faulty transport: per edge,
-     * `chan` decides whether the pairwise averaging happens (fates
-     * are drawn serially in schedule order, so the draw sequence
-     * matches the scalar replay); both endpoints take their local
-     * gradient steps either way, exactly like the channel-routed
-     * gossipTick.  sum(e) conservation is exact under any loss
-     * pattern.
+     * Scalar reference tick on a *named* live edge {u, v}
+     * (ORIGINAL ids): the gossipTick body without the random edge
+     * draw.  The pinned reference path for gossipSweep's
+     * equivalence tests: replaying a sweep's schedule (with a twin
+     * channel, if the sweep had one) through this function
+     * reproduces the batched state bitwise.  Panics unless {u, v}
+     * is a live overlay edge.
      */
-    double gossipSweep(Rng &rng, GossipChannel &chan);
-
-    /**
-     * Scalar reference tick on a *named* live edge {u, v}: the
-     * gossipTick body without the random edge draw.  The pinned
-     * reference path for gossipSweep's equivalence tests: replaying
-     * a sweep's schedule through this function reproduces the
-     * batched state bitwise.
-     */
-    double gossipTickPair(std::size_t u, std::size_t v);
-
-    /** Channel-routed variant of gossipTickPair (the scalar
-     * reference for gossipSweep(rng, chan)). */
     double gossipTickPair(std::size_t u, std::size_t v,
-                          GossipChannel &chan);
+                          GossipChannel *chan = nullptr);
 
     /**
      * The greedy edge coloring of the current live overlay driving
@@ -856,9 +822,6 @@ class DibaAllocator : public IterativeAllocator
      * split. */
     void membershipLost(std::size_t failed);
 
-    /** Shared body of the gossipSweep overloads. */
-    double sweepImpl(Rng &rng, GossipChannel *chan);
-
     /** Rebuild the per-coloring sweep cache (flattened endpoints
      * and, on the quad fast path, the constant utility lanes). */
     void ensureSweepCache();
@@ -873,10 +836,6 @@ class DibaAllocator : public IterativeAllocator
      * kernel against the cached constant lanes, scatter back. */
     double sweepMatchingRange(std::size_t base, std::size_t begin,
                               std::size_t end, bool use_fates);
-
-    /** gossipTick body on a named pair (no edge draw). */
-    double tickPairImpl(std::size_t u, std::size_t v,
-                        GossipChannel *chan);
 
     /** One async tick on the working-id pair {u, v}: average the
      * two estimates when `deliver`, reheat both, then step +
@@ -1103,7 +1062,7 @@ class DibaAllocator : public IterativeAllocator
     /** Pre-round estimate snapshots, most recent first (depth
      * maxLag + 1), for stale paired transfers. */
     std::deque<std::vector<double>> hist_;
-    /** Per-round edge fate scratch for iterateWithChannel. */
+    /** Per-round edge fate scratch for fated iterateShard rounds. */
     std::vector<EdgeFate> fates_;
     /** Monotonic round counter stamped onto transport pairs (so a
      * wire peer can sequence/dedup); restarts on reset(). */
@@ -1129,14 +1088,14 @@ class DibaAllocator : public IterativeAllocator
     };
     std::vector<ShardCheckpoint> ckpt_;
     std::size_t ckpt_depth_ = 0;
-    /** Offered edge ids derived from a claimed offer-elision mask,
-     * cached on the mask's address (the contract pins the mask
-     * immutable once claimed), so the fully-live offer pass walks
-     * the cut instead of scanning the whole overlay each round. */
-    std::vector<std::uint32_t> elision_offer_ids_;
-    const void *elision_mask_src_ = nullptr;
-    /** Per-round scratch of history-row pointers handed to a
-     * transport that accepts direct patch filing. */
+    /** Cut edge ids derived from a transport's cut mask, cached on
+     * the mask's address (the contract pins the mask immutable),
+     * so the fully-live offer pass walks the cut instead of
+     * scanning the whole overlay each round. */
+    std::vector<std::uint32_t> cut_ids_;
+    const void *cut_ids_src_ = nullptr;
+    /** Per-round scratch of history-row pointers handed to the
+     * transport as its patch sink. */
     std::vector<double *> patch_rows_;
     /** Per-phase wall-clock totals of transport-routed rounds. */
     TransportPhaseTotals phase_totals_;
@@ -1151,7 +1110,8 @@ class DibaAllocator : public IterativeAllocator
         ovl_interior_runs_;
     std::vector<std::pair<std::uint32_t, std::uint32_t>>
         ovl_boundary_runs_;
-    /** Rounds stepped since reset() (step/stepWithChannel only). */
+    /** Rounds stepped since reset() (step/stepWithTransport
+     * only). */
     std::size_t iterations_ = 0;
     /** Consecutive counted rounds under cfg_.tolerance. */
     std::size_t quiet_ = 0;

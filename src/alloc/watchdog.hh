@@ -121,7 +121,7 @@ class ConvergenceWatchdog
 
     /**
      * Feed one round's progress metric (the return of
-     * stepWithChannel/iterate) and let the watchdog act on the
+     * stepWithTransport/iterate) and let the watchdog act on the
      * allocator if the ladder fires.  Returns the action taken
      * (Action::None almost always).
      */

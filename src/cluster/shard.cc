@@ -5,7 +5,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
-#include <memory>
+#include <optional>
 #include <string>
 
 #include <arpa/inet.h>
@@ -313,14 +313,8 @@ shardMain(std::uint32_t shard_id, const ShardPlan &plan,
     tc.retrans_ms = opt.retrans_ms;
     tc.pipeline_depth = opt.pipeline_depth;
     tc.datagram_budget = opt.datagram_budget;
-    // v4's delta suppression assumes every cut pair is offered
-    // every round (the chains advance in lockstep); the lossy
-    // decorator drops offered pairs by fate, so lossy runs stay on
-    // the dense v3 protocol.
     tc.wire_version =
-        opt.lossy ? net::kWireMinVersion
-                  : std::min<std::uint16_t>(opt.wire_version,
-                                            net::kWireVersion);
+        std::min<std::uint16_t>(opt.wire_version, net::kWireVersion);
     tc.hosts = opt.hosts;
     if (!opt.hosts.empty())
         tc.bind_host = opt.hosts[shard_id];
@@ -366,16 +360,14 @@ shardMain(std::uint32_t shard_id, const ShardPlan &plan,
             ? welcome.welcome.udp_ports
             : welcome.welcome.tcp_ports);
 
-    // Optional fault decoration: every shard holds a SAME-SEED
-    // replica, so the fates agree everywhere with zero
-    // coordination (see fault::LossyTransport).
-    std::unique_ptr<fault::LossyTransport> lossy;
-    net::Transport *transport = &sock;
-    if (opt.lossy) {
-        lossy = std::make_unique<fault::LossyTransport>(
-            sock, opt.loss, opt.loss_seed);
-        transport = lossy.get();
-    }
+    // Optional fault model: every shard holds a SAME-SEED replica
+    // of the channel and the round queries it on every live pair
+    // of the full overlay in canonical order, so the fates agree
+    // everywhere with zero coordination -- and equal the
+    // single-process run's.
+    std::optional<LossyChannel> lossy;
+    if (opt.lossy)
+        lossy.emplace(opt.loss, opt.loss_seed);
 
     const std::size_t begin = plan.block_begin[shard_id];
     const std::size_t end = plan.block_end[shard_id];
@@ -524,7 +516,8 @@ shardMain(std::uint32_t shard_id, const ShardPlan &plan,
                 if (bs.round == r)
                     alloc.warmStart(alloc.result(), bs.delta);
             const double moved =
-                alloc.iterateShard(*transport, begin, end);
+                alloc.iterateShard(sock, begin, end,
+                                   lossy ? &*lossy : nullptr);
             if (sock.aborted()) {
                 DPC_ASSERT(ctl.quiesce_pending,
                            "round aborted without a pending "

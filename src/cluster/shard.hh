@@ -16,12 +16,12 @@
  *
  * Exactness.  Every shard holds a full-size DibaAllocator reset
  * from the identical problem, so snapshots, Metropolis weights and
- * edge ids agree everywhere; each round a shard (1) offers every
- * live pair in canonical order (so a same-seed LossyTransport
- * replica agrees on every fate with zero coordination), (2)
- * receives the authoritative remote halves of its cut edges and
- * patches its halo snapshot, (3) diffuses and gradient-steps only
- * its owned block.  Per-node round arithmetic is range-independent
+ * edge ids agree everywhere; each round a shard (1) draws every
+ * live pair's fate in canonical order (so a same-seed LossyChannel
+ * replica agrees on every fate with zero coordination) and offers
+ * its live cut pairs, (2) receives the authoritative remote halves
+ * of its cut edges straight into its halo snapshot, (3) diffuses
+ * and gradient-steps only its owned block.  Per-node round arithmetic is range-independent
  * -- a node reads only the pre-round snapshot and writes only
  * node-local state -- so owned caps and estimates are bitwise
  * equal to the single-process run, round for round.
@@ -109,8 +109,8 @@ struct ShardRunOptions
     int retrans_ms = 20;
     /** Target packed size of one CutBatch frame. */
     std::size_t datagram_budget = 1400;
-    /** Decorate every shard's transport with a same-seed
-     * LossyTransport (fault-model parity runs).  Requires
+    /** Draw every shard's pair fates from a same-seed
+     * LossyChannel (fault-model parity runs).  Requires
      * pipeline_depth == 0 (the fault model reasons about one
      * round in flight). */
     bool lossy = false;
@@ -148,10 +148,6 @@ struct ShardRunOptions
     /**
      * Advertised wire protocol version; the broker agrees on the
      * fleet minimum and every shard adopts it before connecting.
-     * Lossy runs are forced down to v3: the fault decorator drops
-     * offered pairs by fate, which the v4 delta chains (every cut
-     * pair offered, every record XORed against the previous
-     * round's) do not model.
      */
     std::uint16_t wire_version = net::kWireVersion;
     /**

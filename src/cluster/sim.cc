@@ -301,9 +301,10 @@ ClusterSim::computeCaps()
         // channel and audit the invariants once per control step;
         // clean runs drive the scheme-agnostic stepwise protocol.
         if (channel_ && diba_raw_ != nullptr) {
+            net::LoopbackTransport loopback;
             for (std::size_t r = 0; r < cfg_.diba_rounds_per_step;
                  ++r)
-                diba_raw_->stepWithChannel(*channel_);
+                diba_raw_->stepWithTransport(loopback, channel_.get());
             checker_.check(*diba_raw_);
         } else {
             for (std::size_t r = 0; r < cfg_.diba_rounds_per_step;

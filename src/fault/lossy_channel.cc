@@ -47,17 +47,6 @@ LossyChannel::beginRound(std::size_t num_edges)
 EdgeFate
 LossyChannel::fate(std::size_t edge_id, std::size_t, std::size_t)
 {
-    // Masked (dead/cut) pairs are refused BEFORE any generator
-    // draw or burst-chain advance, so the live-edge fate sequence
-    // matches a run that never queried them (same convention as
-    // GroundTruthChannel's world-dead pairs).
-    if (mask_ != nullptr &&
-        (edge_id >= mask_->size() || (*mask_)[edge_id] == 0)) {
-        ++stats_.masked;
-        EdgeFate f;
-        f.delivered = false;
-        return f;
-    }
     ++stats_.offered;
     // Advance the edge's Gilbert-Elliott chain first (one
     // transition draw per queried edge per round), then decide the

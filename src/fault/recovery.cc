@@ -421,7 +421,8 @@ RecoverySession::stepRound()
     detector_.beginRound();
     std::fill(queried_.begin(), queried_.end(), 0);
     ObservingChannel chan(world_, detector_, queried_);
-    const double moved = diba_.stepWithChannel(chan);
+    net::LoopbackTransport loopback;
+    const double moved = diba_.stepWithTransport(loopback, &chan);
     probeUnqueriedEdges();
     detector_.endRound();
 

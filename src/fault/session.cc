@@ -76,7 +76,8 @@ FaultSession::stepRound()
         }
         ++next_event_;
     }
-    const double moved = diba_.stepWithChannel(channel_);
+    net::LoopbackTransport loopback;
+    const double moved = diba_.stepWithTransport(loopback, &channel_);
     if (cfg_.check_invariants)
         checker_.check(diba_);
     now_ += cfg_.round_dt;

@@ -49,9 +49,14 @@ boundSocket(int type, const std::string &bind_host,
 {
     const int fd = ::socket(AF_INET, type, 0);
     DPC_ASSERT(fd >= 0, "socket(): ", std::strerror(errno));
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (type == SOCK_DGRAM) {
+    if (type == SOCK_STREAM) {
+        // Listener only: on a UDP socket SO_REUSEADDR lets the
+        // port-0 autobind hand out a port another SO_REUSEADDR
+        // datagram socket already holds, so two concurrent runs
+        // could share a port and read each other's batches.
+        const int one = 1;
+        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    } else {
         // A round's cut-edge burst at large n overruns the stock
         // ~212 KB datagram buffers, and every overrun costs a
         // retransmit tick to recover.  The *FORCE variants ignore
@@ -256,7 +261,7 @@ SocketTransport::buildCutLists()
     pair_cut_.resize(cfg_.num_shards);
     pair_words_.assign(cfg_.num_shards, 0);
     cut_of_edge_.assign(cfg_.edges.size(), kNoCut);
-    offer_mask_.assign(cfg_.edges.size(), 0);
+    cut_mask_.assign(cfg_.edges.size(), 0);
     const std::uint32_t me = cfg_.shard_id;
     for (std::size_t id = 0; id < cfg_.edges.size(); ++id) {
         const auto &[u, v] = cfg_.edges[id];
@@ -273,7 +278,7 @@ SocketTransport::buildCutLists()
         ce.pair_pos =
             static_cast<std::uint32_t>(pair_cut_[ce.peer].size());
         cut_of_edge_[id] = static_cast<std::uint32_t>(cut_.size());
-        offer_mask_[id] = 1;
+        cut_mask_[id] = 1;
         pair_cut_[ce.peer].push_back(
             static_cast<std::uint32_t>(cut_.size()));
         cut_.push_back(ce);
@@ -409,22 +414,28 @@ SocketTransport::rxSlot(std::uint64_t round)
 }
 
 void
-SocketTransport::beginRound(std::uint64_t round, std::size_t num_edges)
+SocketTransport::beginRound(std::uint64_t round, const PatchSink &sink)
 {
-    DPC_ASSERT(cfg_.edges.empty() ||
-                   num_edges == cfg_.edges.size(),
-               "overlay edge count changed under the transport");
-    DPC_ASSERT(head_ == ready_.size(),
-               "beginRound with undrained deliveries from round ",
-               round_);
+    DPC_ASSERT(sink.rows != nullptr && sink.nrows > 0,
+               "patch sink without snapshot rows");
     round_ = round;
     started_ = true;
     flushed_ = false;
-    ready_.clear();
-    head_ = 0;
-    // A patch sink lasts one round: the caller's row addresses
-    // rotate with its history ring, so it re-registers each round.
-    sink_active_ = false;
+    // The sink lasts one round: the caller's row addresses rotate
+    // with its history ring.
+    sink_rows_.assign(sink.rows, sink.rows + sink.nrows);
+    if (!cut_patch_built_ || cut_patch_map_ != sink.slot_of) {
+        cut_patch_built_ = true;
+        cut_patch_map_ = sink.slot_of;
+        cut_patch_slot_.resize(cut_.size());
+        for (std::size_t ci = 0; ci < cut_.size(); ++ci) {
+            const CutEdge &ce = cut_[ci];
+            const std::uint32_t peer_node = ce.own_u ? ce.v : ce.u;
+            cut_patch_slot_[ci] =
+                sink.slot_of != nullptr ? sink.slot_of[peer_node]
+                                        : peer_node;
+        }
+    }
     for (std::uint32_t s = 0; s < cfg_.num_shards; ++s) {
         TxAccum &a = tx_[s];
         a.changed.clear();
@@ -451,43 +462,12 @@ void
 SocketTransport::send(const EdgePair &pair)
 {
     DPC_ASSERT(started_, "send() before beginRound()");
-    const std::uint32_t su = ownerOf(pair.u);
-    const std::uint32_t sv = ownerOf(pair.v);
-    const std::uint32_t me = cfg_.shard_id;
-
-    if ((su == me) == (sv == me)) {
-        // Both local (intra-shard fast path) or neither local (a
-        // foreign pair whose fate no owned node reads): decided
-        // immediately, no wire traffic, no snapshot updates.  A
-        // claiming caller has already filed this fresh fate and
-        // never offers these; a non-claiming one gets the echo.
-        if (!elide_echo_) {
-            Delivery d;
-            d.pair = pair;
-            d.pair.round = round_;
-            d.fate = EdgeFate{true, 0};
-            ready_.push_back(d);
-        }
-        return;
-    }
-
-    // A cut pair: the own-fate is decided now ({delivered,
-    // pipeline_depth}) -- echoed back unless the caller claimed
-    // offer elision and files it itself; the peer half arrives
-    // later as a separate patch delivery either way.
     DPC_ASSERT(pair.edge_id < cut_of_edge_.size() &&
                    cut_of_edge_[pair.edge_id] != kNoCut,
-               "cut pair on edge ", pair.edge_id,
-               " missing from Config::edges");
+               "offered pair on edge ", pair.edge_id,
+               " is not a cut edge of this shard");
     const std::uint32_t ci = cut_of_edge_[pair.edge_id];
     const CutEdge &ce = cut_[ci];
-    if (!elide_echo_) {
-        Delivery d;
-        d.pair = pair;
-        d.pair.round = round_;
-        d.fate = EdgeFate{true, cfg_.pipeline_depth};
-        ready_.push_back(d);
-    }
 
     RxSlot &slot = rxSlot(round_);
     slot.offered.push_back(ci);
@@ -979,31 +959,6 @@ SocketTransport::fileBatch(const CutBatchMsg &msg,
 }
 
 bool
-SocketTransport::filePatchesInto(const PatchSink &sink)
-{
-    if (!elide_echo_)
-        return false;
-    DPC_ASSERT(started_, "filePatchesInto() before beginRound()");
-    DPC_ASSERT(sink.rows != nullptr && sink.nrows > 0,
-               "patch sink without snapshot rows");
-    sink_rows_.assign(sink.rows, sink.rows + sink.nrows);
-    if (!cut_patch_built_ || cut_patch_map_ != sink.slot_of) {
-        cut_patch_built_ = true;
-        cut_patch_map_ = sink.slot_of;
-        cut_patch_slot_.resize(cut_.size());
-        for (std::size_t ci = 0; ci < cut_.size(); ++ci) {
-            const CutEdge &ce = cut_[ci];
-            const std::uint32_t peer_node = ce.own_u ? ce.v : ce.u;
-            cut_patch_slot_[ci] =
-                sink.slot_of != nullptr ? sink.slot_of[peer_node]
-                                        : peer_node;
-        }
-    }
-    sink_active_ = true;
-    return true;
-}
-
-bool
 SocketTransport::peerDone(const RxSlot &slot, std::uint32_t s) const
 {
     return slot.decl_seen[s] != 0 && slot.got[s] >= slot.decl[s];
@@ -1077,17 +1032,13 @@ SocketTransport::resolveRx()
                        "rx slot overfiled: ", slot.filed, " > ",
                        slot.offered.size());
         // Emit in offer (canonical) order: refresh the replay
-        // cache, then hand over the peer-owned half of every
-        // offered cut pair -- written straight into the caller's
-        // snapshot row when a patch sink is registered, queued as
-        // one patch delivery otherwise.
-        double *sink_row = nullptr;
-        if (sink_active_) {
-            std::uint64_t age = round_ - slot.round;
-            if (age >= sink_rows_.size())
-                age = sink_rows_.size() - 1;
-            sink_row = sink_rows_[static_cast<std::size_t>(age)];
-        }
+        // cache, then write the peer-owned half of every offered
+        // cut pair into the caller's snapshot row of that round.
+        std::uint64_t age = round_ - slot.round;
+        if (age >= sink_rows_.size())
+            age = sink_rows_.size() - 1;
+        double *const sink_row =
+            sink_rows_[static_cast<std::size_t>(age)];
         const bool v4 = cfg_.wire_version >= 4;
         for (const std::uint32_t ci : slot.offered) {
             if (slot.st[ci] == 1) {
@@ -1112,26 +1063,7 @@ SocketTransport::resolveRx()
                            "suppressed cut edge with no cached "
                            "value");
             }
-            const double pv = doubleOf(rx_val_[ci]);
-            if (sink_row != nullptr) {
-                sink_row[cut_patch_slot_[ci]] = pv;
-                continue;
-            }
-            const CutEdge &ce = cut_[ci];
-            Delivery d;
-            d.pair.edge_id = ce.edge_id;
-            d.pair.u = ce.u;
-            d.pair.v = ce.v;
-            d.pair.round = slot.round;
-            d.fate = EdgeFate{true, cfg_.pipeline_depth};
-            if (ce.own_u) {
-                d.pair.e_v = pv;
-                d.update_v = true;
-            } else {
-                d.pair.e_u = pv;
-                d.update_u = true;
-            }
-            ready_.push_back(d);
+            sink_row[cut_patch_slot_[ci]] = doubleOf(rx_val_[ci]);
         }
         // The round's wake bitmaps land with its value patches
         // (strict round order), which is what keeps the sharded
@@ -1318,24 +1250,15 @@ SocketTransport::fatalTimeout()
           " cut halves (peer dead?)");
 }
 
-bool
-SocketTransport::tryPoll(Delivery &out)
+void
+SocketTransport::tryPoll()
 {
     ensureFlushed();
-    if (head_ < ready_.size()) {
-        out = ready_[head_++];
-        return true;
-    }
     if (roundComplete())
-        return false;
+        return;
     replayed_this_poll_ = false;
     receiveSome(0, true, false);
     resolveRx();
-    if (head_ < ready_.size()) {
-        out = ready_[head_++];
-        return true;
-    }
-    return false;
 }
 
 void
@@ -1392,21 +1315,15 @@ SocketTransport::tickRetransmit()
     }
 }
 
-bool
-SocketTransport::poll(Delivery &out)
+void
+SocketTransport::poll()
 {
     ensureFlushed();
     resolveRx();
     const std::int64_t give_up = nowMs() + cfg_.round_timeout_ms;
     for (;;) {
-        if (head_ < ready_.size()) {
-            out = ready_[head_++];
-            return true;
-        }
-        if (roundComplete())
-            return false;
-        if (abort_)
-            return false;
+        if (roundComplete() || abort_)
+            return;
         replayed_this_poll_ = false;
         // The control link shares the wait (under a tick, which
         // consumes it), so a broker Quiesce aborts the round the
@@ -1418,7 +1335,7 @@ SocketTransport::poll(Delivery &out)
         // delay an epoch-change abort.
         if (cfg_.tick && cfg_.tick()) {
             abort_ = true;
-            return false;
+            return;
         }
         if (!w.data) {
             // Only a wait that ran out is a fruitless tick; a
@@ -1501,8 +1418,6 @@ SocketTransport::epochChange(std::uint32_t epoch,
         s.hot_mode.clear();
         s.hot_words.clear();
     }
-    ready_.clear();
-    head_ = 0;
     // Reset the suppression caches in BOTH directions: survivors
     // rolled back across rounds whose transmissions already
     // refreshed the caches, so the first post-recovery round must
@@ -1532,7 +1447,6 @@ SocketTransport::epochChange(std::uint32_t epoch,
     round_ = resume_round;
     started_ = false;
     flushed_ = false;
-    sink_active_ = false;
 }
 
 } // namespace net

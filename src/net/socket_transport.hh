@@ -3,29 +3,25 @@
  * Socket-backed Transport between shard processes.
  *
  * Each shard owns a contiguous working-id block of the overlay
- * (ShardPlan, src/cluster/shard.hh).  Intra-shard pairs
- * self-deliver exactly like LoopbackTransport; *cut* pairs -- one
- * endpoint owned here, the other owned by a peer shard -- are
- * exchanged as WireCodec CutBatch frames: every half a shard owes
- * one peer for one round is coalesced into MTU-sized batches,
- * addressed by position in the canonical per-shard-pair cut list
- * both endpoints derive independently from the shared overlay +
- * ownership map.  Halves whose value is bitwise-unchanged since
- * the sender's last transmission ship as one bit in a suppression
- * bitmap instead of a 12-byte record, so a quiesced overlay costs
- * ~cut/64 words per round.  Pairs owned entirely by other shards
- * still self-deliver locally (their fate is never read by an owned
- * node's diffusion) so a seeded LossyTransport decorator consumes
- * identical draws on every shard and in the single-process
- * reference.
+ * (ShardPlan, src/cluster/shard.hh).  The transport's cut mask
+ * names the *cut* edges -- one endpoint owned here, the other
+ * owned by a peer shard; every other pair is local and never
+ * reaches the transport.  Offered cut pairs are exchanged as
+ * WireCodec CutBatch frames: every half a shard owes one peer for
+ * one round is coalesced into MTU-sized batches, addressed by
+ * position in the canonical per-shard-pair cut list both endpoints
+ * derive independently from the shared overlay + ownership map.
+ * Halves whose value is bitwise-unchanged since the sender's last
+ * transmission ship as one bit in a suppression bitmap instead of
+ * a 12-byte record, so a quiesced overlay costs ~cut/64 words per
+ * round.
  *
- * Deliveries for a cut pair are DECOUPLED: send() immediately
- * hands back the pair with its fate ({delivered, pipeline_depth})
- * and no update flags, and the peer's half arrives later as a
- * separate patch delivery (update_u/update_v set) once the round's
- * batches resolve.  The allocator's drain loop is order-independent
- * and idempotent across the two, which is what keeps the split
- * bitwise equal to the historical merged delivery.
+ * Incoming peer halves are written straight from the frame decode
+ * into the caller's snapshot rows (the PatchSink handed to
+ * beginRound), in canonical offer order once the round's batches
+ * resolve.  The transport decides no fates: the caller lags every
+ * cut pair by maxLag() = pipeline_depth and draws any loss from
+ * its own channel.
  *
  * Compute/communication overlap: batches are packed and posted on
  * the first poll()/tryPoll() after the sends (the payloads are
@@ -44,7 +40,7 @@
  * -- it never blocks the data plane.
  *
  * Bounded staleness: with Config::pipeline_depth = d > 0 every cut
- * pair reports fate {delivered, lag d} and a shard may run up to d
+ * pair runs at lag d (maxLag()) and a shard may run up to d
  * rounds ahead of its slowest adjacent peer (poll() completes once
  * rounds <= round - d have resolved).  Both endpoints of a cut
  * edge then diffuse from the round r-d snapshots, which keeps the
@@ -129,7 +125,7 @@ class SocketTransport final : public Transport
         /**
          * Control-plane hook called from inside poll()'s wait loop
          * (never from the tryPoll hot path).  Return true to ABORT
-         * the open round: poll() returns false immediately with
+         * the open round: poll() returns immediately with
          * aborted() set, instead of spinning until the round
          * timeout.  The shard runtime uses this to pump heartbeats
          * and to notice a broker EpochChange while blocked on a
@@ -244,32 +240,19 @@ class SocketTransport final : public Transport
     void connectPeers(const std::vector<std::uint16_t> &ports);
 
     // Transport
+    const std::vector<std::uint8_t> *cutMask() const override
+    {
+        return &cut_mask_;
+    }
     void beginRound(std::uint64_t round,
-                    std::size_t num_edges) override;
+                    const PatchSink &sink) override;
     void send(const EdgePair &pair) override;
-    bool poll(Delivery &out) override;
-    bool tryPoll(Delivery &out) override;
+    void poll() override;
+    void tryPoll() override;
     std::size_t maxLag() const override
     {
         return cfg_.pipeline_depth;
     }
-    /** Only cut pairs need offering: a local (or foreign) pair
-     * would be echoed straight back as {delivered, 0} and an
-     * offered cut pair as {delivered, pipeline_depth}, so a
-     * claiming caller files both itself, send() stops queueing
-     * echoes, and a shard's per-round delivery traffic scales with
-     * the cut instead of the whole overlay. */
-    const std::vector<std::uint8_t> *claimOfferElision() override
-    {
-        elide_echo_ = true;
-        return &offer_mask_;
-    }
-
-    /** Accepted only under claimed offer elision (the queued
-     * deliveries it replaces exist only for patches).  Patch
-     * halves then land in the caller's rows straight from the
-     * frame decode; resolveRx() queues nothing. */
-    bool filePatchesInto(const PatchSink &sink) override;
 
     /** The wake channel rides v4 seq-0 frames: EdgePair hot bits
      * are folded into per-peer boundary bitmaps on send and the
@@ -522,7 +505,8 @@ class SocketTransport final : public Transport
     std::vector<DpReport> selectDpReports(std::size_t n) const;
 
     /** Emit resolved rx rounds in order (gated to <= round_):
-     * update the replay cache and queue the patch deliveries. */
+     * update the replay cache and write the peer halves into the
+     * patch sink. */
     void resolveRx();
 
     /** Rounds <= round_ - pipeline_depth fully emitted. */
@@ -564,16 +548,12 @@ class SocketTransport final : public Transport
     std::vector<CutEdge> cut_;
     /** edge id -> cut_ index (kNoCut for non-cut edges). */
     std::vector<std::uint32_t> cut_of_edge_;
-    /** claimOfferElision(): 1 exactly where cut_of_edge_ is a
-     * real cut index (the pairs that must still be offered). */
-    std::vector<std::uint8_t> offer_mask_;
-    /** Caller claimed offer elision: send() queues no pair
-     * echoes; only update-flagged patches are delivered. */
-    bool elide_echo_ = false;
-    /** One-round patch sink (filePatchesInto): row pointers into
-     * the caller's history ring, cleared by beginRound. */
+    /** cutMask(): 1 exactly where cut_of_edge_ is a real cut
+     * index (the pairs the caller offers). */
+    std::vector<std::uint8_t> cut_mask_;
+    /** The open round's patch sink: row pointers into the caller's
+     * history ring, replaced by every beginRound. */
     std::vector<double *> sink_rows_;
-    bool sink_active_ = false;
     /** cut_ index -> row slot of the peer-owned node under the
      * sink's id map (rebuilt when the map changes). */
     std::vector<std::uint32_t> cut_patch_slot_;
@@ -618,10 +598,6 @@ class SocketTransport final : public Transport
     std::size_t w_rx_ = 0;
     /** Rounds [0, rx_emitted_) fully resolved and emitted. */
     std::uint64_t rx_emitted_ = 0;
-
-    /** Deliveries decided and ready to hand out. */
-    std::vector<Delivery> ready_;
-    std::size_t head_ = 0;
 
     /** Piggybacked all-reduce state. */
     std::vector<DpEntry> dp_win_;

@@ -177,8 +177,8 @@ TEST(DibaLayoutTest, ChannelSweepBitwiseInvariant)
     LossyChannel chan_a(lossy, 99);
     LossyChannel chan_b(lossy, 99);
     for (int s = 0; s < 10; ++s) {
-        ASSERT_EQ(id.gossipSweep(rng_a, chan_a),
-                  rcm.gossipSweep(rng_b, chan_b));
+        ASSERT_EQ(id.gossipSweep(rng_a, &chan_a),
+                  rcm.gossipSweep(rng_b, &chan_b));
         expectBitwiseEqual(id, rcm, "channel sweep");
     }
     EXPECT_EQ(chan_a.stats().offered, chan_b.stats().offered);

@@ -109,14 +109,14 @@ TEST(GossipSweepTest, ChannelSweepBitwiseEqualsScalarReplay)
     LossyChannel chan_a(lossy, 77);
     LossyChannel chan_b(lossy, 77);
     for (int s = 0; s < 8; ++s) {
-        batched.gossipSweep(rng_a, chan_a);
+        batched.gossipSweep(rng_a, &chan_a);
         // Fates are drawn serially in schedule order, so a replay
         // with an identically seeded channel sees the same drops.
         for (const std::uint32_t c : sweepSchedule(replay, rng_b))
             for (const std::uint32_t id :
                  replay.edgeColoring().matching(c)) {
                 const auto &[u, v] = replay.overlayEdges()[id];
-                replay.gossipTickPair(u, v, chan_b);
+                replay.gossipTickPair(u, v, &chan_b);
             }
         expectBitwiseEqual(batched, replay, "channel sweep");
     }
@@ -194,9 +194,9 @@ TEST(GossipSweepTest, LossGridQualityMatchesScalarTicks)
         Rng rng_a(kSweepSeed);
         Rng rng_b(kSweepSeed);
         for (std::size_t s = 0; s < sweeps; ++s) {
-            sweep.gossipSweep(rng_a, chan_a);
+            sweep.gossipSweep(rng_a, &chan_a);
             for (std::size_t t = 0; t < e; ++t)
-                scalar.gossipTick(rng_b, chan_b);
+                scalar.gossipTick(rng_b, &chan_b);
             check_a.check(sweep);
             check_b.check(scalar);
         }
@@ -255,6 +255,38 @@ TEST(GossipSweepTest, ChurnRepairsScheduleAndKeepsInvariants)
                 << "repair != fresh at sweep " << s << ", edge "
                 << id;
     }
+}
+
+/** An 8-node ring, 40 rounds in, with the link {0, 1} cut. */
+DibaAllocator
+ringWithCutLink()
+{
+    DibaAllocator diba(makeRing(8), DibaAllocator::Config{});
+    diba.reset(test::npbProblem(8, 170.0, 3));
+    for (int r = 0; r < 40; ++r)
+        diba.iterate();
+    diba.setEdgeEnabled(0, 1, false);
+    return diba;
+}
+
+TEST(GossipTickPairDeathTest, PanicsOnACutEdge)
+{
+    // A cut link carries no gossip: replaying a tick on it would
+    // move slack the overlay cannot move.
+    DibaAllocator diba = ringWithCutLink();
+    EXPECT_DEATH(diba.gossipTickPair(0, 1), "cut or has a dead");
+    LossyChannel chan({}, 1);
+    EXPECT_DEATH(diba.gossipTickPair(1, 0, &chan),
+                 "cut or has a dead");
+}
+
+TEST(GossipTickPairDeathTest, PanicsOnANonEdge)
+{
+    DibaAllocator diba = ringWithCutLink();
+    EXPECT_DEATH(diba.gossipTickPair(2, 6), "not an overlay edge");
+    LossyChannel chan({}, 1);
+    EXPECT_DEATH(diba.gossipTickPair(2, 6, &chan),
+                 "not an overlay edge");
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 /**
  * @file
- * Delivery-order fuzz for the cut-batch data plane: a shard's
+ * Arrival-order fuzz for the cut-batch data plane: a shard's
  * round arithmetic must be invariant to the ORDER its peer-half
  * patch deliveries arrive in and to how the round's batches are
  * SPLIT across partial frames -- UDP reorders datagrams and the
@@ -8,13 +8,12 @@
  * dependence would show up as cross-host nondeterminism.
  *
  * The scripted transport reproduces SocketTransport's depth-0
- * delivery contract in-process: send() immediately yields the pair
- * delivery (fate {delivered, 0}, no update flags), and the peer
- * halves of cut edges arrive later as separate patch deliveries
- * (update flag on the non-owned endpoint) in an order and chunking
- * the test controls.  Every permutation of one round's patches,
- * and every chunked release schedule across a multi-round run,
- * must land bitwise on the single-process trajectory.
+ * contract in-process: it declares the shard's cut, and the peer
+ * halves of cut edges are written into the round's snapshot rows
+ * in an order and chunking the test controls.  Every permutation
+ * of one round's patches, and every chunked release schedule
+ * across a multi-round run, must land bitwise on the
+ * single-process trajectory.
  */
 
 #include <gtest/gtest.h>
@@ -36,109 +35,114 @@ namespace {
 using cluster::ShardPlan;
 using cluster::makeShardPlan;
 
+/** One peer half: the value a remote owner holds for `node`
+ * (ORIGINAL id) entering the round. */
+struct Patch
+{
+    std::uint32_t node = 0;
+    double value = 0.0;
+};
+
 /** Scripted shard-side transport (see file header).  tryPoll()
- * releases at most `chunk` patches per drain loop, emulating
- * partial batches arriving between interior compute chunks; poll()
- * hands over everything left. */
+ * writes at most `chunk` patches per call, emulating partial
+ * batches arriving between interior compute chunks; poll() writes
+ * everything left. */
 class ScriptTransport final : public net::Transport
 {
   public:
-    void beginRound(std::uint64_t, std::size_t) override
+    explicit ScriptTransport(std::vector<std::uint8_t> cut)
+        : cut_(std::move(cut))
     {
-        q_.clear();
-        head_ = 0;
     }
 
-    void send(const net::EdgePair &pair) override
+    const std::vector<std::uint8_t> *cutMask() const override
     {
-        net::Delivery d;
-        d.pair = pair;
-        q_.push_back(d);
+        return &cut_;
     }
 
-    bool poll(net::Delivery &out) override
+    void beginRound(std::uint64_t, const PatchSink &sink) override
     {
-        if (head_ < q_.size()) {
-            out = q_[head_++];
-            return true;
-        }
-        if (ppos_ < patches_.size()) {
-            out = patches_[ppos_++];
-            return true;
-        }
-        return false;
+        sink_ = sink;
     }
 
-    bool tryPoll(net::Delivery &out) override
+    void send(const net::EdgePair &) override {}
+
+    void poll() override
     {
-        if (head_ < q_.size()) {
-            out = q_[head_++];
-            return true;
-        }
-        if (burst_ >= chunk_ || ppos_ >= patches_.size()) {
-            burst_ = 0; // drain loop ends; next loop gets more
-            return false;
-        }
-        ++burst_;
-        out = patches_[ppos_++];
-        return true;
+        while (ppos_ < patches_.size())
+            file(patches_[ppos_++]);
+    }
+
+    void tryPoll() override
+    {
+        for (std::size_t k = 0; k < chunk_ && ppos_ < patches_.size();
+             ++k)
+            file(patches_[ppos_++]);
     }
 
     /** True while armed patches are still undelivered. */
     bool undelivered() const { return ppos_ < patches_.size(); }
 
-    std::size_t maxLag() const override { return 0; }
-
-    /** Arm one round's patch deliveries in the given order; chunk
-     * bounds how many each tryPoll drain loop may release. */
-    void
-    injectPatches(std::vector<net::Delivery> patches,
-                  std::size_t chunk)
+    /** Arm one round's patches in the given order; chunk bounds
+     * how many each tryPoll may release. */
+    void injectPatches(std::vector<Patch> patches, std::size_t chunk)
     {
         EXPECT_EQ(ppos_, patches_.size())
             << "previous round left patches undelivered";
         patches_ = std::move(patches);
         ppos_ = 0;
-        burst_ = 0;
         chunk_ = chunk == 0 ? 1 : chunk;
     }
 
   private:
-    std::vector<net::Delivery> q_;
-    std::size_t head_ = 0;
-    std::vector<net::Delivery> patches_;
+    void file(const Patch &p)
+    {
+        const std::size_t slot =
+            sink_.slot_of != nullptr ? sink_.slot_of[p.node] : p.node;
+        sink_.rows[0][slot] = p.value;
+    }
+
+    std::vector<std::uint8_t> cut_;
+    PatchSink sink_;
+    std::vector<Patch> patches_;
     std::size_t ppos_ = 0;
-    std::size_t burst_ = 0;
     std::size_t chunk_ = 1;
 };
 
-/** The patch deliveries shard `s` receives for one round: the peer
- * half of every cut edge incident to its block, values taken from
- * the combined pre-round estimate snapshot (original ids). */
-std::vector<net::Delivery>
+/** Shard `s`'s cut mask over the canonical edge list. */
+std::vector<std::uint8_t>
+cutMaskFor(const ShardPlan &plan,
+           const std::vector<std::pair<std::size_t, std::size_t>>
+               &edges,
+           std::uint32_t s)
+{
+    std::vector<std::uint8_t> cut;
+    for (const auto &[u, v] : edges) {
+        const std::uint32_t su = plan.owner_of[u];
+        const std::uint32_t sv = plan.owner_of[v];
+        cut.push_back(su != sv && (su == s || sv == s) ? 1 : 0);
+    }
+    return cut;
+}
+
+/** The patches shard `s` receives for one round: the peer half of
+ * every cut edge incident to its block, values taken from the
+ * combined pre-round estimate snapshot (original ids). */
+std::vector<Patch>
 patchesFor(const ShardPlan &plan,
            const std::vector<std::pair<std::size_t, std::size_t>>
                &edges,
-           const std::vector<double> &pre, std::uint32_t s,
-           std::uint64_t round)
+           const std::vector<double> &pre, std::uint32_t s)
 {
-    std::vector<net::Delivery> out;
-    for (std::size_t id = 0; id < edges.size(); ++id) {
-        const auto &[u, v] = edges[id];
+    std::vector<Patch> out;
+    for (const auto &[u, v] : edges) {
         const std::uint32_t su = plan.owner_of[u];
         const std::uint32_t sv = plan.owner_of[v];
         if (su == sv || (su != s && sv != s))
             continue;
-        net::Delivery d;
-        d.pair.edge_id = static_cast<std::uint32_t>(id);
-        d.pair.u = static_cast<std::uint32_t>(u);
-        d.pair.v = static_cast<std::uint32_t>(v);
-        d.pair.round = round;
-        d.pair.e_u = pre[u];
-        d.pair.e_v = pre[v];
-        d.update_u = su != s;
-        d.update_v = sv != s;
-        out.push_back(d);
+        const std::size_t peer = su == s ? v : u;
+        out.push_back(
+            Patch{static_cast<std::uint32_t>(peer), pre[peer]});
     }
     return out;
 }
@@ -174,7 +178,7 @@ TEST(ShardOrderTest, EveryPatchPermutationLandsOnTheSameBits)
     // interesting yet small enough to permute exhaustively.
     Graph topo;
     ShardPlan plan;
-    std::vector<net::Delivery> base;
+    std::vector<Patch> base;
     std::vector<double> pre;
     for (const std::size_t chords : {3u, 6u, 9u, 12u, 16u}) {
         Rng topo_rng(2);
@@ -183,7 +187,7 @@ TEST(ShardOrderTest, EveryPatchPermutationLandsOnTheSameBits)
         plan = makeShardPlan(planner, 2);
         planner.reset(prob);
         pre = planner.estimates();
-        base = patchesFor(plan, planner.overlayEdges(), pre, 0, 0);
+        base = patchesFor(plan, planner.overlayEdges(), pre, 0);
         if (base.size() >= 3 && base.size() <= 7)
             break;
     }
@@ -202,13 +206,13 @@ TEST(ShardOrderTest, EveryPatchPermutationLandsOnTheSameBits)
         order[i] = i;
     std::size_t perms = 0;
     do {
-        std::vector<net::Delivery> patches;
+        std::vector<Patch> patches;
         for (const std::size_t i : order)
             patches.push_back(base[i]);
 
         DibaAllocator shard(topo, cfg);
         shard.reset(prob);
-        ScriptTransport t;
+        ScriptTransport t(cutMaskFor(plan, shard.overlayEdges(), 0));
         // Cycle the chunked-release size too, so permutations are
         // also exercised split across partial batches.
         t.injectPatches(std::move(patches), 1 + perms % 4);
@@ -250,7 +254,8 @@ TEST(ShardOrderTest, ShuffledSplitDeliveriesTrackTheReference)
     DibaAllocator shard_a(topo, cfg), shard_b(topo, cfg);
     shard_a.reset(prob);
     shard_b.reset(prob);
-    ScriptTransport ta, tb;
+    ScriptTransport ta(cutMaskFor(plan, edges, 0));
+    ScriptTransport tb(cutMaskFor(plan, edges, 1));
 
     Rng rng(1234);
     for (std::size_t r = 0; r < rounds; ++r) {
@@ -261,8 +266,8 @@ TEST(ShardOrderTest, ShuffledSplitDeliveriesTrackTheReference)
         for (std::size_t i = 0; i < n; ++i)
             pre[i] = plan.owner_of[i] == 0 ? ea[i] : eb[i];
 
-        auto pa = patchesFor(plan, edges, pre, 0, r);
-        auto pb = patchesFor(plan, edges, pre, 1, r);
+        auto pa = patchesFor(plan, edges, pre, 0);
+        auto pb = patchesFor(plan, edges, pre, 1);
         if (r > 0) {
             rng.shuffle(pa);
             rng.shuffle(pb);

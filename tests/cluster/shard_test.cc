@@ -229,49 +229,38 @@ TEST(ShardProcessTest, TinyDatagramBudgetSplitsBatchesBitwise)
 }
 
 /** Fixed-lag reference transport for the bounded-staleness mode:
- * every cut pair (endpoints in different plan blocks) delivers at
- * lag `depth`, everything else fresh -- the single-process
- * trajectory a depth-d sharded run must reproduce bitwise. */
+ * every cut pair (endpoints in different plan blocks) runs at lag
+ * `depth`, everything else fresh -- the single-process trajectory
+ * a depth-d sharded run must reproduce bitwise.  In-process, the
+ * peer halves are already in the snapshot, so nothing is carried. */
 class FixedLagCutTransport final : public net::Transport
 {
   public:
-    FixedLagCutTransport(std::vector<std::uint32_t> owner_of,
-                         std::uint32_t depth)
-        : owner_(std::move(owner_of)), depth_(depth)
+    FixedLagCutTransport(
+        const std::vector<std::uint32_t> &owner_of,
+        const std::vector<std::pair<std::size_t, std::size_t>>
+            &edges,
+        std::uint32_t depth)
+        : depth_(depth)
     {
+        for (const auto &[u, v] : edges)
+            cut_.push_back(owner_of[u] != owner_of[v] ? 1 : 0);
     }
 
-    void beginRound(std::uint64_t, std::size_t) override
+    const std::vector<std::uint8_t> *cutMask() const override
     {
-        q_.clear();
-        head_ = 0;
+        return &cut_;
     }
 
-    void send(const net::EdgePair &pair) override
-    {
-        net::Delivery d;
-        d.pair = pair;
-        d.fate.delivered = true;
-        d.fate.lag =
-            owner_[pair.u] != owner_[pair.v] ? depth_ : 0;
-        q_.push_back(d);
-    }
+    void beginRound(std::uint64_t, const PatchSink &) override {}
 
-    bool poll(net::Delivery &out) override
-    {
-        if (head_ >= q_.size())
-            return false;
-        out = q_[head_++];
-        return true;
-    }
+    void send(const net::EdgePair &) override {}
 
     std::size_t maxLag() const override { return depth_; }
 
   private:
-    std::vector<std::uint32_t> owner_;
+    std::vector<std::uint8_t> cut_;
     std::uint32_t depth_;
-    std::vector<net::Delivery> q_;
-    std::size_t head_ = 0;
 };
 
 TEST(ShardProcessTest, PipelineDepthMatchesFixedLagReference)
@@ -299,7 +288,8 @@ TEST(ShardProcessTest, PipelineDepthMatchesFixedLagReference)
 
         DibaAllocator ref(topo, cfg);
         ref.reset(prob);
-        FixedLagCutTransport lagged(plan.owner_of, depth);
+        FixedLagCutTransport lagged(plan.owner_of,
+                                    planner.overlayEdges(), depth);
         for (std::size_t r = 0; r < rounds; ++r)
             ref.stepWithTransport(lagged);
 
@@ -307,6 +297,82 @@ TEST(ShardProcessTest, PipelineDepthMatchesFixedLagReference)
         expectBitwiseEqual(ref.estimates(), sharded.estimates,
                            "estimate");
     }
+}
+
+/** A channel's fates with every cut pair lagged `depth` more: what
+ * a lossy round over a depth-d cut must compose to. */
+class CutLaggedChannel final : public GossipChannel
+{
+  public:
+    CutLaggedChannel(GossipChannel &inner,
+                     std::vector<std::uint32_t> owner_of,
+                     std::uint32_t depth)
+        : inner_(inner), owner_(std::move(owner_of)), depth_(depth)
+    {
+    }
+
+    void beginRound(std::size_t num_edges) override
+    {
+        inner_.beginRound(num_edges);
+    }
+
+    EdgeFate fate(std::size_t edge_id, std::size_t u,
+                  std::size_t v) override
+    {
+        EdgeFate f = inner_.fate(edge_id, u, v);
+        if (owner_[u] != owner_[v])
+            f.lag += depth_;
+        return f;
+    }
+
+    std::size_t maxLag() const override
+    {
+        return inner_.maxLag() + depth_;
+    }
+
+  private:
+    GossipChannel &inner_;
+    std::vector<std::uint32_t> owner_;
+    std::uint32_t depth_;
+};
+
+TEST(FixedLagCutTest, ChannelDropWinsAndCutLagAdds)
+{
+    // A round over a lagged cut AND a lossy channel composes the
+    // two per pair: the channel's drop wins and a cut pair's lag
+    // is the channel's lag plus the transport's maxLag().
+    const std::size_t n = 64, rounds = 40;
+    const auto prob = test::npbProblem(n, 170.0, 5);
+    Rng topo_rng(9);
+    const auto topo = makeChordalRing(n, 8, topo_rng);
+    const DibaAllocator::Config cfg{};
+    DibaAllocator planner(topo, cfg);
+    const auto plan = makeShardPlan(planner, 2);
+
+    LossyChannel::Config loss;
+    loss.drop_rate = 0.15;
+    loss.delay_rate = 0.2;
+    loss.max_lag = 2;
+    const std::uint32_t depth = 2;
+
+    DibaAllocator routed(topo, cfg), ref(topo, cfg);
+    routed.reset(prob);
+    ref.reset(prob);
+    LossyChannel chan(loss, 31), twin(loss, 31);
+    FixedLagCutTransport lagged(plan.owner_of, planner.overlayEdges(),
+                                depth);
+    CutLaggedChannel composed(twin, plan.owner_of, depth);
+    net::LoopbackTransport loopback;
+    for (std::size_t r = 0; r < rounds; ++r) {
+        EXPECT_EQ(routed.stepWithTransport(lagged, &chan),
+                  ref.stepWithTransport(loopback, &composed))
+            << "round " << r;
+    }
+    expectBitwiseEqual(ref.power(), routed.power(), "power");
+    expectBitwiseEqual(ref.estimates(), routed.estimates(),
+                       "estimate");
+    EXPECT_GT(chan.stats().dropped, 0u);
+    EXPECT_GT(chan.stats().stale, 0u);
 }
 
 TEST(ShardSparseTest, ActiveSetTwoShardUdpMatchesIterateBitwise)
@@ -496,11 +562,11 @@ TEST(ShardSparseTest, SparseTcpAndFourShardsStayBitwise)
 
 TEST(ShardProcessTest, LossyShardsMatchLossyLoopbackBitwise)
 {
-    // Fault-model parity: every shard decorates its socket
-    // transport with a SAME-SEED LossyTransport, so the replicas
-    // agree on every fate with zero coordination -- and the whole
-    // sharded run stays bitwise equal to the single-process lossy
-    // loopback with that seed.
+    // Fault-model parity: every shard draws its fates from a
+    // SAME-SEED LossyChannel, so the replicas agree on every fate
+    // with zero coordination -- and the whole sharded run stays
+    // bitwise equal to the single-process lossy round with that
+    // seed, on the v4 wire and forced down to v3.
     const std::size_t n = 48, rounds = 30;
     const auto prob = test::npbProblem(n, 170.0, 11);
     Rng topo_rng(4);
@@ -512,24 +578,28 @@ TEST(ShardProcessTest, LossyShardsMatchLossyLoopbackBitwise)
     loss.delay_rate = 0.1;
     loss.max_lag = 2;
 
-    ShardRunOptions opt;
-    opt.num_shards = 2;
-    opt.rounds = rounds;
-    opt.lossy = true;
-    opt.loss = loss;
-    opt.loss_seed = 99;
-    const auto sharded = runShardedDiba(prob, topo, cfg, opt);
-
     DibaAllocator ref(topo, cfg);
     ref.reset(prob);
     net::LoopbackTransport loopback;
-    fault::LossyTransport lossy(loopback, loss, 99);
+    LossyChannel chan(loss, 99);
     for (std::size_t r = 0; r < rounds; ++r)
-        ref.stepWithTransport(lossy);
+        ref.stepWithTransport(loopback, &chan);
 
-    expectBitwiseEqual(ref.power(), sharded.power, "power");
-    expectBitwiseEqual(ref.estimates(), sharded.estimates,
-                       "estimate");
+    for (const std::uint16_t version :
+         {net::kWireVersion, net::kWireMinVersion}) {
+        ShardRunOptions opt;
+        opt.num_shards = 2;
+        opt.rounds = rounds;
+        opt.lossy = true;
+        opt.loss = loss;
+        opt.loss_seed = 99;
+        opt.wire_version = version;
+        const auto sharded = runShardedDiba(prob, topo, cfg, opt);
+        ASSERT_TRUE(sharded.ok) << sharded.error;
+        expectBitwiseEqual(ref.power(), sharded.power, "power");
+        expectBitwiseEqual(ref.estimates(), sharded.estimates,
+                           "estimate");
+    }
 }
 
 } // namespace

@@ -39,9 +39,10 @@ TEST(FaultInjectionTest, PerfectChannelIsBitwiseIdentical)
     a.reset(prob);
     b.reset(prob);
     LossyChannel chan({}, 1); // zero config: every pair fresh
+    net::LoopbackTransport loopback;
     for (int it = 0; it < 600; ++it) {
         const double ma = a.iterate();
-        const double mb = b.iterateWithChannel(chan);
+        const double mb = b.iterateShard(loopback, 0, 48, &chan);
         ASSERT_EQ(ma, mb) << "diverged at round " << it;
     }
     EXPECT_EQ(a.power(), b.power());
@@ -59,7 +60,7 @@ TEST(FaultInjectionTest, GossipTicksConserveUnderHeavyLoss)
     LossyChannel chan(cfg, 77);
     Rng rng(5);
     for (int t = 0; t < 10000; ++t) {
-        diba.gossipTick(rng, chan);
+        diba.gossipTick(rng, &chan);
         ASSERT_LT(diba.totalPower(), prob.budget)
             << "budget violated at tick " << t;
     }
@@ -85,8 +86,9 @@ TEST(FaultInjectionTest, LossyRoundsConvergeAndConserve)
     cfg.max_lag = 3;
     LossyChannel chan(cfg, 123);
     InvariantChecker checker;
+    net::LoopbackTransport loopback;
     for (int it = 0; it < 4000; ++it) {
-        diba.stepWithChannel(chan);
+        diba.stepWithTransport(loopback, &chan);
         checker.check(diba);
     }
     EXPECT_EQ(checker.roundsChecked(), 4000u);

@@ -155,73 +155,5 @@ TEST(LossyChannelTest, ConfigValidationBoundsMaxLag)
     EXPECT_EQ(ok.maxLag(), LossyChannel::kMaxLagLimit);
 }
 
-TEST(LossyChannelTest, EdgeMaskSkipsDrawsForMaskedEdges)
-{
-    // Regression: a standalone driver iterating EVERY overlay edge
-    // (no allocator live-set filter in front) used to let masked
-    // pairs consume drop/burst/delay draws, shifting every
-    // subsequent edge's fate relative to the filtered reference.
-    // With setEdgeMask installed, masked pairs are refused without
-    // touching the generator, so the live-edge fate sequence is
-    // identical to querying live edges only.
-    LossyChannel::Config cfg;
-    cfg.drop_rate = 0.3;
-    cfg.burst_enter = 0.1;
-    cfg.delay_rate = 0.2;
-    cfg.max_lag = 3;
-
-    const std::size_t edges = 60;
-    std::vector<std::uint8_t> live(edges, 1);
-    for (std::size_t e = 0; e < edges; e += 7)
-        live[e] = 0; // every 7th edge is dead
-
-    // Reference: a twin channel queried over live edges only.
-    LossyChannel masked(cfg, 42), reference(cfg, 42);
-    masked.setEdgeMask(&live);
-
-    for (std::size_t r = 0; r < 100; ++r) {
-        masked.beginRound(edges);
-        reference.beginRound(edges);
-        for (std::size_t e = 0; e < edges; ++e) {
-            const auto f = masked.fate(e, e, e + 1);
-            if (live[e] == 0) {
-                // Masked: dropped, and no draw consumed.
-                EXPECT_FALSE(f.delivered);
-                EXPECT_EQ(f.lag, 0u);
-                continue;
-            }
-            const auto ref = reference.fate(e, e, e + 1);
-            EXPECT_EQ(f.delivered, ref.delivered)
-                << "round " << r << " edge " << e;
-            EXPECT_EQ(f.lag, ref.lag)
-                << "round " << r << " edge " << e;
-        }
-    }
-    EXPECT_EQ(masked.stats().masked, 100u * 9u);
-    EXPECT_EQ(masked.stats().offered, reference.stats().offered);
-    EXPECT_EQ(masked.stats().dropped, reference.stats().dropped);
-    EXPECT_EQ(masked.stats().stale, reference.stats().stale);
-}
-
-TEST(LossyChannelTest, EdgeMaskOutOfRangeIdsAreMasked)
-{
-    // Ids beyond the mask are treated as dead (a shrunk overlay
-    // must not let stray ids consume draws either).
-    LossyChannel::Config cfg;
-    cfg.drop_rate = 0.5;
-    std::vector<std::uint8_t> live(4, 1);
-    LossyChannel chan(cfg, 9);
-    chan.setEdgeMask(&live);
-    chan.beginRound(8);
-    EXPECT_FALSE(chan.fate(7, 7, 8).delivered);
-    EXPECT_EQ(chan.stats().masked, 1u);
-    EXPECT_EQ(chan.stats().offered, 0u);
-
-    // Clearing the mask restores unfiltered behavior.
-    chan.setEdgeMask(nullptr);
-    chan.fate(7, 7, 8);
-    EXPECT_EQ(chan.stats().offered, 1u);
-}
-
 } // namespace
 } // namespace dpc

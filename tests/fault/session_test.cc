@@ -148,7 +148,7 @@ TEST(FaultSessionTest, LossOnlyPlanIsBitwiseTheLossyChannelRound)
 {
     // The recipe bench/fault_storm's loss-only cells use: a
     // FaultSession over an empty plan with an i.i.d. loss config
-    // must step exactly like stepWithChannel over a LossyChannel
+    // must step exactly like stepWithTransport over a LossyChannel
     // with the same config and seed, round for round, over the
     // bench's 800-round horizon.
     const std::size_t n = 300;
@@ -167,8 +167,10 @@ TEST(FaultSessionTest, LossOnlyPlanIsBitwiseTheLossyChannelRound)
         plan.loss(loss).seed(seed);
         FaultSession session(a, plan);
         LossyChannel chan(loss, seed);
+        net::LoopbackTransport loopback;
         for (int round = 0; round < 800; ++round) {
-            ASSERT_EQ(session.stepRound(), b.stepWithChannel(chan))
+            ASSERT_EQ(session.stepRound(),
+                      b.stepWithTransport(loopback, &chan))
                 << "drop " << drop << ", round " << round;
             ASSERT_EQ(a.power(), b.power())
                 << "drop " << drop << ", round " << round;

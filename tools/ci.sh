@@ -3,6 +3,10 @@
 # merging, in the order that fails fastest.
 #
 #   1. scalar Release build + full ctest        (correctness)
+#      + fate-sequence pin: the seeded fault_storm and
+#        recovery_storm benches must regenerate the committed
+#        BENCH_fault_storm.json / BENCH_recovery.json byte for
+#        byte (any drift means a seeded draw sequence moved)
 #      + time-to-cap benchmark smoke: perfbench/run.py --smoke
 #        builds perfbench/ into .bench_build/ and runs every
 #        workload at tiny sizes, traced and untraced, failing
@@ -51,6 +55,19 @@ step "scalar build + full test suite"
 cmake -S "$repo" -B "$repo/build" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$repo/build" -j"$(nproc)"
 ctest --test-dir "$repo/build" --output-on-failure -j"$(nproc)"
+
+step "fate-sequence pin (fault_storm + recovery_storm)"
+pin_dir=$(mktemp -d)
+(cd "$pin_dir" &&
+     "$repo/build/bench/fault_storm" >/dev/null 2>&1 &&
+     "$repo/build/bench/recovery_storm" >/dev/null 2>&1)
+for json in BENCH_fault_storm.json BENCH_recovery.json; do
+    if ! cmp -s "$pin_dir/$json" "$repo/$json"; then
+        echo "ci: $json drifted from the committed file" >&2
+        exit 1
+    fi
+done
+rm -rf "$pin_dir"
 
 step "time-to-cap benchmark smoke (perfbench, all workloads)"
 (cd "$repo" && python3 perfbench/run.py --smoke)
