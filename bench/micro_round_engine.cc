@@ -13,7 +13,8 @@
  *              per hardware thread.
  *
  * plus steady-state rounds (dense vs. active-set frontier), the
- * warm-start seed of a budget step, and the primal-dual
+ * warm-start seed of a budget step, the survivor seed of a
+ * recovery, and the primal-dual
  * best-response sweep reusing the same pool.
  * The serial/parallel DiBA rounds are bitwise-identical by
  * construction (see DESIGN.md "Round engine"), so these measure
@@ -166,6 +167,50 @@ BM_WarmStart(benchmark::State &state)
     state.counters["first_us"] = first.count();
 }
 
+/**
+ * Recovery seeding: the survivors of a dead half re-federate their
+ * budget, which seeds their component at the water level of its
+ * share (a breakpoint table built per call, O(m log m)).  The timed
+ * region is one refederateBudget() on the survivors; the round_us
+ * counter is one dense round of the same survivors, and
+ * seed_rounds the seed's cost in those rounds -- what it must stay
+ * well under, since it replaces the ~50 rounds diffusion took to
+ * re-settle.
+ */
+void
+BM_RecoverySeed(benchmark::State &state)
+{
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const auto &prob = bench::cachedNpbProblem(n, kWattsPerNode,
+                                               kSeed);
+    DibaAllocator diba(makeRing(n), DibaAllocator::Config{});
+    diba.reset(prob);
+    std::vector<std::size_t> dead;
+    for (std::size_t i = n / 2; i < n; ++i)
+        dead.push_back(i);
+    diba.failNodesQuiet(dead);
+    std::vector<std::uint32_t> label;
+    const std::size_t k = diba.liveComponents(label);
+    using Us = std::chrono::duration<double, std::micro>;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (auto _ : state) {
+        diba.refederateBudget(label, k);
+        benchmark::ClobberMemory();
+    }
+    const double seed_us =
+        Us(std::chrono::steady_clock::now() - t0).count() /
+        static_cast<double>(state.iterations());
+    constexpr int kRounds = 20;
+    const auto t1 = std::chrono::steady_clock::now();
+    for (int r = 0; r < kRounds; ++r)
+        benchmark::DoNotOptimize(diba.iterate());
+    const double round_us =
+        Us(std::chrono::steady_clock::now() - t1).count() / kRounds;
+    state.SetLabel(bench::problemLabel(n, kWattsPerNode, kSeed));
+    state.counters["round_us"] = round_us;
+    state.counters["seed_rounds"] = seed_us / round_us;
+}
+
 void
 BM_PdSolve(benchmark::State &state)
 {
@@ -205,6 +250,7 @@ BENCHMARK(BM_RoundSoaParallel)
 BENCHMARK(BM_RoundDenseSteady)->Arg(1600)->Arg(6400)->Arg(25600);
 BENCHMARK(BM_RoundActiveSteady)->Arg(1600)->Arg(6400)->Arg(25600);
 BENCHMARK(BM_WarmStart)->Arg(1600)->Arg(6400)->Arg(25600);
+BENCHMARK(BM_RecoverySeed)->Arg(1024)->Arg(25600);
 BENCHMARK(BM_PdSolve)
     ->Args({6400, 0})
     ->Args({6400, static_cast<long>(ThreadPool::hardwareChunks())});

@@ -20,12 +20,15 @@
  * before the obituary landed), recovery_rounds (quiesce minus
  * resume round: the rollback depth the checkpoint ring absorbed),
  * recovery_ms (death confirmed -> Resume broadcast), availability
- * (survivor nodes reporting / survivor nodes total), and
- * worst_residual_w from the reference audit.  The bench exits
- * non-zero on any parity mismatch, availability below 0.999, or a
- * detection/rollback depth the checkpoint ring could not have
- * covered -- the same absolute bars tools/bench_compare.py applies
- * to the committed baseline.
+ * (survivor nodes reporting / survivor nodes total),
+ * worst_residual_w from the reference audit, and settle_rounds
+ * (the rounds the reference takes from the resume round to
+ * converged(): the survivor seed puts them at quiet_rounds).  The
+ * bench exits non-zero on any parity mismatch, availability below
+ * 0.999, a detection/rollback depth the checkpoint ring could not
+ * have covered, or settle_rounds above quiet_rounds + 3 -- the
+ * same absolute bars tools/bench_compare.py applies to the
+ * committed baseline.
  *
  * DPC_BENCH_SMOKE=1 shrinks to one small size and few rounds --
  * the ci.sh kill-recovery smoke (UDP and TCP).
@@ -50,6 +53,11 @@ constexpr std::uint64_t kProblemSeed = 97;
 constexpr std::uint64_t kTopoSeed = 7;
 constexpr double kAvailabilityBar = 0.999;
 constexpr std::uint64_t kDetectionBar = 8;
+/** Rounds past quiet_rounds a seeded survivor may take to settle. */
+constexpr std::size_t kSettleSlack = 3;
+/** Reference rounds past the run's end spent looking for the
+ * settle round of a survivor that has not settled yet. */
+constexpr std::size_t kSettleSearch = 20000;
 
 Graph
 topologyOf(std::size_t n)
@@ -120,8 +128,8 @@ main()
 
     tools::BenchJsonWriter writer;
     Table table({"n", "scenario", "proto", "shards", "detect_r",
-                 "rollback_r", "recovery_ms", "avail", "resid_w",
-                 "parity"});
+                 "rollback_r", "recovery_ms", "settle_r", "avail",
+                 "resid_w", "parity"});
     std::size_t failures = 0;
 
     for (const std::size_t n : sizes) {
@@ -165,14 +173,28 @@ main()
                                         res.dead_mask, res.epoch);
             InvariantChecker checker;
             checker.check(ref);
+            std::size_t settle_r = 0; // 0: not settled yet
+            const auto noteSettled = [&](std::size_t r) {
+                if (settle_r == 0 && ref.converged())
+                    settle_r = r + 1 - res.recovery_round;
+            };
             for (std::size_t r = res.recovery_round; r < rounds;
                  ++r) {
                 ref.stepWithTransport(loopback);
                 checker.check(ref);
+                noteSettled(r);
             }
 
             const std::size_t bad = survivorMismatches(
                 res, ref.power(), ref.estimates());
+            for (std::size_t r = rounds;
+                 settle_r == 0 && r < rounds + kSettleSearch; ++r) {
+                ref.stepWithTransport(loopback);
+                noteSettled(r);
+            }
+            const bool settled =
+                settle_r != 0 &&
+                settle_r <= cfg.quiet_rounds + kSettleSlack;
             // Saturating: a survivor can quiesce before it even
             // reaches the victim's fault round (detection landed
             // faster than the round clock ticks).
@@ -186,7 +208,7 @@ main()
 
             if (bad != 0 || res.availability < kAvailabilityBar ||
                 detect_r > kDetectionBar ||
-                rollback_r > opt.checkpoint_depth)
+                rollback_r > opt.checkpoint_depth || !settled)
                 ++failures;
 
             table.addRow(
@@ -194,6 +216,7 @@ main()
                  Table::num(sc.shards, 0), Table::num(detect_r, 0),
                  Table::num(rollback_r, 0),
                  Table::num(recovery_ms, 1),
+                 Table::num(settle_r, 0),
                  Table::num(res.availability, 4),
                  Table::num(checker.worstResidual(), 3),
                  bad == 0 ? "OK" : "FAIL"});
@@ -212,6 +235,10 @@ main()
                 .field("recovery_rounds",
                        static_cast<long long>(rollback_r))
                 .field("recovery_ms", recovery_ms)
+                .field("settle_rounds",
+                       static_cast<long long>(settle_r))
+                .field("quiet_rounds",
+                       static_cast<long long>(cfg.quiet_rounds))
                 .field("availability", res.availability)
                 .field("worst_residual_w",
                        checker.worstResidual())
@@ -229,11 +256,12 @@ main()
     if (failures != 0) {
         std::cerr << "wire_recovery: " << failures
                   << " scenario(s) failed the recovery bars "
-                     "(parity / availability / detection depth)\n";
+                     "(parity / availability / detection depth "
+                     "/ settle rounds)\n";
         return 1;
     }
     std::cout << "\nwire_recovery: every recovery was "
                  "bitwise-correct, invariant-clean, and within "
-                 "the detection bars\n";
+                 "the detection and settle bars\n";
     return 0;
 }

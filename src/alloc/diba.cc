@@ -925,9 +925,9 @@ DibaAllocator::placeBudgetDelta(double delta)
 {
     const std::size_t n = p_.size();
     // KKT water-level direction: a budget shift moves every
-    // interior node's optimum by -d(lambda)/c_i, so the delta
-    // splits proportionally to 1/c_i.  Nodes without a quadratic
-    // utility take a uniform share.
+    // interior node's optimum by -d(lambda)/(2 c_i), so the delta
+    // splits proportionally to 1/|c_i| over the curved (c < 0)
+    // quadratics.  Every other node takes a unit weight.
     // Indexed by ORIGINAL id (like `open` below) so every FP
     // accumulation in the waterfill runs in original order and the
     // residue is layout-invariant.
@@ -935,8 +935,8 @@ DibaAllocator::placeBudgetDelta(double delta)
     for (std::size_t i = 0; i < n; ++i) {
         const auto *q = dynamic_cast<const QuadraticUtility *>(
             u_[wi(i)].get());
-        if (q != nullptr && q->coeffC() > 0.0)
-            w[i] = 1.0 / q->coeffC();
+        if (q != nullptr && q->coeffC() < 0.0)
+            w[i] = -1.0 / q->coeffC();
     }
     // Waterfill: distribute the remainder over the nodes that have
     // not yet hit a box, re-spreading whatever the clamps ate.
@@ -959,12 +959,15 @@ DibaAllocator::placeBudgetDelta(double delta)
             if (!open[i] || !active_[iw])
                 continue;
             const double want = remaining * w[i] / wsum;
-            const double np = u_[iw]->clampPower(p_[iw] + want);
-            const double got = np - p_[iw];
+            const double target = p_[iw] + want;
+            const double np = u_[iw]->clampPower(target);
+            placed += np - p_[iw];
             p_[iw] = np;
-            placed += got;
-            if (std::fabs(got - want) > 0.0)
-                open[i] = 0; // box-saturated for this direction
+            // Close only a node its box stopped; what rounding
+            // keeps from an open node stays in `remaining` for the
+            // next pass.
+            if (np != target)
+                open[i] = 0;
         }
         remaining -= placed;
         if (placed == 0.0)
@@ -973,15 +976,39 @@ DibaAllocator::placeBudgetDelta(double delta)
     return remaining;
 }
 
+/** One node's box for the seed: utility b p + c p^2 on [lo, hi]
+ * (c < 0 curved, c = 0 linear). */
+struct DibaAllocator::QuadBox
+{
+    double b, c, lo, hi;
+};
+
+namespace {
+
+/** A node's equilibrium demand at water level lambda: the interior
+ * optimum (lambda - b)/(2c) for c < 0, a step from hi to lo at
+ * lambda = b for c = 0, clamped into the box. */
+inline double
+seedCap(double b, double c, double lo, double hi, double lambda)
+{
+    const double p = c < 0.0 ? (lambda - b) / (2.0 * c)
+                             : (lambda < b ? hi : lo);
+    return std::clamp(p, lo, hi);
+}
+
+} // namespace
+
+template <class BoxOf>
 void
-DibaAllocator::buildSeedTable()
+DibaAllocator::buildSeedTable(std::size_t m, const BoxOf &box_of,
+                              std::vector<SeedBreak> &tab)
 {
     // Every box breakpoint of the equilibrium demand curve: a node
     // with c < 0 enters the interior at lambda = b + 2c hi and
     // leaves it at b + 2c lo; a linear node steps from hi down to
-    // lo at lambda = b.  Keyed by (lambda, ORIGINAL id) so the
-    // table -- and every sum taken along it -- is the same under
-    // every layout.
+    // lo at lambda = b.  Keyed by (lambda, position), positions
+    // ascending in ORIGINAL id, so the table -- and every sum
+    // taken along it -- is the same under every layout.
     enum Kind : std::uint32_t { kEnter, kLeave, kStep };
     struct Break
     {
@@ -989,19 +1016,16 @@ DibaAllocator::buildSeedTable()
         std::uint32_t id;
         Kind kind;
     };
-    const std::size_t n = p_.size();
     std::vector<Break> br;
-    br.reserve(2 * n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t iw = wi(i);
-        const auto id = static_cast<std::uint32_t>(i);
-        const double b = qb_[iw];
-        const double c = qc_[iw];
-        if (c < 0.0) {
-            br.push_back({b + 2.0 * c * qmax_[iw], id, kEnter});
-            br.push_back({b + 2.0 * c * qmin_[iw], id, kLeave});
+    br.reserve(2 * m);
+    for (std::size_t k = 0; k < m; ++k) {
+        const QuadBox q = box_of(k);
+        const auto id = static_cast<std::uint32_t>(k);
+        if (q.c < 0.0) {
+            br.push_back({q.b + 2.0 * q.c * q.hi, id, kEnter});
+            br.push_back({q.b + 2.0 * q.c * q.lo, id, kLeave});
         } else {
-            br.push_back({b, id, kStep});
+            br.push_back({q.b, id, kStep});
         }
     }
     std::sort(br.begin(), br.end(), [](const Break &x, const Break &y) {
@@ -1014,56 +1038,51 @@ DibaAllocator::buildSeedTable()
     // then adds and later removes the same terms, so the sums are
     // compensated to keep that cancellation exact.
     CompensatedSum a, s1;
-    for (std::size_t i = 0; i < n; ++i)
-        a.add(qmax_[wi(i)]);
+    for (std::size_t k = 0; k < m; ++k)
+        a.add(box_of(k).hi);
     const auto apply = [&](const Break &x) {
-        const std::size_t iw = wi(x.id);
+        const QuadBox q = box_of(x.id);
         if (x.kind == kStep) {
-            a.add(-qmax_[iw]);
-            a.add(qmin_[iw]);
+            a.add(-q.hi);
+            a.add(q.lo);
             return;
         }
         // Entering trades hi for (lambda - b)/(2c); leaving trades
         // that back for lo.
         const double sign = x.kind == kEnter ? 1.0 : -1.0;
-        const double inv2c = 1.0 / (2.0 * qc_[iw]);
-        a.add(x.kind == kEnter ? -qmax_[iw] : qmin_[iw]);
-        a.add(-sign * qb_[iw] * inv2c);
+        const double inv2c = 1.0 / (2.0 * q.c);
+        a.add(x.kind == kEnter ? -q.hi : q.lo);
+        a.add(-sign * q.b * inv2c);
         s1.add(sign * inv2c);
     };
     std::size_t k = 0;
     for (; k < br.size() && br[k].lam <= 0.0; ++k)
         apply(br[k]);
-    seed_table_.clear();
-    seed_table_.reserve(br.size() - k + 1);
-    seed_table_.push_back({0.0, a.value(), s1.value()});
+    tab.clear();
+    tab.reserve(br.size() - k + 1);
+    tab.push_back({0.0, a.value(), s1.value()});
     while (k < br.size()) {
         const double lam = br[k].lam;
         for (; k < br.size() && br[k].lam == lam; ++k)
             apply(br[k]);
-        seed_table_.push_back({lam, a.value(), s1.value()});
+        tab.push_back({lam, a.value(), s1.value()});
     }
 }
 
 bool
-DibaAllocator::seedBarrierEquilibrium(double new_budget)
+DibaAllocator::seedWaterLevel(const std::vector<SeedBreak> &tab,
+                              double budget, double neta,
+                              double &lambda)
 {
-    if (!quad_fast_)
-        return false;
-    if (seed_table_.empty())
-        buildSeedTable();
-    const std::size_t n = p_.size();
-    const double neta = static_cast<double>(n) * cfg_.eta;
     // f(lambda) = demand - P + n eta/lambda on the segment with
     // sums (a, s1), where demand(lambda) = a + lambda s1.  f is
     // strictly decreasing with f(0+) = +inf and f(inf) = sum(lo) - P,
     // so the root is unique when the budget exceeds the power floor.
     const auto f = [&](double lam, double a, double s1) {
-        return a + lam * s1 - new_budget + neta / lam;
+        return a + lam * s1 - budget + neta / lam;
     };
     // The first breakpoint at which f (taken from the right) is no
     // longer positive closes the segment that holds the root.
-    const std::vector<SeedBreak> &tab = seed_table_;
     const std::size_t j = static_cast<std::size_t>(
         std::partition_point(tab.begin() + 1, tab.end(),
                              [&](const SeedBreak &s) {
@@ -1075,26 +1094,45 @@ DibaAllocator::seedBarrierEquilibrium(double new_budget)
     // Past the last breakpoint every node sits at lo, so s1 is
     // zero; elsewhere rounding must not leave it positive.
     const double s1 = last ? 0.0 : std::min(tab[j - 1].s1, 0.0);
-    double lambda;
     if (!last && f(tab[j].lam, a, s1) > 0.0) {
         // f jumps across zero at the breakpoint (a linear node's
         // step): lambda sits on it, with the step taken, so the
         // stepping nodes hold lo and e0 stays negative.
         lambda = tab[j].lam;
-    } else {
-        // lambda f(lambda) = s1 lambda^2 + (a - P) lambda + n eta is
-        // a concave quadratic with exactly one positive root; take
-        // it without cancellation.
-        const double qb = a - new_budget;
-        if (last && !(qb < 0.0))
-            return false; // P <= sum(lo): no strictly feasible seed
-        const double d = std::sqrt(qb * qb - 4.0 * s1 * neta);
-        lambda = qb >= 0.0 ? (qb + d) / (-2.0 * s1)
-                           : 2.0 * neta / (d - qb);
-        lambda = std::max(lambda, tab[j - 1].lam);
-        if (!last)
-            lambda = std::min(lambda, tab[j].lam);
+        return true;
     }
+    // lambda f(lambda) = s1 lambda^2 + (a - P) lambda + n eta is a
+    // concave quadratic with exactly one positive root; take it
+    // without cancellation.
+    const double qb = a - budget;
+    if (last && !(qb < 0.0))
+        return false; // P <= sum(lo): no strictly feasible seed
+    const double d = std::sqrt(qb * qb - 4.0 * s1 * neta);
+    lambda = qb >= 0.0 ? (qb + d) / (-2.0 * s1) : 2.0 * neta / (d - qb);
+    lambda = std::max(lambda, tab[j - 1].lam);
+    if (!last)
+        lambda = std::min(lambda, tab[j].lam);
+    return true;
+}
+
+bool
+DibaAllocator::seedBarrierEquilibrium(double new_budget)
+{
+    if (!quad_fast_)
+        return false;
+    const std::size_t n = p_.size();
+    if (seed_table_.empty())
+        buildSeedTable(
+            n,
+            [this](std::size_t i) {
+                const std::size_t iw = wi(i);
+                return QuadBox{qb_[iw], qc_[iw], qmin_[iw], qmax_[iw]};
+            },
+            seed_table_);
+    double lambda;
+    if (!seedWaterLevel(seed_table_, new_budget,
+                        static_cast<double>(n) * cfg_.eta, lambda))
+        return false;
     // Caps at lambda, summed in ORIGINAL id order so the seeded
     // state is layout-invariant; they land in scratch so a refusal
     // leaves the state untouched.
@@ -1102,11 +1140,8 @@ DibaAllocator::seedBarrierEquilibrium(double new_budget)
     double total = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
         const std::size_t iw = wi(i);
-        const double b = qb_[iw];
-        const double c = qc_[iw];
-        const double p = c < 0.0 ? (lambda - b) / (2.0 * c)
-                                 : (lambda < b ? qmax_[iw] : qmin_[iw]);
-        seed_p_[iw] = std::clamp(p, qmin_[iw], qmax_[iw]);
+        seed_p_[iw] =
+            seedCap(qb_[iw], qc_[iw], qmin_[iw], qmax_[iw], lambda);
         total += seed_p_[iw];
     }
     // The uniform estimate that makes the invariant exact; it sits
@@ -1118,6 +1153,54 @@ DibaAllocator::seedBarrierEquilibrium(double new_budget)
     p_.swap(seed_p_);
     e_.assign(n, e0);
     eta_now_.assign(n, cfg_.eta);
+    return true;
+}
+
+bool
+DibaAllocator::seedComponent(const std::vector<std::uint32_t> &ids,
+                             double share)
+{
+    const std::size_t m = ids.size();
+    std::vector<QuadBox> box(m);
+    for (std::size_t k = 0; k < m; ++k) {
+        const std::size_t iw = wi(ids[k]);
+        if (quad_fast_) {
+            box[k] = {qb_[iw], qc_[iw], qmin_[iw], qmax_[iw]};
+            continue;
+        }
+        const auto *q =
+            dynamic_cast<const QuadraticUtility *>(u_[iw].get());
+        if (q == nullptr)
+            return false;
+        box[k] = {q->coeffB(), q->coeffC(), q->minPower(),
+                  q->maxPower()};
+    }
+    std::vector<SeedBreak> tab;
+    buildSeedTable(
+        m, [&box](std::size_t k) { return box[k]; }, tab);
+    double lambda;
+    if (!seedWaterLevel(tab, share, static_cast<double>(m) * cfg_.eta,
+                        lambda))
+        return false;
+    std::vector<double> caps(m);
+    double total = 0.0;
+    for (std::size_t k = 0; k < m; ++k) {
+        const QuadBox &q = box[k];
+        caps[k] = seedCap(q.b, q.c, q.lo, q.hi, lambda);
+        total += caps[k];
+    }
+    const double e0 = (total - share) / static_cast<double>(m);
+    if (!(e0 < 0.0))
+        return false;
+    for (std::size_t k = 0; k < m; ++k) {
+        const std::size_t iw = wi(ids[k]);
+        p_[iw] = caps[k];
+        e_[iw] = e0;
+        eta_now_[iw] = cfg_.eta;
+    }
+    // One-node compensation (lowest original id) so the component's
+    // estimate sum is sum p - share to rounding.
+    e_[wi(ids[0])] += (total - share) - e0 * static_cast<double>(m);
     return true;
 }
 
@@ -2371,6 +2454,20 @@ DibaAllocator::refederateBudgetWithHeld(
     quiet_ = 0;
     if (shed)
         emergencyShed();
+    // Seed each component at the barrier equilibrium of its share.
+    // The seed reads only the static utilities, the membership and
+    // the shares, so every shard that runs it lands on the same
+    // bits with no exchange; a component it refuses keeps the
+    // shifted (and shed) state above.
+    std::vector<std::vector<std::uint32_t>> members(num_comps);
+    for (std::size_t j = 0; j < num_comps; ++j)
+        members[j].reserve(cnt[j]);
+    for (std::size_t i = 0; i < p_.size(); ++i)
+        if (active_[wi(i)])
+            members[comp_of[i]].push_back(
+                static_cast<std::uint32_t>(i));
+    for (std::size_t j = 0; j < num_comps; ++j)
+        seedComponent(members[j], shares[j]);
 }
 
 void

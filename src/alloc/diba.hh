@@ -607,9 +607,12 @@ class DibaAllocator : public IterativeAllocator
      * bitwise.  Estimates shift uniformly within each component so
      * sum_Cj e == sum_Cj p - share_j afterwards, and an emergency
      * shed restores strict slack if a component's share shrank
-     * below what it held.  num_comps == 1 dissolves the federation
-     * (the single share is P itself and the global invariant is
-     * restored exactly).
+     * below what it held.  Each component is then seeded at the
+     * barrier equilibrium of its share (seedComponent), which
+     * reads only the utilities, the membership and the share; a
+     * component the seed refuses keeps the shifted state.
+     * num_comps == 1 dissolves the federation (the single share is
+     * P itself and the global invariant is restored exactly).
      */
     void refederateBudget(const std::vector<std::uint32_t> &comp_of,
                           std::size_t num_comps);
@@ -712,6 +715,12 @@ class DibaAllocator : public IterativeAllocator
     /** Current utilities (after any setUtility calls), indexed by
      * original id. */
     const std::vector<UtilityPtr> &utilities() const;
+
+    /** Node i's (original id) annealed barrier weight. */
+    double barrierWeight(std::size_t i) const
+    {
+        return eta_now_[wi(i)];
+    }
 
     /** Sum of the current power caps over active nodes. */
     double totalPower() const;
@@ -931,8 +940,9 @@ class DibaAllocator : public IterativeAllocator
     /**
      * Move `delta` watts of cap directly onto the nodes,
      * curvature-weighted (the KKT water-level direction for
-     * quadratic utilities: dp_i proportional to 1/c_i; uniform for
-     * anything else), waterfilling across box clamps.  Returns the
+     * curved quadratics: dp_i proportional to 1/|c_i|; unit weight
+     * for anything else), waterfilling across box clamps: a node
+     * leaves the fill only when its box stops it.  Returns the
      * residue that could not be placed because every remaining node
      * saturated its box.  Estimates are NOT touched: a fully placed
      * delta changes sum(p) by exactly `delta`, so the caller can
@@ -955,16 +965,50 @@ class DibaAllocator : public IterativeAllocator
      * scalar broadcast plus per-node local arithmetic -- the
      * control-plane fast path for warm re-entry.  Returns false
      * with the state untouched unless every utility is quadratic
-     * and P exceeds the total power floor.
+     * and P exceeds the total power floor.  The table is built
+     * lazily from the quadratic SoA mirror by the first seed after
+     * reset() or setUtility() marked it stale
+     * (rebuildQuadFastPath).
      */
     bool seedBarrierEquilibrium(double new_budget);
 
     /**
-     * Build seed_table_ from the quadratic SoA mirror: O(n log n),
-     * run by the first seed after reset() or setUtility() marked
-     * the table stale (rebuildQuadFastPath).
+     * The same seed for the m active nodes of one live component
+     * (ids: ascending original ids) against its announced share:
+     * the component's breakpoint table is built here, O(m log m),
+     * and its caps, the uniform estimate (sum p - share)/m and the
+     * floor barriers are written, with a one-node compensation on
+     * ids[0] so the component's estimate sum is sum p - share to
+     * rounding.  Returns false with the state untouched when the
+     * component holds a non-quadratic node or the share does not
+     * exceed the sum of its power floors.
      */
-    void buildSeedTable();
+    bool seedComponent(const std::vector<std::uint32_t> &ids,
+                       double share);
+
+    /** One node's quadratic box, as the seed reads it. */
+    struct QuadBox;
+    /** One breakpoint row of a seed table (defined below). */
+    struct SeedBreak;
+
+    /**
+     * Breakpoint table of m nodes, box_of(k) the QuadBox of the
+     * k-th (positions ascending in original id): O(m log m).
+     */
+    template <class BoxOf>
+    static void buildSeedTable(std::size_t m, const BoxOf &box_of,
+                               std::vector<SeedBreak> &tab);
+
+    /**
+     * The water level of table `tab` for budget P and barrier mass
+     * neta = m eta: an O(log m) search for the segment where
+     * f(lambda) = demand - P + neta/lambda changes sign, then a
+     * closed-form quadratic there.  False when P does not exceed
+     * the nodes' power floor.
+     */
+    static bool seedWaterLevel(const std::vector<SeedBreak> &tab,
+                               double budget, double neta,
+                               double &lambda);
 
     /** True if the active subgraph is connected. */
     bool activeSubgraphConnected() const;

@@ -509,7 +509,8 @@ SocketTransport::transmitBatch(std::uint32_t s,
                                const CutBatchMsg &msg,
                                std::size_t halves)
 {
-    std::vector<std::uint8_t> buf;
+    std::vector<std::uint8_t> &buf = tx_frame_;
+    buf.clear();
     encodeCutBatch(msg, buf, cfg_.wire_version);
     ++stats_.frames_sent;
     stats_.bytes_sent += buf.size();
@@ -529,7 +530,7 @@ SocketTransport::transmitBatch(std::uint32_t s,
                 warn("shard sendto: ", std::strerror(errno));
         }
         tx_ring_[std::size_t{s} * w_tx_ + round_ % w_tx_]
-            .datagrams.push_back(std::move(buf));
+            .datagrams.emplace_back(buf.begin(), buf.end());
     } else {
         trySendStream(s, buf.data(), buf.size());
     }

@@ -590,6 +590,9 @@ class SocketTransport final : public Transport
     std::vector<TxAccum> tx_;
     std::vector<TxRound> tx_ring_; ///< [peer * w_tx_ + round % w_tx_]
     std::size_t w_tx_ = 0;
+    /** Encode buffer of transmitBatch (reused across frames; the
+     * retransmit ring keeps exact-size copies). */
+    std::vector<std::uint8_t> tx_frame_;
 
     /** Last-emitted peer-half bits per cut_ index. */
     std::vector<std::uint64_t> rx_val_;

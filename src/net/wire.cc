@@ -39,19 +39,6 @@ putF64(std::vector<std::uint8_t> &out, double x)
     putU64(out, std::bit_cast<std::uint64_t>(x));
 }
 
-/** Unsigned LEB128: 7 value bits per byte, low bits first, high
- * bit = continuation.  Small XOR deltas (estimates converging in
- * the low mantissa) encode in a byte or two. */
-void
-putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        out.push_back(static_cast<std::uint8_t>(v) | 0x80u);
-        v >>= 7;
-    }
-    out.push_back(static_cast<std::uint8_t>(v));
-}
-
 /** Bounds-checked little-endian reader over one payload. */
 class Reader
 {
@@ -156,6 +143,141 @@ class Reader
     std::size_t pos_ = 0;
 };
 
+/** Little-endian stores through a raw pointer into a buffer sized
+ * in advance: the CutBatch hot path, with no per-byte capacity
+ * checks. */
+class Writer
+{
+  public:
+    explicit Writer(std::uint8_t *p) : p_(p) {}
+
+    void u8(std::uint8_t x) { *p_++ = x; }
+
+    void u16(std::uint16_t x)
+    {
+        p_[0] = static_cast<std::uint8_t>(x);
+        p_[1] = static_cast<std::uint8_t>(x >> 8);
+        p_ += 2;
+    }
+
+    void u32(std::uint32_t x)
+    {
+        for (int i = 0; i < 4; ++i)
+            p_[i] = static_cast<std::uint8_t>(x >> (8 * i));
+        p_ += 4;
+    }
+
+    void u64(std::uint64_t x)
+    {
+        for (int i = 0; i < 8; ++i)
+            p_[i] = static_cast<std::uint8_t>(x >> (8 * i));
+        p_ += 8;
+    }
+
+    void f64(double x) { u64(std::bit_cast<std::uint64_t>(x)); }
+
+    /** Unsigned LEB128: 7 value bits per byte, low bits first,
+     * high bit = continuation.  Small XOR deltas (estimates
+     * converging in the low mantissa) encode in a byte or two. */
+    void varint(std::uint64_t v)
+    {
+        while (v >= 0x80) {
+            *p_++ = static_cast<std::uint8_t>(v) | 0x80u;
+            v >>= 7;
+        }
+        *p_++ = static_cast<std::uint8_t>(v);
+    }
+
+    std::uint8_t *pos() const { return p_; }
+
+  private:
+    std::uint8_t *p_;
+};
+
+/** Largest LEB128 encodings of a u32 and a u64. */
+constexpr std::size_t kVarint32Max = 5;
+constexpr std::size_t kVarint64Max = 10;
+
+/**
+ * Append one whole CutBatch frame, header included.  The buffer
+ * grows once to an upper bound of the frame (every varint at its
+ * longest), the frame is written through a Writer, and the buffer
+ * is trimmed to the bytes written.
+ */
+void
+encodeCutBatchFrame(const CutBatchMsg &m, std::uint16_t version,
+                    std::vector<std::uint8_t> &out)
+{
+    const bool v4 = version >= 4;
+    // Header, sender, epoch, round, seq, n_reports and the reports.
+    std::size_t bound = kWireHeaderSize + 21 + m.reports.size() * 24;
+    if (v4)
+        bound += 1 + 3 * kVarint32Max +
+                 m.hot_words.size() * (kVarint32Max + kVarint64Max) +
+                 m.changed.size() * (kVarint32Max + kVarint64Max);
+    else
+        bound += 8 + m.changed.size() * 12 + m.unchanged.size() * 8;
+    const std::size_t at = out.size();
+    out.resize(at + bound);
+    std::uint8_t *const begin = out.data() + at;
+    Writer w(begin);
+    w.u32(kWireMagic);
+    w.u16(version);
+    w.u16(static_cast<std::uint16_t>(FrameType::CutBatch));
+    w.u32(0); // payload_len backpatched below
+    w.u32(m.sender);
+    w.u32(m.epoch);
+    w.u64(m.round);
+    w.u32(m.seq);
+    w.u8(static_cast<std::uint8_t>(m.reports.size()));
+    if (v4) {
+        w.u8(m.hot_mode);
+        w.varint(m.changed.size());
+        if (m.seq == 0)
+            w.varint(m.total_changed);
+        if (m.hot_mode == kHotSparse) {
+            w.varint(m.hot_words.size());
+            std::uint32_t prev = 0;
+            bool first = true;
+            for (const auto &[wd, bits] : m.hot_words) {
+                w.varint(first ? wd : wd - prev - 1);
+                w.varint(bits);
+                prev = wd;
+                first = false;
+            }
+        }
+    } else {
+        w.u32(static_cast<std::uint32_t>(m.changed.size()));
+        w.u32(static_cast<std::uint32_t>(m.unchanged.size()));
+    }
+    for (const DpReport &rep : m.reports) {
+        w.u64(rep.round);
+        w.u64(rep.shard_mask);
+        w.f64(rep.max_dp);
+    }
+    if (v4) {
+        std::uint32_t prev = 0;
+        bool first = true;
+        for (const auto &[idx, bits] : m.changed) {
+            w.varint(first ? idx : idx - prev - 1);
+            w.varint(bits);
+            prev = idx;
+            first = false;
+        }
+    } else {
+        for (const auto &[idx, bits] : m.changed) {
+            w.u32(idx);
+            w.u64(bits);
+        }
+        for (std::uint64_t wd : m.unchanged)
+            w.u64(wd);
+    }
+    const std::size_t len = static_cast<std::size_t>(w.pos() - begin);
+    Writer(begin + 8).u32(
+        static_cast<std::uint32_t>(len - kWireHeaderSize));
+    out.resize(at + len);
+}
+
 void
 encodeBody(const Frame &frame, std::vector<std::uint8_t> &out)
 {
@@ -249,59 +371,8 @@ encodeBody(const Frame &frame, std::vector<std::uint8_t> &out)
         }
         break;
     }
-    case FrameType::CutBatch: {
-        const CutBatchMsg &m = frame.cut_batch;
-        putU32(out, m.sender);
-        putU32(out, m.epoch);
-        putU64(out, m.round);
-        putU32(out, m.seq);
-        out.push_back(static_cast<std::uint8_t>(m.reports.size()));
-        if (frame.version >= 4) {
-            out.push_back(m.hot_mode);
-            putVarint(out, m.changed.size());
-            if (m.seq == 0)
-                putVarint(out, m.total_changed);
-            if (m.hot_mode == kHotSparse) {
-                putVarint(out, m.hot_words.size());
-                std::uint32_t prev = 0;
-                bool first = true;
-                for (const auto &[w, bits] : m.hot_words) {
-                    putVarint(out, first ? w : w - prev - 1);
-                    putVarint(out, bits);
-                    prev = w;
-                    first = false;
-                }
-            }
-        } else {
-            putU32(out,
-                   static_cast<std::uint32_t>(m.changed.size()));
-            putU32(out,
-                   static_cast<std::uint32_t>(m.unchanged.size()));
-        }
-        for (const DpReport &rep : m.reports) {
-            putU64(out, rep.round);
-            putU64(out, rep.shard_mask);
-            putF64(out, rep.max_dp);
-        }
-        if (frame.version >= 4) {
-            std::uint32_t prev = 0;
-            bool first = true;
-            for (const auto &[idx, bits] : m.changed) {
-                putVarint(out, first ? idx : idx - prev - 1);
-                putVarint(out, bits);
-                prev = idx;
-                first = false;
-            }
-        } else {
-            for (const auto &[idx, bits] : m.changed) {
-                putU32(out, idx);
-                putU64(out, bits);
-            }
-            for (std::uint64_t w : m.unchanged)
-                putU64(out, w);
-        }
-        break;
-    }
+    case FrameType::CutBatch:
+        break; // encodeFrame() routes it to encodeCutBatchFrame()
     case FrameType::EpochChange: {
         const EpochChangeMsg &m = frame.epoch_change;
         putU32(out, m.epoch);
@@ -583,6 +654,10 @@ knownType(std::uint16_t t)
 void
 encodeFrame(const Frame &frame, std::vector<std::uint8_t> &out)
 {
+    if (frame.type == FrameType::CutBatch) {
+        encodeCutBatchFrame(frame.cut_batch, frame.version, out);
+        return;
+    }
     const std::size_t header_at = out.size();
     putU32(out, kWireMagic);
     putU16(out, frame.version);
@@ -612,11 +687,7 @@ encodeCutBatch(const CutBatchMsg &msg,
                std::vector<std::uint8_t> &out,
                std::uint16_t version)
 {
-    Frame f;
-    f.type = FrameType::CutBatch;
-    f.version = version;
-    f.cut_batch = msg;
-    encodeFrame(f, out);
+    encodeCutBatchFrame(msg, version, out);
 }
 
 std::size_t

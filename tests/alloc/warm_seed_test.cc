@@ -363,3 +363,243 @@ TEST(WarmSeedTableTest, UtilitySwapsRebuildTheTable)
     EXPECT_EQ(d.power(), fresh->power());
     EXPECT_EQ(d.estimates(), fresh->estimates());
 }
+
+TEST(WarmStartTest, FallbackPlacesTheWholeDelta)
+{
+    // A non-quadratic node turns the seed off; the fallback must
+    // then place the whole delta on the caps, leaving a residue for
+    // the estimates only when every node is boxed in the step's
+    // direction.
+    const std::size_t n = 400;
+    const auto prob = test::npbProblem(n, 172.0, 41);
+    DibaAllocator d(makeRing(n), DibaAllocator::Config{});
+    d.reset(prob);
+    d.setUtility(17, std::make_shared<PiecewiseLinearUtility>(
+                         std::vector<double>{100.0, 150.0, 200.0},
+                         std::vector<double>{0.4, 0.8, 0.9}));
+    Rng rng(3);
+    for (int r = 0; r < 40; ++r)
+        d.step(rng);
+    std::size_t boxed_steps = 0;
+    for (const double frac : {0.01, -0.01, 0.03, -0.05, 4.0}) {
+        SCOPED_TRACE(frac);
+        const double p0 = d.totalPower();
+        const double step = frac * prob.budget;
+        d.warmStart(d.result(), step);
+        const double residue = step - (d.totalPower() - p0);
+        bool all_boxed = true;
+        for (std::size_t i = 0; i < n; ++i) {
+            const UtilityFunction &u = *d.utilities()[i];
+            const double p = d.power()[i];
+            if (step > 0.0 ? p < u.maxPower() : p > u.minPower())
+                all_boxed = false;
+        }
+        if (all_boxed)
+            ++boxed_steps;
+        else
+            EXPECT_LE(std::fabs(residue), 1e-9 * prob.budget);
+    }
+    // Only the step past the ceiling boxes every node.
+    EXPECT_EQ(boxed_steps, 1u);
+}
+
+namespace {
+
+/** Fail the listed original-id blocks [begin, end) quietly, as the
+ * sharded recovery does, and re-federate over the live
+ * components. */
+std::vector<std::uint32_t>
+failBlocksAndRefederate(DibaAllocator &d,
+                        const std::vector<std::pair<std::size_t,
+                                                    std::size_t>> &blocks)
+{
+    std::vector<std::size_t> dead;
+    for (const auto &[b, e] : blocks)
+        for (std::size_t i = b; i < e; ++i)
+            dead.push_back(i);
+    if (!dead.empty())
+        d.failNodesQuiet(dead);
+    std::vector<std::uint32_t> label;
+    const std::size_t k = d.liveComponents(label);
+    d.refederateBudget(label, k);
+    return label;
+}
+
+/** The shares each component was seeded against: the
+ * federation's, or P alone when re-federation dissolved it. */
+std::vector<double>
+sharesOf(const DibaAllocator &d)
+{
+    return d.federationActive() ? d.federationShares()
+                                : std::vector<double>{d.budget()};
+}
+
+/**
+ * Hold live component j to the bisection over its own active
+ * nodes at `share`: caps within 1e-9 W, the estimate uniform
+ * except on the lowest id (the compensation node), the component's
+ * estimate sum at sum p - share, and the barriers at cfg.eta.
+ */
+void
+expectComponentSeeded(const DibaAllocator &d,
+                      const std::vector<std::uint32_t> &label,
+                      std::uint32_t j, double share)
+{
+    SCOPED_TRACE("component " + std::to_string(j));
+    const double eta = d.config().eta;
+    std::vector<std::size_t> ids;
+    std::vector<UtilityPtr> us;
+    for (std::size_t i = 0; i < label.size(); ++i)
+        if (label[i] == j) {
+            ids.push_back(i);
+            us.push_back(d.utilities()[i]);
+        }
+    ASSERT_GE(ids.size(), 2u);
+    const Seed ref = bisectionSeed(us, share, eta);
+    ASSERT_TRUE(ref.ok);
+    const std::vector<double> &p = d.power();
+    const std::vector<double> &e = d.estimates();
+    const double e0 = e[ids[1]];
+    double sp = 0.0, se = 0.0;
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+        const std::size_t i = ids[k];
+        ASSERT_NEAR(p[i], ref.p[k], 1e-9) << "node " << i;
+        if (k > 0) {
+            ASSERT_EQ(e[i], e0) << "node " << i;
+        }
+        ASSERT_EQ(d.barrierWeight(i), eta) << "node " << i;
+        sp += p[i];
+        se += e[i];
+    }
+    EXPECT_LT(e0, 0.0);
+    EXPECT_NEAR(e0, ref.e0, 1e-9 * std::fabs(ref.e0));
+    EXPECT_NEAR(e[ids[0]], e0, 1e-9 * std::fabs(e0));
+    EXPECT_NEAR(se, sp - share, 1e-9 * share);
+}
+
+void
+expectComponentsSeeded(const DibaAllocator &d,
+                       const std::vector<std::uint32_t> &label)
+{
+    const std::vector<double> shares = sharesOf(d);
+    for (std::uint32_t j = 0; j < shares.size(); ++j)
+        expectComponentSeeded(d, label, j, shares[j]);
+}
+
+} // namespace
+
+TEST(RecoverySeedTest, OneSurvivingComponentMatchesBisection)
+{
+    // A dead block leaves one arc of the ring: it is seeded at P.
+    const std::size_t n = 1024;
+    const auto prob = test::npbProblem(n, 172.0, 11);
+    DibaAllocator d(makeRing(n), DibaAllocator::Config{});
+    d.reset(prob);
+    Rng rng(1);
+    for (int r = 0; r < 30; ++r)
+        d.step(rng);
+    const auto label = failBlocksAndRefederate(d, {{300, 700}});
+    EXPECT_FALSE(d.federationActive());
+    expectComponentsSeeded(d, label);
+}
+
+TEST(RecoverySeedTest, FederatedComponentsMatchBisection)
+{
+    // Two dead blocks split the ring into two arcs, each seeded at
+    // its federated share; a layout permutes working ids, which the
+    // seed must not see.
+    const std::size_t n = 900;
+    const auto prob = test::npbProblem(n, 160.0, 13);
+    std::vector<std::vector<double>> p, e;
+    for (const Layout layout : {Layout::identity, Layout::rcm}) {
+        DibaAllocator::Config cfg;
+        cfg.layout = layout;
+        DibaAllocator d(makeRing(n), cfg);
+        d.reset(prob);
+        Rng rng(2);
+        for (int r = 0; r < 25; ++r)
+            d.step(rng);
+        const auto label =
+            failBlocksAndRefederate(d, {{100, 180}, {500, 520}});
+        ASSERT_TRUE(d.federationActive());
+        ASSERT_EQ(d.federationShares().size(), 2u);
+        expectComponentsSeeded(d, label);
+        p.push_back(d.power());
+        e.push_back(d.estimates());
+    }
+    EXPECT_EQ(p[0], p[1]);
+    EXPECT_EQ(e[0], e[1]);
+}
+
+TEST(RecoverySeedTest, DissolvingTheFederationSeedsAtTheBudget)
+{
+    // Rejoining the dead block reconnects the ring: re-federating
+    // over the one component dissolves the shares and seeds every
+    // node at P, like a warm start.
+    const std::size_t n = 600;
+    const auto prob = test::npbProblem(n, 175.0, 17);
+    DibaAllocator d(makeRing(n), DibaAllocator::Config{});
+    d.reset(prob);
+    failBlocksAndRefederate(d, {{50, 60}, {300, 330}});
+    ASSERT_TRUE(d.federationActive());
+    for (std::size_t i = 300; i < 330; ++i)
+        d.joinNode(i);
+    Rng rng(4);
+    for (int r = 0; r < 10; ++r)
+        d.step(rng);
+    const auto label = failBlocksAndRefederate(d, {});
+    EXPECT_FALSE(d.federationActive());
+    expectComponentsSeeded(d, label);
+}
+
+TEST(RecoverySeedTest, RefusingComponentKeepsTheUniformShift)
+{
+    // A non-quadratic node refuses its component's seed: that
+    // component takes the uniform shift bit for bit, while the
+    // other one is seeded.
+    const std::size_t n = 800;
+    const auto prob = test::npbProblem(n, 170.0, 19);
+    DibaAllocator d(makeRing(n), DibaAllocator::Config{});
+    d.reset(prob);
+    d.setUtility(250, std::make_shared<PiecewiseLinearUtility>(
+                          std::vector<double>{100.0, 150.0, 200.0},
+                          std::vector<double>{0.4, 0.8, 0.9}));
+    Rng rng(5);
+    for (int r = 0; r < 40; ++r)
+        d.step(rng);
+    std::vector<std::size_t> dead;
+    for (std::size_t i = 0; i < 100; ++i)
+        dead.push_back(i);
+    for (std::size_t i = 400; i < 450; ++i)
+        dead.push_back(i);
+    d.failNodesQuiet(dead);
+    std::vector<std::uint32_t> label;
+    const std::size_t k = d.liveComponents(label);
+    ASSERT_EQ(k, 2u);
+    const std::uint32_t refused = label[250];
+    const std::vector<double> held = d.heldBudgets(label, k);
+    const std::vector<double> p_before = d.power();
+    const std::vector<double> e_before = d.estimates();
+    d.refederateBudget(label, k);
+    ASSERT_TRUE(d.federationActive());
+
+    std::size_t cnt = 0;
+    for (const std::uint32_t l : label)
+        cnt += l == refused;
+    const double shift =
+        (held[refused] - d.federationShares()[refused]) /
+        static_cast<double>(cnt);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (label[i] != refused)
+            continue;
+        const double want = e_before[i] + shift;
+        ASSERT_LT(want, 0.0) << "the shift must not shed here";
+        ASSERT_EQ(d.estimates()[i], want) << "node " << i;
+        ASSERT_EQ(d.power()[i], p_before[i]) << "node " << i;
+    }
+
+    // The other component is seeded at its share.
+    const std::uint32_t other = 1 - refused;
+    expectComponentSeeded(d, label, other,
+                          d.federationShares()[other]);
+}

@@ -325,6 +325,47 @@ TEST(ShardFaultTest, FourShardKillRecoversBitwise)
     expectSurvivorsBitwise(res, ref);
 }
 
+TEST(ShardFaultTest, FourShardKillSplittingTheOverlaySeedsEachComponent)
+{
+    // On a path the dead block 1 leaves two live components: shard
+    // 0's block alone, and blocks 2 and 3 together.  Each survivor
+    // seeds both components from the utilities, the membership and
+    // the broker's folded shares, so the shards sharing a component
+    // land on the same bits as the single-process surgery, and the
+    // survivors re-cap in the confirmation rounds.
+    const std::size_t n = 48;
+    const std::size_t rounds = 25;
+    const auto prob = test::npbProblem(n, 170.0, 7);
+    Graph topo(n);
+    for (std::size_t i = 0; i + 1 < n; ++i)
+        topo.addEdge(i, i + 1);
+    const DibaAllocator::Config cfg{};
+
+    ShardRunOptions opt;
+    opt.num_shards = 4;
+    opt.rounds = rounds;
+    opt.recover = true;
+    opt.deadline_ms = 800;
+    opt.faults.killAt(1, 12);
+
+    const auto res = runShardedDiba(prob, topo, cfg, opt);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(res.recoveries, 1u);
+    EXPECT_EQ(res.dead_mask, 1ull << 1);
+    ASSERT_LE(res.recovery_round + cfg.quiet_rounds, rounds);
+
+    const auto ref =
+        recoveredReference(prob, topo, cfg, res, rounds);
+    std::vector<std::uint32_t> label;
+    ASSERT_EQ(ref.liveComponents(label), 2u);
+    EXPECT_NE(label[res.plan.block_begin[2]], label[0]);
+    EXPECT_EQ(label[res.plan.block_begin[2]],
+              label[res.plan.block_end[3] - 1]);
+    EXPECT_TRUE(ref.federationActive());
+    EXPECT_TRUE(ref.converged());
+    expectSurvivorsBitwise(res, ref);
+}
+
 // ---- SIGKILL mid-steady-state: recovery x suppression ----------
 
 TEST(ShardFaultTest, KillDuringSteadyStateSuppressionRecoversBitwise)

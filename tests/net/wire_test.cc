@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "net/wire.hh"
 
@@ -770,6 +772,139 @@ TEST(WireCodecTest, BackToBackFramesDecodeInSequence)
               DecodeStatus::Ok);
     EXPECT_EQ(out.type, FrameType::RoundGo);
     EXPECT_EQ(consumed, buf.size() - first);
+}
+
+/** One pinned CutBatch frame: its case name, the message, the
+ * version, whether it appends after a byte already in the buffer,
+ * and its expected bytes as hex. */
+struct GoldenFrame
+{
+    std::string name;
+    CutBatchMsg msg;
+    std::uint16_t version;
+    bool append;
+    std::string hex;
+};
+
+std::vector<GoldenFrame>
+goldenCutBatches()
+{
+    // Expected bytes: recorded from the push_back encoder the
+    // pointer writer replaced.
+    static const char *const kHex[] = {
+        // v3/seq0/sparse
+        "aa44504357030007008d0000000300000002000000896745230100000000"
+        "000000020400000002000000070000000000000005000000000000007b14"
+        "ae47e17a543f080000000000000003000000000000000000000000000080"
+        "00000000010000000000f03f010000008000000000000000090000007f00"
+        "0000000000002c01000000000000000000c0010000000000000010325476"
+        "98badcfe",
+        // v3/seq1/sparse
+        "aa44504357030007005d0000000300000002000000896745230100000001"
+        "00000000040000000200000000000000010000000000f03f010000008000"
+        "000000000000090000007f000000000000002c01000000000000000000c0"
+        "01000000000000001032547698badcfe",
+        // v3/seq0/allhot
+        "44504357030007003d000000030000000200000089674523010000000000"
+        "000000020000000100000002000000010000000000000003000000000000"
+        "00000010400000000000000000",
+        // v3/seq0/quiesced
+        "44504357030007001d000000030000000200000089674523010000000000"
+        "0000000000000000000000",
+        // v4/seq0/sparse
+        "aa4450435704000700730000000300000002000000896745230100000000"
+        "0000000202040b03001003ffffffffffffffffff01000207000000000000"
+        "0005000000000000007b14ae47e17a543f08000000000000000300000000"
+        "00000000000000000000800081808080808080f83f008001077fa2028080"
+        "808080808080c001",
+        // v4/seq1/sparse
+        "aa4450435704000700320000000300000002000000896745230100000001"
+        "0000000000040081808080808080f83f008001077fa20280808080808080"
+        "80c001",
+        // v4/seq0/allhot
+        "445043570400070024000000030000000200000089674523010000000000"
+        "000000010202020100808080808080808840",
+        // v4/seq0/quiesced
+        "445043570400070018000000030000000200000089674523010000000000"
+        "000000030000",
+    };
+    const auto base = [](std::uint32_t seq) {
+        CutBatchMsg m;
+        m.sender = 3;
+        m.epoch = 2;
+        m.round = 0x0123456789ull;
+        m.seq = seq;
+        return m;
+    };
+    std::vector<GoldenFrame> out;
+    const char *const *hex = kHex;
+    for (const std::uint16_t v : {std::uint16_t{3}, std::uint16_t{4}}) {
+        const std::string tag = "v" + std::to_string(v);
+        for (const std::uint32_t seq : {0u, 1u}) {
+            CutBatchMsg m = base(seq);
+            if (seq == 0)
+                m.reports = {{7, 0x5, 1.25e-3}, {8, 0x3, -0.0}};
+            m.changed = {{0, 0x3ff0000000000001ull}, {1, 0x80ull},
+                         {9, 0x7fu}, {300, 0xc000000000000000ull}};
+            if (v == 3) {
+                m.unchanged = {0x1ull, 0xfedcba9876543210ull};
+            } else if (seq == 0) {
+                m.total_changed = 11;
+                m.hot_mode = kHotSparse;
+                m.hot_words = {{0, 0x10ull}, {4, ~0ull}, {5, 0x2ull}};
+            }
+            out.push_back({tag + "/seq" + std::to_string(seq) +
+                               "/sparse",
+                           m, v, true, *hex++});
+        }
+        CutBatchMsg hot = base(0);
+        hot.hot_mode = v >= 4 ? kHotAll : kHotNone;
+        hot.total_changed = 2;
+        hot.changed = {{2, 0x1ull}, {3, 0x4010000000000000ull}};
+        if (v == 3)
+            hot.unchanged = {0x0ull};
+        out.push_back({tag + "/seq0/allhot", hot, v, false, *hex++});
+        CutBatchMsg quiet = base(0);
+        quiet.hot_mode = v >= 4 ? kHotClear : kHotNone;
+        out.push_back(
+            {tag + "/seq0/quiesced", quiet, v, false, *hex++});
+    }
+    return out;
+}
+
+std::string
+toHex(const std::vector<std::uint8_t> &bytes)
+{
+    static const char kDigits[] = "0123456789abcdef";
+    std::string s;
+    for (const std::uint8_t b : bytes) {
+        s += kDigits[b >> 4];
+        s += kDigits[b & 0xf];
+    }
+    return s;
+}
+
+TEST(WireCodecTest, CutBatchBytesArePinned)
+{
+    // v3 and v4, seq 0 and 1, sparse, all-hot and quiesced frames:
+    // encodeCutBatch() and encodeFrame() write the same pinned
+    // bytes, appended after whatever the buffer already holds.
+    for (const GoldenFrame &g : goldenCutBatches()) {
+        SCOPED_TRACE(g.name);
+        std::vector<std::uint8_t> direct, framed;
+        if (g.append) {
+            direct.push_back(0xaa);
+            framed.push_back(0xaa);
+        }
+        encodeCutBatch(g.msg, direct, g.version);
+        Frame f;
+        f.type = FrameType::CutBatch;
+        f.version = g.version;
+        f.cut_batch = g.msg;
+        encodeFrame(f, framed);
+        EXPECT_EQ(toHex(direct), g.hex);
+        EXPECT_EQ(toHex(framed), g.hex);
+    }
 }
 
 } // namespace

@@ -70,7 +70,10 @@ a stale baseline cannot mask losing it.
 
 wire_recovery rows are held to absolute bars of their own (see
 AVAILABILITY_BAR and below), among them recovery_ms <= 10: half the
-20 ms retransmit tick, so recovery must be event-driven.
+20 ms retransmit tick, so recovery must be event-driven; and
+settle_rounds <= quiet_rounds + 3: the survivors are seeded at the
+water level of their shares, so the reference re-caps in the
+confirmation rounds, not by diffusion.
 
 A baseline record with no current match is a FAIL (a benchmark
 disappeared); new current records pass (coverage grew).  Exit code
@@ -125,6 +128,7 @@ OTHER_METRICS = (
     "detection_rounds",
     "recovery_rounds",
     "recovery_ms",
+    "settle_rounds",
     "stale_epoch_frames",
     "gaveup_frames",
     "converge_rounds",
@@ -157,6 +161,9 @@ RECOVERY_ROUNDS_BAR = 8
 # the Quiesce, or dead-block surgery that goes quadratic in the
 # block size again, cannot clear it.
 RECOVERY_MS_BAR = 10.0
+# Resume -> converged() of the reference, in rounds past the row's
+# quiet_rounds: a seeded survivor only confirms its seed.
+SETTLE_ROUNDS_SLACK = 3
 # The steady-state sparsity claim, held against the CURRENT run's
 # own dense row (see module docstring).
 STEADY_BYTES_DIVISOR = 8.0
@@ -377,6 +384,14 @@ def main():
                 f"RECOVERY {describe(key)}: recovery_ms "
                 f"{float(crec['recovery_ms']):.3g} > {RECOVERY_MS_BAR:g}"
             )
+        if "settle_rounds" in crec and "quiet_rounds" in crec:
+            bar = int(crec["quiet_rounds"]) + SETTLE_ROUNDS_SLACK
+            settle = int(crec["settle_rounds"])
+            if settle == 0 or settle > bar:
+                failures.append(
+                    f"RECOVERY {describe(key)}: settle_rounds "
+                    f"{settle} > {bar} (0: never settled)"
+                )
 
     grown = len(curr.keys() - base.keys())
     print(
