@@ -25,7 +25,7 @@
  * (deterministic in topology + plan: any growth means the batch
  * coalescing regressed or the cut got worse), rounds_per_sec (the
  * timing; gated at the perf threshold), cut_edges / cut_frac (plan
- * quality under the layout permutation), retransmits / duplicates
+ * quality of the contiguous id blocks), retransmits / duplicates
  * (loopback UDP under zero loss should never need either),
  * edges_suppressed (bitmap-shipped quiesced halves) and the
  * per-phase round breakdown (send / interior compute / drain /

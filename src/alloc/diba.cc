@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 
 #include "metrics/performance.hh"
 #include "util/logging.hh"
@@ -67,39 +66,13 @@ DibaAllocator::DibaAllocator(Graph topology, Config cfg)
     : topo_(std::move(topology)), cfg_(cfg),
       kp_(kernelParamsOf(cfg))
 {
-    // Layout pass: relabel the overlay into a locality-ordered
-    // working id space before any derived structure (CSR, weights,
-    // edge ids, coloring) is built.  Edge ids stay the canonical
-    // enumeration of the ORIGINAL graph -- for v ascending, for w
-    // in neighbors(v), v < w -- so channels, fault plans and the
-    // recovery layer address the same physical link under every
-    // layout; all_edges_ holds each id's WORKING canonical pair and
-    // all_edges_view_ its original pair.
-    perm_ = computeLayout(topo_, cfg_.layout,
-                          std::max<std::size_t>(cfg_.num_threads, 1));
-    layout_active_ = !isIdentityPermutation(perm_);
-    if (layout_active_) {
-        iperm_ = inversePermutation(perm_);
-        topo_view_ = topo_;
-        topo_ = topo_view_.relabeled(perm_);
-    }
-    {
-        const Graph &orig = layout_active_ ? topo_view_ : topo_;
-        for (std::size_t v = 0; v < orig.numVertices(); ++v) {
-            for (std::size_t w : orig.neighbors(v)) {
-                if (v >= w)
-                    continue;
-                if (layout_active_) {
-                    all_edges_view_.emplace_back(v, w);
-                    const std::size_t a = perm_[v], b = perm_[w];
-                    all_edges_.emplace_back(std::min(a, b),
-                                            std::max(a, b));
-                } else {
-                    all_edges_.emplace_back(v, w);
-                }
-            }
-        }
-    }
+    // Edge ids: the canonical enumeration (for v ascending, for w
+    // in neighbors(v), v < w) that channels, fault plans and the
+    // recovery layer address links by.
+    for (std::size_t v = 0; v < topo_.numVertices(); ++v)
+        for (std::size_t w : topo_.neighbors(v))
+            if (v < w)
+                all_edges_.emplace_back(v, w);
     resetLiveEdges();
     edge_enabled_.assign(all_edges_.size(), 1);
     // Force the CSR build now (lazy building is not thread-safe)
@@ -143,22 +116,9 @@ DibaAllocator::doReset()
     budget_ = prob.budget;
     std::vector<double> start = uniformStart(prob, cfg_.slack_frac);
     const double n = static_cast<double>(prob.size());
-    // e0 is summed in ORIGINAL id order (the order uniformStart
-    // produced) so the seed estimate -- and with it the whole
-    // scalar trajectory -- is bitwise identical across layouts.
     const double e0 = (sum(start) - budget_) / n;
-    if (layout_active_) {
-        u_.resize(prob.size());
-        p_.resize(prob.size());
-        for (std::size_t i = 0; i < prob.size(); ++i) {
-            u_[perm_[i]] = prob.utilities[i];
-            p_[perm_[i]] = start[i];
-        }
-        u_view_ = prob.utilities;
-    } else {
-        u_ = prob.utilities;
-        p_ = std::move(start);
-    }
+    u_ = prob.utilities;
+    p_ = std::move(start);
     e_.assign(prob.size(), e0);
     e_snapshot_.assign(prob.size(), 0.0);
     eta_now_.assign(prob.size(), cfg_.eta_initial);
@@ -172,10 +132,6 @@ DibaAllocator::doReset()
     edge_enabled_.assign(all_edges_.size(), 1);
     disabled_edges_ = 0;
     resetLiveEdges();
-    // The live set is the full overlay again; the next gossipSweep
-    // rebuilds the coloring (and its constant cache) from scratch.
-    coloring_ready_ = false;
-    sweep_cache_ready_ = false;
     fed_shares_.clear();
     fed_comp_of_.clear();
     hist_.clear();
@@ -221,79 +177,11 @@ AllocationResult
 DibaAllocator::result() const
 {
     AllocationResult res;
-    if (layout_active_) {
-        // Callers receive original ids: gather the working caps
-        // back through the permutation and score them against the
-        // original-order utilities (same per-node pairs, so the
-        // utility sum matches the identity layout bitwise).
-        res.power.resize(p_.size());
-        for (std::size_t i = 0; i < p_.size(); ++i)
-            res.power[i] = p_[perm_[i]];
-        res.utility = totalUtility(u_view_, res.power);
-    } else {
-        res.power = p_;
-        res.utility = totalUtility(u_, p_);
-    }
+    res.power = p_;
+    res.utility = totalUtility(u_, p_);
     res.iterations = iterations_;
     res.converged = converged();
     return res;
-}
-
-const std::vector<double> &
-DibaAllocator::power() const
-{
-    if (!layout_active_)
-        return p_;
-    p_view_.resize(p_.size());
-    for (std::size_t i = 0; i < p_.size(); ++i)
-        p_view_[i] = p_[perm_[i]];
-    return p_view_;
-}
-
-const std::vector<double> &
-DibaAllocator::estimates() const
-{
-    if (!layout_active_)
-        return e_;
-    e_view_.resize(e_.size());
-    for (std::size_t i = 0; i < e_.size(); ++i)
-        e_view_[i] = e_[perm_[i]];
-    return e_view_;
-}
-
-const std::vector<UtilityPtr> &
-DibaAllocator::utilities() const
-{
-    return layout_active_ ? u_view_ : u_;
-}
-
-const std::vector<std::pair<std::size_t, std::size_t>> &
-DibaAllocator::overlayEdges() const
-{
-    return layout_active_ ? all_edges_view_ : all_edges_;
-}
-
-const std::vector<std::pair<std::size_t, std::size_t>> &
-DibaAllocator::liveEdges() const
-{
-    return layout_active_ ? edges_view_ : edges_;
-}
-
-double
-DibaAllocator::chunkLocality(std::size_t chunks)
-{
-    // Closed-loop locality probe: the fraction of live directed
-    // CSR slots of the WORKING graph whose endpoints fall in the
-    // same contiguous chunk -- i.e. the locality the sweep engine
-    // actually sees under the chosen Config::layout.  Masked to
-    // the live slots so dead nodes and cut links do not count.
-    ensureEdgeIndex();
-    const GraphCsr &g = topo_.csr();
-    std::vector<std::uint8_t> slot_live(g.neighbors.size(), 0);
-    for (std::size_t k = 0; k < slot_live.size(); ++k)
-        slot_live[k] =
-            live_pos_[slot_edge_[k]] != kNoLivePos ? 1 : 0;
-    return csrChunkLocality(g, chunks, slot_live.data());
 }
 
 void
@@ -390,23 +278,9 @@ DibaAllocator::gossipTick(Rng &rng, GossipChannel *chan)
     // delivered bit of the fate applies.  A dropped exchange
     // leaves both estimates untouched (their sum is trivially
     // conserved) while both endpoints still take their local
-    // gradient steps.  The fate is drawn on the edge's ORIGINAL
-    // endpoints (see iterateShard).
-    bool deliver = true;
-    if (chan != nullptr) {
-        const std::uint32_t id = live_ids_[pos];
-        const auto &ov = edgeView(id);
-        deliver = chan->fate(id, ov.first, ov.second).delivered;
-    }
-    return tickEdge(u, v, deliver);
-}
-
-double
-DibaAllocator::tickEdge(std::size_t u, std::size_t v, bool deliver)
-{
-    // Pairwise estimate averaging preserves e_u + e_v exactly and
-    // keeps both strictly negative.
-    if (deliver) {
+    // gradient steps.  Pairwise averaging preserves e_u + e_v
+    // exactly and keeps both strictly negative.
+    if (chan == nullptr || chan->fate(live_ids_[pos], u, v).delivered) {
         const double mean_e = 0.5 * (e_[u] + e_[v]);
         e_[u] = mean_e;
         e_[v] = mean_e;
@@ -417,21 +291,19 @@ DibaAllocator::tickEdge(std::size_t u, std::size_t v, bool deliver)
     return std::max(du, stepAnneal(v));
 }
 
-std::size_t
+void
 DibaAllocator::deactivateNode(std::size_t i)
 {
     DPC_ASSERT(i < p_.size(), "failNode index out of range");
-    const std::size_t iw = wi(i);
-    DPC_ASSERT(active_[iw], "node already failed");
+    DPC_ASSERT(active_[i], "node already failed");
     DPC_ASSERT(num_active_ > 1, "cannot fail the last node");
-    active_[iw] = 0;
+    active_[i] = 0;
     --num_active_;
     // Prune the node's incident edges from the live list (O(deg)
     // swap-removal, not an O(E) rebuild) so activation draws stay
     // O(1) and the "no live edge" condition is exact (edges_ empty
     // <=> no live edge exists).
-    pruneEdgesOf(iw);
-    return iw;
+    pruneEdgesOf(i);
 }
 
 void
@@ -460,43 +332,37 @@ DibaAllocator::membershipLost(std::size_t failed)
 void
 DibaAllocator::failNode(std::size_t i)
 {
-    const std::size_t iw = deactivateNode(i);
+    deactivateNode(i);
     membershipLost(1);
 
     // The dead server draws no more power: hand its slack estimate
     // plus its entire released cap to the surviving neighbours it
     // could still talk to, preserving
-    // sum_active(e) == sum_active(p) - P.  The recipient list is
-    // gathered over the ORIGINAL graph's neighbour order so the
-    // gift arithmetic is layout-invariant.
+    // sum_active(e) == sum_active(p) - P.
     std::vector<std::size_t> live;
-    const Graph &orig = layout_active_ ? topo_view_ : topo_;
-    for (std::size_t j : orig.neighbors(i)) {
-        const std::size_t jw = wi(j);
-        if (active_[jw] && edgeEnabledPair(std::min(iw, jw),
-                                           std::max(iw, jw)))
-            live.push_back(jw);
-    }
+    for (std::size_t j : topo_.neighbors(i))
+        if (active_[j] &&
+            edgeEnabledPair(std::min(i, j), std::max(i, j)))
+            live.push_back(j);
     if (live.empty()) {
         // All reachable neighbours are dead or cut (e.g. the
-        // two-node corner case); give it to any survivor, in
-        // original id order.
+        // two-node corner case); give it to any survivor.
         for (std::size_t j = 0; j < p_.size(); ++j)
-            if (active_[wi(j)])
-                live.push_back(wi(j));
+            if (active_[j])
+                live.push_back(j);
     }
     const double gift =
-        (e_[iw] - p_[iw]) / static_cast<double>(live.size());
+        (e_[i] - p_[i]) / static_cast<double>(live.size());
     for (std::size_t j : live)
         e_[j] += gift;
-    p_[iw] = 0.0;
-    e_[iw] = 0.0;
+    p_[i] = 0.0;
+    e_[i] = 0.0;
 }
 
 void
 DibaAllocator::failNodesQuiet(std::vector<std::size_t> nodes)
 {
-    // Prune in ascending original id: the swap-removals then leave
+    // Prune in ascending id: the swap-removals then leave
     // the live-edge list -- and so every later gossip draw -- in
     // the one canonical order every survivor shares, whatever
     // order the caller listed the set in.
@@ -508,9 +374,9 @@ DibaAllocator::failNodesQuiet(std::vector<std::size_t> nodes)
         // subsequent re-federation reclaim the budget the dead
         // block held.  Identical on every survivor, so full-size
         // mirrors stay bitwise aligned.
-        const std::size_t iw = deactivateNode(i);
-        p_[iw] = 0.0;
-        e_[iw] = 0.0;
+        deactivateNode(i);
+        p_[i] = 0.0;
+        e_[i] = 0.0;
     }
     // One history restart, frontier reheat and connectivity check
     // for the whole set: O(n + E) per event instead of per node.
@@ -522,7 +388,7 @@ bool
 DibaAllocator::isActive(std::size_t i) const
 {
     DPC_ASSERT(i < active_.size(), "index out of range");
-    return active_[wi(i)];
+    return active_[i];
 }
 
 bool
@@ -874,19 +740,14 @@ DibaAllocator::emergencyShed()
     // node still over the line is pinned at its power floor (it
     // shed all it could), so leftover debt sits only on nodes that
     // cannot act on it and must travel by diffusion.
-    // The shed sweep and its `over` sum run in ORIGINAL id order:
-    // each step is node-local, so only the accumulation order
-    // matters, and pinning it keeps the pass layout-invariant.
     auto shedPass = [&] {
         double over = 0.0;
         for (std::size_t i = 0; i < p_.size(); ++i) {
-            const std::size_t iw = wi(i);
-            if (!active_[iw])
+            if (!active_[i])
                 continue;
-            if (e_[iw] > -kShedFloor) {
-                emergencyShedStep(p_[iw], e_[iw],
-                                  u_[iw]->minPower());
-                over += std::max(0.0, e_[iw] + kShedFloor);
+            if (e_[i] > -kShedFloor) {
+                emergencyShedStep(p_[i], e_[i], u_[i]->minPower());
+                over += std::max(0.0, e_[i] + kShedFloor);
             }
         }
         return over;
@@ -928,13 +789,10 @@ DibaAllocator::placeBudgetDelta(double delta)
     // interior node's optimum by -d(lambda)/(2 c_i), so the delta
     // splits proportionally to 1/|c_i| over the curved (c < 0)
     // quadratics.  Every other node takes a unit weight.
-    // Indexed by ORIGINAL id (like `open` below) so every FP
-    // accumulation in the waterfill runs in original order and the
-    // residue is layout-invariant.
     std::vector<double> w(n, 1.0);
     for (std::size_t i = 0; i < n; ++i) {
-        const auto *q = dynamic_cast<const QuadraticUtility *>(
-            u_[wi(i)].get());
+        const auto *q =
+            dynamic_cast<const QuadraticUtility *>(u_[i].get());
         if (q != nullptr && q->coeffC() < 0.0)
             w[i] = -1.0 / q->coeffC();
     }
@@ -949,20 +807,19 @@ DibaAllocator::placeBudgetDelta(double delta)
          ++pass) {
         double wsum = 0.0;
         for (std::size_t i = 0; i < n; ++i)
-            if (open[i] && active_[wi(i)])
+            if (open[i] && active_[i])
                 wsum += w[i];
         if (wsum <= 0.0)
             break;
         double placed = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
-            const std::size_t iw = wi(i);
-            if (!open[i] || !active_[iw])
+            if (!open[i] || !active_[i])
                 continue;
             const double want = remaining * w[i] / wsum;
-            const double target = p_[iw] + want;
-            const double np = u_[iw]->clampPower(target);
-            placed += np - p_[iw];
-            p_[iw] = np;
+            const double target = p_[i] + want;
+            const double np = u_[i]->clampPower(target);
+            placed += np - p_[i];
+            p_[i] = np;
             // Close only a node its box stopped; what rounding
             // keeps from an open node stays in `remaining` for the
             // next pass.
@@ -1007,8 +864,8 @@ DibaAllocator::buildSeedTable(std::size_t m, const BoxOf &box_of,
     // with c < 0 enters the interior at lambda = b + 2c hi and
     // leaves it at b + 2c lo; a linear node steps from hi down to
     // lo at lambda = b.  Keyed by (lambda, position), positions
-    // ascending in ORIGINAL id, so the table -- and every sum
-    // taken along it -- is the same under every layout.
+    // ascending in id, so the table -- and every sum taken along
+    // it -- is the same on every shard.
     enum Kind : std::uint32_t { kEnter, kLeave, kStep };
     struct Break
     {
@@ -1125,24 +982,20 @@ DibaAllocator::seedBarrierEquilibrium(double new_budget)
         buildSeedTable(
             n,
             [this](std::size_t i) {
-                const std::size_t iw = wi(i);
-                return QuadBox{qb_[iw], qc_[iw], qmin_[iw], qmax_[iw]};
+                return QuadBox{qb_[i], qc_[i], qmin_[i], qmax_[i]};
             },
             seed_table_);
     double lambda;
     if (!seedWaterLevel(seed_table_, new_budget,
                         static_cast<double>(n) * cfg_.eta, lambda))
         return false;
-    // Caps at lambda, summed in ORIGINAL id order so the seeded
-    // state is layout-invariant; they land in scratch so a refusal
-    // leaves the state untouched.
+    // Caps at lambda land in scratch so a refusal leaves the state
+    // untouched.
     seed_p_.resize(n);
     double total = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t iw = wi(i);
-        seed_p_[iw] =
-            seedCap(qb_[iw], qc_[iw], qmin_[iw], qmax_[iw], lambda);
-        total += seed_p_[iw];
+        seed_p_[i] = seedCap(qb_[i], qc_[i], qmin_[i], qmax_[i], lambda);
+        total += seed_p_[i];
     }
     // The uniform estimate that makes the invariant exact; it sits
     // at ~-eta/lambda < 0 (below it on a step), so the barrier is
@@ -1163,13 +1016,13 @@ DibaAllocator::seedComponent(const std::vector<std::uint32_t> &ids,
     const std::size_t m = ids.size();
     std::vector<QuadBox> box(m);
     for (std::size_t k = 0; k < m; ++k) {
-        const std::size_t iw = wi(ids[k]);
+        const std::size_t i = ids[k];
         if (quad_fast_) {
-            box[k] = {qb_[iw], qc_[iw], qmin_[iw], qmax_[iw]};
+            box[k] = {qb_[i], qc_[i], qmin_[i], qmax_[i]};
             continue;
         }
         const auto *q =
-            dynamic_cast<const QuadraticUtility *>(u_[iw].get());
+            dynamic_cast<const QuadraticUtility *>(u_[i].get());
         if (q == nullptr)
             return false;
         box[k] = {q->coeffB(), q->coeffC(), q->minPower(),
@@ -1193,14 +1046,13 @@ DibaAllocator::seedComponent(const std::vector<std::uint32_t> &ids,
     if (!(e0 < 0.0))
         return false;
     for (std::size_t k = 0; k < m; ++k) {
-        const std::size_t iw = wi(ids[k]);
-        p_[iw] = caps[k];
-        e_[iw] = e0;
-        eta_now_[iw] = cfg_.eta;
+        p_[ids[k]] = caps[k];
+        e_[ids[k]] = e0;
+        eta_now_[ids[k]] = cfg_.eta;
     }
-    // One-node compensation (lowest original id) so the component's
-    // estimate sum is sum p - share to rounding.
-    e_[wi(ids[0])] += (total - share) - e0 * static_cast<double>(m);
+    // One-node compensation (lowest id) so the component's estimate
+    // sum is sum p - share to rounding.
+    e_[ids[0]] += (total - share) - e0 * static_cast<double>(m);
     return true;
 }
 
@@ -1289,19 +1141,12 @@ DibaAllocator::warmStart(const AllocationResult &prev,
     }
 
     // External snapshot: adopt the caps, re-equalize the slack.
-    // Clamp and sum in ORIGINAL id order (prev.power's order), then
-    // scatter into the working layout -- e0 matches the identity
-    // layout bitwise.
     const std::size_t n = p_.size();
-    std::vector<double> clamped(n);
     for (std::size_t i = 0; i < n; ++i)
-        clamped[i] = u_[wi(i)]->clampPower(prev.power[i]);
+        p_[i] = u_[i]->clampPower(prev.power[i]);
     budget_ = new_budget;
     problem_.budget = new_budget;
-    const double e0 =
-        (sum(clamped) - budget_) / static_cast<double>(n);
-    for (std::size_t i = 0; i < n; ++i)
-        p_[wi(i)] = clamped[i];
+    const double e0 = (sum(p_) - budget_) / static_cast<double>(n);
     e_.assign(n, e0);
     eta_now_.assign(n, cfg_.eta);
     frontier_.reheatAll();
@@ -1314,37 +1159,29 @@ DibaAllocator::setUtility(std::size_t i, UtilityPtr u)
 {
     DPC_ASSERT(i < u_.size(), "setUtility index out of range");
     DPC_ASSERT(u != nullptr, "null utility");
-    const std::size_t iw = wi(i);
-    const double clamped = u->clampPower(p_[iw]);
-    e_[iw] += clamped - p_[iw];
-    p_[iw] = clamped;
-    u_[iw] = std::move(u);
-    problem_.utilities[i] = u_[iw];
-    if (layout_active_)
-        u_view_[i] = u_[iw];
+    const double clamped = u->clampPower(p_[i]);
+    e_[i] += clamped - p_[i];
+    p_[i] = clamped;
+    u_[i] = std::move(u);
+    problem_.utilities[i] = u_[i];
     // The perturbation's locus is known exactly: reheat just this
     // node; its neighbours join the work set via the N(frontier)
     // rule and the residual rule grows the frontier outward as the
     // response actually propagates (Fig. 4.8 locality).
-    frontier_.reheat(iw);
+    frontier_.reheat(i);
     quiet_ = 0;
     // Utility swaps are rare control events (Fig. 4.8); an O(n)
     // re-extraction keeps the SoA mirror trivially consistent.
     rebuildQuadFastPath();
-    sweep_cache_ready_ = false;
 }
 
 double
 DibaAllocator::totalPower() const
 {
-    // Accumulated in ORIGINAL id order so the reported total is
-    // bitwise identical across layouts.
     double acc = 0.0;
-    for (std::size_t i = 0; i < p_.size(); ++i) {
-        const std::size_t iw = wi(i);
-        if (active_[iw])
-            acc += p_[iw];
-    }
+    for (std::size_t i = 0; i < p_.size(); ++i)
+        if (active_[i])
+            acc += p_[i];
     return acc;
 }
 
@@ -1433,7 +1270,6 @@ DibaAllocator::iterateShard(net::Transport &t, std::size_t begin,
     net::Transport::PatchSink sink;
     sink.rows = patch_rows_.data();
     sink.nrows = patch_rows_.size();
-    sink.slot_of = layout_active_ ? perm_.data() : nullptr;
     t.beginRound(round, sink);
     if (chan != nullptr)
         chan->beginRound(all_edges_.size());
@@ -1454,15 +1290,11 @@ DibaAllocator::iterateShard(net::Transport &t, std::size_t begin,
     // hot).
     const std::uint8_t *hot = frontier_.mask().data();
     const auto offerPair = [&](std::uint32_t id) {
-        // The transport sees the edge's ORIGINAL canonical
-        // endpoints so wire frames hit the same physical link
-        // under every layout.
         const auto &[u, v] = all_edges_[id];
-        const auto &ov = edgeView(id);
         net::EdgePair pair;
         pair.edge_id = id;
-        pair.u = static_cast<std::uint32_t>(ov.first);
-        pair.v = static_cast<std::uint32_t>(ov.second);
+        pair.u = static_cast<std::uint32_t>(u);
+        pair.v = static_cast<std::uint32_t>(v);
         pair.round = round;
         pair.e_u = pre[u];
         pair.e_v = pre[v];
@@ -1513,8 +1345,7 @@ DibaAllocator::iterateShard(net::Transport &t, std::size_t begin,
                 continue;
             EdgeFate f;
             if (chan != nullptr) {
-                const auto &ov = edgeView(id);
-                f = chan->fate(id, ov.first, ov.second);
+                f = chan->fate(id, u, v);
                 DPC_ASSERT(f.lag <= chan_lag, "channel returned lag ",
                            f.lag, " above its maxLag()");
             }
@@ -1601,9 +1432,9 @@ DibaAllocator::iterateShard(net::Transport &t, std::size_t begin,
             frontier_.coolOutsideRange(begin, end);
         const net::Transport::WakeView wv = t.remoteWakes();
         for (std::size_t k = 0; k < wv.count; ++k)
-            frontier_.setHot(wi(wv.nodes[k]), wv.hot[k] != 0);
+            frontier_.setHot(wv.nodes[k], wv.hot[k] != 0);
         // frontier ∪ N(frontier), owned block only: participants
-        // are ascending working ids and the owned block is
+        // are ascending ids and the owned block is
         // contiguous, so the owned sub-list is one binary-searched
         // slice.  Staging covers every participant, halo included
         // (owned rows of the history front are this round's e_,
@@ -1629,272 +1460,14 @@ DibaAllocator::iterateShard(net::Transport &t, std::size_t begin,
     return max_dp;
 }
 
-double
-DibaAllocator::gossipTickPair(std::size_t u, std::size_t v,
-                              GossipChannel *chan)
-{
-    // The gossipTick body on a named live edge: averaging (channel
-    // permitting), then the local gradient step + annealing at
-    // both endpoints.  Must stay arithmetic-identical to one lane
-    // pair of the batched kernel -- the sweep equivalence tests
-    // pin the two against each other bitwise.  `u` and `v` are
-    // ORIGINAL ids: the channel is fed the caller's endpoints, and
-    // only the state accesses go through the layout map.
-    DPC_ASSERT(!p_.empty(), "gossipTickPair() before reset()");
-    DPC_ASSERT(u < p_.size() && v < p_.size() && u != v,
-               "gossipTickPair endpoints out of range");
-    const std::size_t uw = wi(u);
-    const std::size_t vw = wi(v);
-    ensureEdgeIndex();
-    const auto it =
-        edge_id_.find(edgeKey(std::min(uw, vw), std::max(uw, vw)));
-    DPC_ASSERT(it != edge_id_.end(), "gossipTickPair on {", u, ", ",
-               v, "}, which is not an overlay edge");
-    const std::uint32_t id = it->second;
-    DPC_ASSERT(live_pos_[id] != kNoLivePos, "gossipTickPair on {", u,
-               ", ", v, "}, which is cut or has a dead endpoint");
-    const bool deliver = chan == nullptr || chan->fate(id, u, v).delivered;
-    return tickEdge(uw, vw, deliver);
-}
-
-void
-DibaAllocator::ensureColoring()
-{
-    if (coloring_ready_)
-        return;
-    std::vector<std::uint8_t> live(all_edges_.size(), 0);
-    for (std::uint32_t id = 0; id < all_edges_.size(); ++id)
-        if (live_pos_[id] != kNoLivePos)
-            live[id] = 1;
-    coloring_.build(p_.empty() ? topo_.numVertices() : p_.size(),
-                    all_edges_, &live);
-    coloring_ready_ = true;
-    sweep_cache_ready_ = false;
-}
-
-void
-DibaAllocator::ensureSweepCache()
-{
-    if (sweep_cache_ready_)
-        return;
-    const std::size_t ncolors = coloring_.numColors();
-    sweep_base_.assign(ncolors + 1, 0);
-    std::size_t total = 0;
-    for (std::size_t c = 0; c < ncolors; ++c) {
-        sweep_base_[c] = total;
-        total += coloring_.matching(c).size();
-    }
-    sweep_base_[ncolors] = total;
-    sweep_uv_.resize(2 * total);
-    sweep_ord_.resize(total);
-    if (quad_fast_) {
-        sweep_cb_.resize(2 * total);
-        sweep_cc_.resize(2 * total);
-        sweep_clo_.resize(2 * total);
-        sweep_chi_.resize(2 * total);
-    }
-    // Layout co-design: within a color the edges are vertex-
-    // disjoint, so the gather/kernel/scatter order is bitwise-free
-    // and we can stream them in ascending order of the smaller
-    // WORKING endpoint -- under a locality layout the p_/e_/eta_
-    // gathers then walk the node arrays near-monotonically instead
-    // of hopping across the id space.  Channel fates keep being
-    // drawn in the matching's own order (sweepMatching); sweep_ord_
-    // maps each sorted cache position back to that fate slot.
-    std::vector<std::uint32_t> order;
-    for (std::size_t c = 0; c < ncolors; ++c) {
-        const auto &ids = coloring_.matching(c);
-        order.resize(ids.size());
-        std::iota(order.begin(), order.end(), 0u);
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::uint32_t a, std::uint32_t b) {
-                             return all_edges_[ids[a]].first <
-                                    all_edges_[ids[b]].first;
-                         });
-        for (std::size_t pos = 0; pos < order.size(); ++pos) {
-            const std::uint32_t idx = order[pos];
-            const auto &[u, v] = all_edges_[ids[idx]];
-            sweep_ord_[sweep_base_[c] + pos] = idx;
-            const std::size_t slot = 2 * (sweep_base_[c] + pos);
-            sweep_uv_[slot] = static_cast<std::uint32_t>(u);
-            sweep_uv_[slot + 1] = static_cast<std::uint32_t>(v);
-            if (!quad_fast_)
-                continue;
-            sweep_cb_[slot] = qb_[u];
-            sweep_cb_[slot + 1] = qb_[v];
-            sweep_cc_[slot] = qc_[u];
-            sweep_cc_[slot + 1] = qc_[v];
-            sweep_clo_[slot] = qmin_[u];
-            sweep_clo_[slot + 1] = qmin_[v];
-            sweep_chi_[slot] = qmax_[u];
-            sweep_chi_[slot + 1] = qmax_[v];
-        }
-    }
-    sweep_cache_ready_ = true;
-}
-
-const EdgeColoring &
-DibaAllocator::edgeColoring()
-{
-    ensureColoring();
-    return coloring_;
-}
-
-double
-DibaAllocator::gossipSweep(Rng &rng, GossipChannel *chan)
-{
-    DPC_ASSERT(!p_.empty(), "gossipSweep() before reset()");
-    DPC_ASSERT(!edges_.empty(), "no live edge left in the overlay");
-    if (chan != nullptr)
-        ensureEdgeIndex();
-    ensureColoring();
-    // Exactly one rng draw sequence per sweep: the shuffle of the
-    // non-empty color indices (ascending before the shuffle).
-    // Matching order is what carries the stochasticity of async
-    // gossip; within a matching the edges commute (vertex-
-    // disjoint), so no further randomness is needed and a fixed
-    // schedule can be replayed through gossipTickPair.
-    sweep_colors_.clear();
-    for (std::uint32_t c = 0;
-         c < static_cast<std::uint32_t>(coloring_.numColors()); ++c)
-        if (!coloring_.matching(c).empty())
-            sweep_colors_.push_back(c);
-    rng.shuffle(sweep_colors_);
-    ensureSweepCache();
-    double max_dp = 0.0;
-    for (const std::uint32_t c : sweep_colors_)
-        max_dp = std::max(max_dp, sweepMatching(c, chan));
-    // Every node with a live edge took a step this sweep; reheat
-    // the whole frontier (conservative, like other control events).
-    frontier_.reheatAll();
-    return max_dp;
-}
-
-double
-DibaAllocator::sweepMatching(std::uint32_t c, GossipChannel *chan)
-{
-    const std::vector<std::uint32_t> &ids = coloring_.matching(c);
-    const std::size_t m = ids.size();
-    if (m == 0)
-        return 0.0;
-
-    // Channel fates are drawn serially in schedule order (the
-    // class's internal order), matching the scalar replay's draw
-    // sequence exactly.
-    if (chan) {
-        sweep_deliver_.resize(m);
-        for (std::size_t idx = 0; idx < m; ++idx) {
-            const std::uint32_t id = ids[idx];
-            const auto &ov = edgeView(id);
-            sweep_deliver_[idx] =
-                chan->fate(id, ov.first, ov.second).delivered ? 1
-                                                              : 0;
-        }
-    }
-
-    if (!quad_fast_) {
-        // Generic-utility fallback: scalar ticks over the same
-        // schedule (fates already drawn above).
-        double max_dp = 0.0;
-        for (std::size_t idx = 0; idx < m; ++idx) {
-            const auto &[u, v] = all_edges_[ids[idx]];
-            max_dp = std::max(
-                max_dp, tickEdge(u, v, !chan || sweep_deliver_[idx]));
-        }
-        return max_dp;
-    }
-
-    sweep_p_.resize(2 * m);
-    sweep_e_.resize(2 * m);
-    sweep_eta_.resize(2 * m);
-
-    const std::size_t base = sweep_base_[c];
-    const bool use_fates = chan != nullptr;
-    if (!pool_)
-        return sweepMatchingRange(base, 0, m, use_fates);
-    const std::size_t chunks = pool_->numChunks();
-    chunk_max_.assign(chunks, 0.0);
-    pool_->parallelFor(
-        m, [this, base, use_fates](std::size_t c, std::size_t b,
-                                   std::size_t e) {
-            chunk_max_[c] =
-                sweepMatchingRange(base, b, e, use_fates);
-        });
-    double max_dp = 0.0;
-    for (const double v : chunk_max_)
-        max_dp = std::max(max_dp, v);
-    return max_dp;
-}
-
-double
-DibaAllocator::sweepMatchingRange(std::size_t base,
-                                  std::size_t begin,
-                                  std::size_t end, bool use_fates)
-{
-    // Gather the two endpoints of edge idx into SoA lanes 2*idx and
-    // 2*idx + 1, with the pairwise mean already applied for
-    // delivered exchanges.  The matching is vertex-disjoint, so no
-    // node appears in two lanes and the gather/kernel/scatter is
-    // race-free across chunks; the block kernel is lane-for-lane
-    // the scalar tick's arithmetic, so any chunking (and the AVX2
-    // path) produces bitwise-identical state.  The constant
-    // utility lanes come straight from the per-coloring cache
-    // (ensureSweepCache): only p/e/eta are gathered and scattered.
-    const std::uint32_t *DPC_RESTRICT uv =
-        sweep_uv_.data() + 2 * base;
-    double *DPC_RESTRICT sp = sweep_p_.data();
-    double *DPC_RESTRICT se = sweep_e_.data();
-    double *DPC_RESTRICT seta = sweep_eta_.data();
-    for (std::size_t idx = begin; idx < end; ++idx) {
-        const std::size_t lane = 2 * idx;
-        const std::size_t u = uv[lane];
-        const std::size_t v = uv[lane + 1];
-        double eu = e_[u];
-        double ev = e_[v];
-        // sweep_deliver_ is indexed by the matching's own order;
-        // sweep_ord_ translates this (sorted) cache position back.
-        if (!use_fates || sweep_deliver_[sweep_ord_[base + idx]]) {
-            const double mean_e = 0.5 * (eu + ev);
-            eu = mean_e;
-            ev = mean_e;
-        }
-        sp[lane] = p_[u];
-        sp[lane + 1] = p_[v];
-        se[lane] = eu;
-        se[lane + 1] = ev;
-        seta[lane] = eta_now_[u];
-        seta[lane + 1] = eta_now_[v];
-    }
-    const std::size_t lo = 2 * begin;
-    const std::size_t clo = 2 * (base + begin);
-    const std::size_t cnt = 2 * (end - begin);
-    const double max_dp = stepBlockQuad(
-        cnt, sp + lo, se + lo, seta + lo, sweep_cb_.data() + clo,
-        sweep_cc_.data() + clo, sweep_clo_.data() + clo,
-        sweep_chi_.data() + clo, kp_);
-    for (std::size_t idx = begin; idx < end; ++idx) {
-        const std::size_t lane = 2 * idx;
-        const std::size_t u = uv[lane];
-        const std::size_t v = uv[lane + 1];
-        p_[u] = sp[lane];
-        p_[v] = sp[lane + 1];
-        e_[u] = se[lane];
-        e_[v] = se[lane + 1];
-        eta_now_[u] = seta[lane];
-        eta_now_[v] = seta[lane + 1];
-    }
-    return max_dp;
-}
-
 void
 DibaAllocator::joinNode(std::size_t i)
 {
     DPC_ASSERT(i < p_.size(), "joinNode index out of range");
-    const std::size_t iw = wi(i);
-    DPC_ASSERT(!active_[iw], "node is already active");
-    active_[iw] = 1;
+    DPC_ASSERT(!active_[i], "node is already active");
+    active_[i] = 1;
     ++num_active_;
-    restoreEdgesOf(iw);
+    restoreEdgesOf(i);
     assertLiveEdgesExact();
     // Staleness never spans a membership change (see failNode).
     hist_.clear();
@@ -1904,31 +1477,27 @@ DibaAllocator::joinNode(std::size_t i)
     // Re-admission at the power floor with one token of negative
     // slack; the enabled live neighbours are charged the matching
     // debt, so sum_active(e) == sum_active(p) - P holds across the
-    // event (the exact inverse of failNode's hand-off).  Recipients
-    // are gathered in ORIGINAL neighbour order (see failNode).
+    // event (the exact inverse of failNode's hand-off).
     std::vector<std::size_t> live;
-    const Graph &orig = layout_active_ ? topo_view_ : topo_;
-    for (std::size_t j : orig.neighbors(i)) {
-        const std::size_t jw = wi(j);
-        if (active_[jw] && edgeEnabledPair(std::min(iw, jw),
-                                           std::max(iw, jw)))
-            live.push_back(jw);
-    }
+    for (std::size_t j : topo_.neighbors(i))
+        if (active_[j] &&
+            edgeEnabledPair(std::min(i, j), std::max(i, j)))
+            live.push_back(j);
     if (live.empty()) {
         warn("node ", i, " rejoined with no live link; charging ",
              "its re-admission debt to all survivors");
         for (std::size_t j = 0; j < p_.size(); ++j)
-            if (active_[wi(j)] && j != i)
-                live.push_back(wi(j));
+            if (active_[j] && j != i)
+                live.push_back(j);
     }
     DPC_ASSERT(!live.empty(), "joinNode with no other active node");
-    p_[iw] = u_[iw]->minPower();
-    e_[iw] = -kShedFloor;
+    p_[i] = u_[i]->minPower();
+    e_[i] = -kShedFloor;
     // Ramp in through the barrier: annealing restarts wide open so
     // the rejoined node can acquire power over the next rounds.
-    eta_now_[iw] = cfg_.eta_initial;
+    eta_now_[i] = cfg_.eta_initial;
     const double debt =
-        (p_[iw] - e_[iw]) / static_cast<double>(live.size());
+        (p_[i] - e_[i]) / static_cast<double>(live.size());
     for (std::size_t j : live)
         e_[j] += debt;
     // The floor power just re-admitted may exhaust a neighbour's
@@ -1942,13 +1511,9 @@ DibaAllocator::setEdgeEnabled(std::size_t u, std::size_t v,
 {
     DPC_ASSERT(u < active_.size() && v < active_.size() && u != v,
                "setEdgeEnabled endpoints out of range");
-    // Public endpoints are ORIGINAL ids; the edge index is keyed by
-    // working canonical pairs.
-    std::size_t uw = wi(u), vw = wi(v);
-    if (uw > vw)
-        std::swap(uw, vw);
     ensureEdgeIndex();
-    const auto it = edge_id_.find(edgeKey(uw, vw));
+    const auto it =
+        edge_id_.find(edgeKey(std::min(u, v), std::max(u, v)));
     DPC_ASSERT(it != edge_id_.end(), "{", u, ", ", v,
                "} is not an overlay edge");
     const std::uint32_t id = it->second;
@@ -1959,7 +1524,7 @@ DibaAllocator::setEdgeEnabled(std::size_t u, std::size_t v,
         --disabled_edges_;
     else
         ++disabled_edges_;
-    if (enabled && active_[uw] && active_[vw])
+    if (enabled && active_[u] && active_[v])
         addLiveEdge(id);
     else
         removeLiveEdge(id);
@@ -1975,10 +1540,7 @@ DibaAllocator::setEdgeEnabled(std::size_t u, std::size_t v,
 bool
 DibaAllocator::edgeEnabled(std::size_t u, std::size_t v) const
 {
-    std::size_t uw = wi(u), vw = wi(v);
-    if (uw > vw)
-        std::swap(uw, vw);
-    return edgeEnabledPair(uw, vw);
+    return edgeEnabledPair(std::min(u, v), std::max(u, v));
 }
 
 bool
@@ -2020,8 +1582,6 @@ void
 DibaAllocator::resetLiveEdges()
 {
     edges_ = all_edges_;
-    if (layout_active_)
-        edges_view_ = all_edges_view_;
     live_ids_.resize(all_edges_.size());
     live_pos_.resize(all_edges_.size());
     for (std::uint32_t id = 0; id < all_edges_.size(); ++id) {
@@ -2037,12 +1597,7 @@ DibaAllocator::addLiveEdge(std::uint32_t id)
         return;
     live_pos_[id] = static_cast<std::uint32_t>(edges_.size());
     edges_.push_back(all_edges_[id]);
-    if (layout_active_)
-        edges_view_.push_back(all_edges_view_[id]);
     live_ids_.push_back(id);
-    if (coloring_ready_)
-        coloring_.setEdgeLive(id, true);
-    sweep_cache_ready_ = false;
 }
 
 void
@@ -2055,18 +1610,11 @@ DibaAllocator::removeLiveEdge(std::uint32_t id)
                "live-edge position index corrupt");
     const std::uint32_t last = live_ids_.back();
     edges_[pos] = edges_.back();
-    if (layout_active_) {
-        edges_view_[pos] = edges_view_.back();
-        edges_view_.pop_back();
-    }
     live_ids_[pos] = last;
     live_pos_[last] = pos;
     edges_.pop_back();
     live_ids_.pop_back();
     live_pos_[id] = kNoLivePos;
-    if (coloring_ready_)
-        coloring_.setEdgeLive(id, false);
-    sweep_cache_ready_ = false;
 }
 
 void
@@ -2111,12 +1659,7 @@ DibaAllocator::liveEdgeListExact() const
             return false;
         if (live_ids_[pos] != id || edges_[pos] != all_edges_[id])
             return false;
-        if (layout_active_ &&
-            edges_view_[pos] != all_edges_view_[id])
-            return false;
     }
-    if (layout_active_ && edges_view_.size() != expected)
-        return false;
     return edges_.size() == expected &&
            live_ids_.size() == expected;
 }
@@ -2147,30 +1690,25 @@ DibaAllocator::reheat()
 std::size_t
 DibaAllocator::liveComponents(std::vector<std::uint32_t> &label_of) const
 {
-    // label_of is indexed by ORIGINAL id and components are
-    // numbered by ascending lowest original id, so the recovery
-    // layer's component bookkeeping is layout-invariant.  The BFS
-    // itself walks the working graph (the stack holds working ids).
+    // Components are numbered by ascending lowest id.
     const std::size_t n = active_.size();
     label_of.assign(n, kNoComponent);
     std::uint32_t next = 0;
     std::vector<std::size_t> stack;
     for (std::size_t s = 0; s < n; ++s) {
-        const std::size_t sw = wi(s);
-        if (!active_[sw] || label_of[s] != kNoComponent)
+        if (!active_[s] || label_of[s] != kNoComponent)
             continue;
         label_of[s] = next;
-        stack.push_back(sw);
+        stack.push_back(s);
         while (!stack.empty()) {
             const std::size_t v = stack.back();
             stack.pop_back();
             for (std::size_t w : topo_.neighbors(v)) {
-                if (!active_[w] ||
-                    label_of[oi(w)] != kNoComponent)
+                if (!active_[w] || label_of[w] != kNoComponent)
                     continue;
                 if (!edgeEnabledPair(std::min(v, w), std::max(v, w)))
                     continue;
-                label_of[oi(w)] = next;
+                label_of[w] = next;
                 stack.push_back(w);
             }
         }
@@ -2201,13 +1739,12 @@ DibaAllocator::heldPartials(const std::vector<std::uint32_t> &label_of,
     sum_p.assign(num_comps, 0.0);
     sum_e.assign(num_comps, 0.0);
     for (std::size_t i = 0; i < p_.size(); ++i) {
-        const std::size_t iw = wi(i);
-        if (!active_[iw] || (owner_of != nullptr && owner_of[i] != owner))
+        if (!active_[i] || (owner_of != nullptr && owner_of[i] != owner))
             continue;
         DPC_ASSERT(label_of[i] < num_comps,
                    "heldPartials: active node ", i, " has no label");
-        sum_p[label_of[i]] += p_[iw];
-        sum_e[label_of[i]] += e_[iw];
+        sum_p[label_of[i]] += p_[i];
+        sum_e[label_of[i]] += e_[i];
     }
 }
 
@@ -2255,12 +1792,12 @@ DibaAllocator::equalizeEstimates()
     std::vector<double> sum_e(k, 0.0);
     std::vector<std::size_t> cnt(k, 0), first(k, p_.size());
     for (std::size_t i = 0; i < p_.size(); ++i) {
-        if (!active_[wi(i)])
+        if (!active_[i])
             continue;
-        sum_e[label[i]] += e_[wi(i)];
+        sum_e[label[i]] += e_[i];
         ++cnt[label[i]];
         if (first[label[i]] == p_.size())
-            first[label[i]] = i; // lowest ORIGINAL id in component
+            first[label[i]] = i; // lowest id in component
     }
     for (std::uint32_t j = 0; j < k; ++j) {
         const double mean = sum_e[j] / static_cast<double>(cnt[j]);
@@ -2270,11 +1807,11 @@ DibaAllocator::equalizeEstimates()
         if (!(mean < -kBarrierFloor))
             continue;
         for (std::size_t i = 0; i < p_.size(); ++i)
-            if (active_[wi(i)] && label[i] == j)
-                e_[wi(i)] = mean;
+            if (active_[i] && label[i] == j)
+                e_[i] = mean;
         // One-node compensation so the component's estimate sum --
         // and with it the held budget -- is preserved to rounding.
-        e_[wi(first[j])] +=
+        e_[first[j]] +=
             sum_e[j] - mean * static_cast<double>(cnt[j]);
     }
     quiet_ = 0;
@@ -2312,11 +1849,10 @@ DibaAllocator::adoptCaps(const std::vector<double> &caps)
     std::vector<double> sum_p(k, 0.0);
     std::vector<std::size_t> cnt(k, 0), first(k, p_.size());
     for (std::size_t i = 0; i < p_.size(); ++i) {
-        const std::size_t iw = wi(i);
-        if (!active_[iw])
+        if (!active_[i])
             continue;
-        p_[iw] = u_[iw]->clampPower(caps[i]);
-        sum_p[label[i]] += p_[iw];
+        p_[i] = u_[i]->clampPower(caps[i]);
+        sum_p[label[i]] += p_[i];
         ++cnt[label[i]];
         if (first[label[i]] == p_.size())
             first[label[i]] = i;
@@ -2326,18 +1862,18 @@ DibaAllocator::adoptCaps(const std::vector<double> &caps)
         const double e0 =
             (sum_p[j] - held[j]) / static_cast<double>(cnt[j]);
         for (std::size_t i = 0; i < p_.size(); ++i)
-            if (active_[wi(i)] && label[i] == j)
-                e_[wi(i)] = e0;
-        e_[wi(first[j])] += (sum_p[j] - held[j]) -
-                            e0 * static_cast<double>(cnt[j]);
+            if (active_[i] && label[i] == j)
+                e_[i] = e0;
+        e_[first[j]] +=
+            (sum_p[j] - held[j]) - e0 * static_cast<double>(cnt[j]);
         if (e0 >= 0.0)
             shed = true;
     }
     // Tight tracking from the adopted (near-optimal) point; the
     // reheat gate re-widens automatically if it turns out wrong.
     for (std::size_t i = 0; i < p_.size(); ++i)
-        if (active_[wi(i)])
-            eta_now_[wi(i)] = cfg_.eta;
+        if (active_[i])
+            eta_now_[i] = cfg_.eta;
     iterations_ = 0;
     quiet_ = 0;
     hist_.clear();
@@ -2370,14 +1906,13 @@ DibaAllocator::refederateBudgetWithHeld(
     std::vector<double> min_p(num_comps, 0.0), head(num_comps, 0.0);
     std::vector<std::size_t> cnt(num_comps, 0);
     for (std::size_t i = 0; i < p_.size(); ++i) {
-        const std::size_t iw = wi(i);
-        if (!active_[iw])
+        if (!active_[i])
             continue;
         DPC_ASSERT(comp_of[i] < num_comps,
                    "refederateBudget: active node ", i,
                    " has no component label");
-        min_p[comp_of[i]] += u_[iw]->minPower();
-        head[comp_of[i]] += u_[iw]->maxPower() - u_[iw]->minPower();
+        min_p[comp_of[i]] += u_[i]->minPower();
+        head[comp_of[i]] += u_[i]->maxPower() - u_[i]->minPower();
         ++cnt[comp_of[i]];
     }
     for (std::size_t j = 0; j < num_comps; ++j)
@@ -2431,13 +1966,12 @@ DibaAllocator::refederateBudgetWithHeld(
     // component's estimate sum is held_j - share_j).
     bool shed = false;
     for (std::size_t i = 0; i < p_.size(); ++i) {
-        const std::size_t iw = wi(i);
-        if (!active_[iw])
+        if (!active_[i])
             continue;
         const std::size_t j = comp_of[i];
-        e_[iw] +=
+        e_[i] +=
             (held[j] - shares[j]) / static_cast<double>(cnt[j]);
-        if (e_[iw] >= 0.0)
+        if (e_[i] >= 0.0)
             shed = true;
     }
     if (num_comps == 1) {
@@ -2463,7 +1997,7 @@ DibaAllocator::refederateBudgetWithHeld(
     for (std::size_t j = 0; j < num_comps; ++j)
         members[j].reserve(cnt[j]);
     for (std::size_t i = 0; i < p_.size(); ++i)
-        if (active_[wi(i)])
+        if (active_[i])
             members[comp_of[i]].push_back(
                 static_cast<std::uint32_t>(i));
     for (std::size_t j = 0; j < num_comps; ++j)

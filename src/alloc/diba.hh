@@ -54,10 +54,8 @@
 #include "net/transport.hh"
 #include "alloc/problem.hh"
 #include "alloc/round_kernel.hh"
-#include "graph/edge_coloring.hh"
 #include "graph/frontier.hh"
 #include "graph/graph.hh"
-#include "graph/reorder.hh"
 #include "util/rng.hh"
 #include "util/thread_pool.hh"
 
@@ -162,24 +160,6 @@ class DibaAllocator : public IterativeAllocator
          * trajectories (see DESIGN.md, "Round engine").
          */
         std::size_t num_threads = 0;
-        /**
-         * Vertex-layout policy (graph/reorder.hh): the constructor
-         * computes a permutation of the overlay's vertex ids and
-         * runs the entire round engine -- SoA streams, CSR, thread
-         * chunking, sweep coloring -- in the relabeled "working"
-         * id space, where topological neighbours are numerical
-         * neighbours and the per-edge gathers stay cache-local.
-         * The relabeling is invisible at the public boundary:
-         * every id-taking entry point (failNode, setUtility,
-         * gossipTickPair, ...) and every id-returning accessor
-         * (power(), result(), overlayEdges(), topology(), ...)
-         * speaks original ids, and edge ids, channel fates and
-         * component numbering are layout-invariant.  Scalar
-         * trajectories are bitwise identical across layouts;
-         * Layout::automatic measures csrChunkLocality per
-         * candidate and keeps the best (closed loop).
-         */
-        Layout layout = Layout::identity;
     };
 
     /**
@@ -222,7 +202,7 @@ class DibaAllocator : public IterativeAllocator
     double iterate();
 
     /**
-     * Shard-local synchronized round over the working-id range
+     * Shard-local synchronized round over the node-id range
      * [owned_begin, owned_end): the one routed round (an
      * in-process caller passes [0, n), where every node is
      * interior).
@@ -240,8 +220,8 @@ class DibaAllocator : public IterativeAllocator
      *
      * Values: every live cut pair is offered to `t` whatever its
      * fate, carrying the pre-round snapshot estimates and the
-     * ORIGINAL endpoint ids, and the transport writes the peer
-     * halves straight into the round's snapshot rows.  Only owned
+     * endpoint ids, and the transport writes the peer halves
+     * straight into the round's snapshot rows.  Only owned
      * nodes move -- per-node arithmetic is range-independent, so
      * owned caps/estimates are bitwise equal to the
      * single-process run.  With an identity transport and no
@@ -377,59 +357,6 @@ class DibaAllocator : public IterativeAllocator
     double gossipTick(Rng &rng, GossipChannel *chan = nullptr);
 
     /**
-     * One batched asynchronous gossip *sweep*: the live overlay is
-     * greedily edge-colored into matchings (edgeColoring(), built
-     * lazily and repaired incrementally across churn), the matching
-     * order is shuffled with `rng` (exactly one rng.shuffle over
-     * the non-empty color indices in ascending order -- the entire
-     * rng consumption of a sweep, so a fixed schedule can be
-     * replayed through gossipTickPair), and every matching is
-     * executed as one conflict-free batch: pairwise estimate
-     * averaging into compact SoA lanes, the block kernel
-     * (round_kernel.hh) for the local gradient steps + annealing,
-     * scatter back.  Edges within a matching are vertex-disjoint,
-     * so the batch is race-free and bitwise identical to running
-     * the scalar two-node tick sequentially over the same schedule
-     * -- for any thread count (Config::num_threads chunks the
-     * matchings' edge lists statically).  One sweep processes every
-     * live edge exactly once (~E ticks of work); the sweep reheats
-     * the whole frontier.  Requires the quadratic fast path for the
-     * batched kernel; other utilities fall back to scalar ticks
-     * over the identical schedule.
-     *
-     * With a channel, per edge `chan` decides whether the pairwise
-     * averaging happens (fates are drawn serially in schedule
-     * order, so the draw sequence matches the scalar replay); both
-     * endpoints take their local gradient steps either way,
-     * exactly like gossipTick.
-     *
-     * @return the largest |dp| moved by any endpoint (W)
-     */
-    double gossipSweep(Rng &rng, GossipChannel *chan = nullptr);
-
-    /**
-     * Scalar reference tick on a *named* live edge {u, v}
-     * (ORIGINAL ids): the gossipTick body without the random edge
-     * draw.  The pinned reference path for gossipSweep's
-     * equivalence tests: replaying a sweep's schedule (with a twin
-     * channel, if the sweep had one) through this function
-     * reproduces the batched state bitwise.  Panics unless {u, v}
-     * is a live overlay edge.
-     */
-    double gossipTickPair(std::size_t u, std::size_t v,
-                          GossipChannel *chan = nullptr);
-
-    /**
-     * The greedy edge coloring of the current live overlay driving
-     * gossipSweep (built lazily on first use, repaired
-     * incrementally on failNode/joinNode/setEdgeEnabled).  Exposed
-     * so tests and benches can audit the schedule: every live edge
-     * in exactly one matching, matchings vertex-disjoint, repair
-     * equal to a fresh coloring.
-     */
-    const EdgeColoring &edgeColoring();
-
-    /**
      * O(E) audit that the incrementally maintained live-edge list
      * (liveEdges(), pruned by swap-removal on churn instead of a
      * full rebuild) is exact: it contains precisely the enabled
@@ -461,7 +388,7 @@ class DibaAllocator : public IterativeAllocator
      * simply zeroed and the budget the dead block held is
      * reclaimed by the subsequent re-federation
      * (refederateBudgetWithHeld).  Edges are pruned in ascending
-     * original id (the set is sorted first), which leaves the
+     * id (the set is sorted first), which leaves the
      * live-edge list bitwise equal to failing the nodes one at a
      * time in that order; the history restart, frontier reheat and
      * connectivity check then run once for the set, so surgery on
@@ -549,10 +476,10 @@ class DibaAllocator : public IterativeAllocator
     /**
      * Per-component (sum p, sum e) partials over the active nodes
      * with owner_of[i] == owner (every active node when owner_of
-     * is null), accumulated in ascending original id -- one
-     * owner's contribution to the canonical held-budget fold (a
-     * shard's, in the sharded recovery path, with the shard plan's
-     * owner_of indexed by original id).
+     * is null), accumulated in ascending id -- one owner's
+     * contribution to the canonical held-budget fold (a shard's,
+     * in the sharded recovery path, with the shard plan's
+     * owner_of).
      */
     void heldPartials(const std::vector<std::uint32_t> &label_of,
                       std::size_t num_comps,
@@ -680,21 +607,22 @@ class DibaAllocator : public IterativeAllocator
     }
 
     /**
-     * Canonical overlay edge list (u < v in original ids, fixed
-     * order for the lifetime of the allocator); the index of an
-     * edge in this list is its edge_id in GossipChannel queries.
-     * Edge ids are enumerated on the *original* labeling, so they
-     * are identical across Config::layout choices -- fault plans
-     * and channel seeds address the same physical link under any
-     * layout.
+     * Canonical overlay edge list (u < v, fixed order for the
+     * lifetime of the allocator); the index of an edge in this
+     * list is its edge_id in GossipChannel queries.
      */
     const std::vector<std::pair<std::size_t, std::size_t>> &
-    overlayEdges() const;
+    overlayEdges() const
+    {
+        return all_edges_;
+    }
 
-    /** Currently live edges (enabled, both endpoints active), in
-     * original ids. */
+    /** Currently live edges (enabled, both endpoints active). */
     const std::vector<std::pair<std::size_t, std::size_t>> &
-    liveEdges() const;
+    liveEdges() const
+    {
+        return edges_;
+    }
 
     /** Whether node i is still participating. */
     bool isActive(std::size_t i) const;
@@ -702,25 +630,17 @@ class DibaAllocator : public IterativeAllocator
     /** Number of surviving nodes. */
     std::size_t numActive() const { return num_active_; }
 
-    /** Current power caps, indexed by original id.  Under a
-     * non-identity layout the returned view is refreshed on every
-     * call (and invalidated by the next one); take a copy to keep
-     * a snapshot. */
-    const std::vector<double> &power() const;
+    /** Current power caps. */
+    const std::vector<double> &power() const { return p_; }
 
-    /** Current constraint estimates e_i (all < 0), indexed by
-     * original id (same view contract as power()). */
-    const std::vector<double> &estimates() const;
+    /** Current constraint estimates e_i (all < 0). */
+    const std::vector<double> &estimates() const { return e_; }
 
-    /** Current utilities (after any setUtility calls), indexed by
-     * original id. */
-    const std::vector<UtilityPtr> &utilities() const;
+    /** Current utilities (after any setUtility calls). */
+    const std::vector<UtilityPtr> &utilities() const { return u_; }
 
-    /** Node i's (original id) annealed barrier weight. */
-    double barrierWeight(std::size_t i) const
-    {
-        return eta_now_[wi(i)];
-    }
+    /** Node i's annealed barrier weight. */
+    double barrierWeight(std::size_t i) const { return eta_now_[i]; }
 
     /** Sum of the current power caps over active nodes. */
     double totalPower() const;
@@ -731,32 +651,8 @@ class DibaAllocator : public IterativeAllocator
     /** Messages exchanged per round (one per directed edge). */
     std::size_t messagesPerRound() const;
 
-    /** The communication topology, in original ids. */
-    const Graph &topology() const
-    {
-        return layout_active_ ? topo_view_ : topo_;
-    }
-
-    /** True when Config::layout produced a non-identity
-     * relabeling (the engine runs in permuted working ids). */
-    bool layoutActive() const { return layout_active_; }
-
-    /** The layout permutation in force (perm[original] = working;
-     * identity when no relabeling is active). */
-    const std::vector<std::uint32_t> &layoutPermutation() const
-    {
-        return perm_;
-    }
-
-    /**
-     * Measured chunk locality of what the sweeps actually stream:
-     * csrChunkLocality of the *working* CSR cut into `chunks`
-     * pieces, masked to the live directed slots (both directions
-     * of each live edge counted, failed/cut edges excluded).  The
-     * measurement side of the layout closed loop, and the
-     * `locality` field the benches gate.
-     */
-    double chunkLocality(std::size_t chunks);
+    /** The communication topology. */
+    const Graph &topology() const { return topo_; }
 
     /** The algorithm parameters in force. */
     const Config &config() const { return cfg_; }
@@ -822,37 +718,14 @@ class DibaAllocator : public IterativeAllocator
     void assertLiveEdgesExact() const;
 
     /** Shared front half of failNode()/failNodesQuiet(): mark one
-     * node inactive and prune its live edges.  Returns the working
-     * id; the caller disposes of the slack. */
-    std::size_t deactivateNode(std::size_t i);
+     * node inactive and prune its live edges; the caller disposes
+     * of the slack. */
+    void deactivateNode(std::size_t i);
 
     /** Shared back half: after `failed` nodes left, restart the
      * history, reheat the frontier and warn if the survivors
      * split. */
     void membershipLost(std::size_t failed);
-
-    /** Rebuild the per-coloring sweep cache (flattened endpoints
-     * and, on the quad fast path, the constant utility lanes). */
-    void ensureSweepCache();
-
-    /** Execute color class c as a conflict-free batch (or scalar
-     * ticks when the quad fast path is off); returns max |dp|. */
-    double sweepMatching(std::uint32_t c, GossipChannel *chan);
-
-    /** Batched matching body over edge slots [begin, end) of the
-     * class at cache offset `base`: gather endpoint state into the
-     * 2x-wide SoA lanes, average delivered pairs, run the block
-     * kernel against the cached constant lanes, scatter back. */
-    double sweepMatchingRange(std::size_t base, std::size_t begin,
-                              std::size_t end, bool use_fates);
-
-    /** One async tick on the working-id pair {u, v}: average the
-     * two estimates when `deliver`, reheat both, then step +
-     * anneal both.  Returns the larger |dp|. */
-    double tickEdge(std::size_t u, std::size_t v, bool deliver);
-
-    /** Build the live-edge coloring if it is not current. */
-    void ensureColoring();
 
     /** True unless the link mask disables {u, v} (mask checked
      * only when some edge is disabled, so the common path stays
@@ -974,7 +847,7 @@ class DibaAllocator : public IterativeAllocator
 
     /**
      * The same seed for the m active nodes of one live component
-     * (ids: ascending original ids) against its announced share:
+     * (ids ascending) against its announced share:
      * the component's breakpoint table is built here, O(m log m),
      * and its caps, the uniform estimate (sum p - share)/m and the
      * floor barriers are written, with a one-node compensation on
@@ -993,7 +866,7 @@ class DibaAllocator : public IterativeAllocator
 
     /**
      * Breakpoint table of m nodes, box_of(k) the QuadBox of the
-     * k-th (positions ascending in original id): O(m log m).
+     * k-th (positions ascending in id): O(m log m).
      */
     template <class BoxOf>
     static void buildSeedTable(std::size_t m, const BoxOf &box_of,
@@ -1013,41 +886,9 @@ class DibaAllocator : public IterativeAllocator
     /** True if the active subgraph is connected. */
     bool activeSubgraphConnected() const;
 
-    /** Original id -> working (permuted) id. */
-    std::size_t wi(std::size_t i) const
-    {
-        return layout_active_ ? perm_[i] : i;
-    }
-
-    /** Working (permuted) id -> original id. */
-    std::size_t oi(std::size_t i) const
-    {
-        return layout_active_ ? iperm_[i] : i;
-    }
-
-    /** Original canonical endpoints of edge id (what channels and
-     * public edge lists see). */
-    const std::pair<std::size_t, std::size_t> &
-    edgeView(std::uint32_t id) const
-    {
-        return layout_active_ ? all_edges_view_[id]
-                              : all_edges_[id];
-    }
-
-    /** The working topology, relabeled by the layout permutation;
-     * every hot loop (CSR diffusion, SoA kernels, sweeps, thread
-     * chunking) runs in this id space. */
+    /** The communication overlay; every hot loop (CSR diffusion,
+     * SoA kernels, thread chunking) runs over its ids. */
     Graph topo_;
-    /** Original-id topology (populated only under a non-identity
-     * layout; topology() returns it so callers never see working
-     * ids). */
-    Graph topo_view_;
-    /** Layout permutation (perm_[original] = working) and its
-     * inverse (iperm_ populated only when layout_active_). */
-    std::vector<std::uint32_t> perm_;
-    std::vector<std::uint32_t> iperm_;
-    /** True iff perm_ is not the identity. */
-    bool layout_active_ = false;
     Config cfg_;
     /** cfg_'s hot-loop subset, flattened once for the shared
      * round kernels (round_kernel.hh). */
@@ -1064,16 +905,9 @@ class DibaAllocator : public IterativeAllocator
      * vector<bool> bit arithmetic. */
     std::vector<std::uint8_t> active_;
     std::size_t num_active_ = 0;
-    /**
-     * Canonical overlay edge list in *working* ids (min < max,
-     * enumerated in the original labeling's canonical order so
-     * index == edge_id is layout-invariant).  Immutable after
-     * construction.
-     */
+    /** Canonical overlay edge list (min < max, index == edge_id).
+     * Immutable after construction. */
     std::vector<std::pair<std::size_t, std::size_t>> all_edges_;
-    /** Original-id twin of all_edges_ (u < v in original ids;
-     * populated only when layout_active_). */
-    std::vector<std::pair<std::size_t, std::size_t>> all_edges_view_;
     /**
      * Live-edge list of the overlay for async gossip activation:
      * the subset of all_edges_ that is enabled with both endpoints
@@ -1085,9 +919,6 @@ class DibaAllocator : public IterativeAllocator
      * uniform draws).
      */
     std::vector<std::pair<std::size_t, std::size_t>> edges_;
-    /** Original-id twin of edges_ (slot-aligned; populated only
-     * when layout_active_). */
-    std::vector<std::pair<std::size_t, std::size_t>> edges_view_;
     /** Edge id of each live-list slot (aligned with edges_). */
     std::vector<std::uint32_t> live_ids_;
     /** Position of each edge id in the live list (kNoLivePos when
@@ -1183,13 +1014,12 @@ class DibaAllocator : public IterativeAllocator
     /**
      * Breakpoints lambda > 0 ascending after a lam = 0 row for the
      * first segment; ties merged and the sums taken in (lambda,
-     * original id) order, so the table is layout- and
-     * shard-invariant.  Empty (stale) after reset() or setUtility()
-     * until the next seed rebuilds it.
+     * id) order, so the table is shard-invariant.  Empty (stale)
+     * after reset() or setUtility() until the next seed rebuilds
+     * it.
      */
     std::vector<SeedBreak> seed_table_;
-    /** Seed scratch caps (working ids), swapped into p_ on
-     * success. */
+    /** Seed scratch caps, swapped into p_ on success. */
     std::vector<double> seed_p_;
     /** Per-chunk max |dp| partials for the parallel reduction. */
     std::vector<double> chunk_max_;
@@ -1205,40 +1035,6 @@ class DibaAllocator : public IterativeAllocator
     /** Round-engine pool, shared process-wide per width via
      * ThreadPool::acquire (null when cfg_.num_threads < 1). */
     std::shared_ptr<ThreadPool> pool_;
-    /** Live-edge greedy coloring for gossipSweep (lazy; repaired
-     * incrementally while ready, rebuilt after reset). */
-    EdgeColoring coloring_;
-    bool coloring_ready_ = false;
-    /** gossipSweep scratch: compact SoA lanes ([u0, v0, u1, v1,
-     * ...]) for the mutable streams of one matching, per-edge
-     * delivery fates, and the shuffled color order. */
-    std::vector<double> sweep_p_, sweep_e_, sweep_eta_;
-    std::vector<std::uint8_t> sweep_deliver_;
-    std::vector<std::uint32_t> sweep_colors_;
-    /** Per-coloring sweep cache, concatenated in color order with
-     * class c at edge slots [sweep_base_[c], sweep_base_[c + 1]):
-     * flattened endpoint pairs plus -- on the quad fast path -- the
-     * constant utility lanes (qb_/qc_/qmin_/qmax_ pre-gathered),
-     * so a sweep only touches the three mutable streams per edge.
-     * Invalidated by any coloring repair or utility change. */
-    std::vector<std::uint32_t> sweep_uv_;
-    std::vector<double> sweep_cb_, sweep_cc_, sweep_clo_,
-        sweep_chi_;
-    std::vector<std::size_t> sweep_base_;
-    /** Matching-internal index at each cache position: the sweep
-     * cache streams every color's lanes in ascending order of the
-     * smaller working endpoint (layout co-design -- block-local
-     * gathers), while channel fates are drawn in the matching's
-     * own order; sweep_ord_[base + pos] maps a cache position back
-     * to its fate slot.  Edges within a color are vertex-disjoint,
-     * so the execution reorder is bitwise-invisible. */
-    std::vector<std::uint32_t> sweep_ord_;
-    bool sweep_cache_ready_ = false;
-    /** Original-id mutable views behind power()/estimates()
-     * (rebuilt per call when layout_active_). */
-    mutable std::vector<double> p_view_, e_view_;
-    /** Original-id utility view (maintained, not rebuilt). */
-    std::vector<UtilityPtr> u_view_;
     /** Announced federation shares (empty/size-1 = inactive); see
      * refederateBudget(). */
     std::vector<double> fed_shares_;

@@ -17,7 +17,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "graph/edge_coloring.hh"
 #include "net/wire.hh"
 #include "util/logging.hh"
 
@@ -34,7 +33,7 @@ using net::FrameType;
 /**
  * The recovery surgery every survivor and applyShardRecovery share:
  * enter `epoch`, fail the dead blocks' nodes in ONE canonical order
- * (ascending original id over all dead shards -- they must match
+ * (ascending id over all dead shards -- they must match
  * bitwise), and label the surviving components.  Returns the
  * component count.
  */
@@ -669,43 +668,26 @@ ShardPlan
 makeShardPlan(const DibaAllocator &alloc, std::uint32_t num_shards)
 {
     DPC_ASSERT(num_shards >= 1, "need at least one shard");
-    const std::vector<std::uint32_t> &perm =
-        alloc.layoutPermutation();
-    const std::size_t n = perm.size();
+    const std::size_t n = alloc.topology().numVertices();
     DPC_ASSERT(num_shards <= n, "more shards than nodes");
 
     ShardPlan plan;
     plan.num_shards = num_shards;
     plan.block_begin.resize(num_shards);
     plan.block_end.resize(num_shards);
+    plan.owner_of.resize(n);
     for (std::uint32_t s = 0; s < num_shards; ++s) {
         plan.block_begin[s] = n * s / num_shards;
         plan.block_end[s] = n * (s + 1) / num_shards;
+        std::fill(plan.owner_of.begin() + plan.block_begin[s],
+                  plan.owner_of.begin() + plan.block_end[s], s);
     }
-    // Owner of original id i = the block holding its WORKING id:
-    // contiguous working-id blocks inherit the layout
-    // permutation's locality, so the cut is exactly what the
-    // layout loop minimizes.
-    plan.owner_of.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t w = perm[i];
-        const std::uint32_t s = static_cast<std::uint32_t>(
-            std::min<std::size_t>(num_shards - 1,
-                                  w * num_shards / n));
-        // Integer division drift: fix up against the exact bounds.
-        std::uint32_t owner = s;
-        while (w < plan.block_begin[owner])
-            --owner;
-        while (w >= plan.block_end[owner])
-            ++owner;
-        plan.owner_of[i] = owner;
-    }
+    // An edge is cut when its endpoints live in different blocks.
     const auto &edges = alloc.overlayEdges();
     plan.total_edges = edges.size();
-    const std::vector<std::uint8_t> cut =
-        markCutEdges(edges, plan.owner_of);
-    for (const std::uint8_t c : cut)
-        plan.cut_edges += c;
+    for (const auto &[u, v] : edges)
+        if (plan.owner_of[u] != plan.owner_of[v])
+            ++plan.cut_edges;
     return plan;
 }
 

@@ -1,16 +1,15 @@
 /**
  * @file
- * Multi-process sharded DiBA: partition the overlay by the layout
- * permutation, fork one real OS process per shard, exchange cut
- * pairs over SocketTransport, coordinate rounds through a tiny
- * TCP broker -- and reproduce the single-process trajectory
- * bitwise on every owned node.
+ * Multi-process sharded DiBA: partition the overlay into
+ * contiguous id blocks, fork one real OS process per shard,
+ * exchange cut pairs over SocketTransport, coordinate rounds
+ * through a tiny TCP broker -- and reproduce the single-process
+ * trajectory bitwise on every owned node.
  *
- * Partition.  Each shard owns one contiguous block of WORKING ids
- * (the PR 6 layout permutation packs topological neighbourhoods
- * into numerically adjacent ids, so contiguous working-id blocks
- * are exactly the low-cut partition the layout loop already
- * optimizes for).  Overlay edges inside a block stay on the
+ * Partition.  Each shard owns one contiguous block of node ids
+ * (on the ring-based overlays ring neighbours are id neighbours,
+ * so a block cuts only its two ring ends plus the chords that
+ * leave it).  Overlay edges inside a block stay on the
  * in-process fast path; edges crossing blocks become *wire* edges
  * whose halves travel as WireCodec frames.
  *
@@ -63,11 +62,11 @@ namespace cluster {
 struct ShardPlan
 {
     std::uint32_t num_shards = 1;
-    /** Owned working-id block of shard s:
+    /** Owned id block of shard s:
      * [block_begin[s], block_end[s]). */
     std::vector<std::size_t> block_begin;
     std::vector<std::size_t> block_end;
-    /** owner_of[original node id] = owning shard. */
+    /** owner_of[node id] = owning shard. */
     std::vector<std::uint32_t> owner_of;
     /** Overlay edges crossing shard blocks (wire edges). */
     std::size_t cut_edges = 0;
@@ -85,9 +84,8 @@ struct ShardPlan
 
 /**
  * Partition `alloc`'s overlay into `num_shards` balanced
- * contiguous working-id blocks.  Deterministic in (topology,
- * Config): parent and children compute identical plans
- * independently.
+ * contiguous id blocks.  Deterministic in the topology: parent
+ * and children compute identical plans independently.
  */
 ShardPlan makeShardPlan(const DibaAllocator &alloc,
                         std::uint32_t num_shards);
@@ -179,7 +177,7 @@ struct ShardRunOptions
 
 struct ShardRunResult
 {
-    /** Full-size original-id vectors assembled from the shards'
+    /** Full-size vectors assembled from the shards'
      * owned blocks. */
     std::vector<double> power;
     std::vector<double> estimates;
@@ -259,7 +257,7 @@ struct ShardRunResult
 /**
  * Reference replica of one survivor's recovery transform, applied
  * to a full-size allocator positioned at the resume round: fail
- * every dead-owned node (ascending shard id, ascending original
+ * every dead-owned node (ascending shard id, ascending
  * id), then re-federate with the held budgets folded exactly as
  * the broker folds them: one DibaAllocator::heldPartials() per
  * surviving shard over its owned block, through foldHeldPartials()

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace dpc {
 
@@ -237,42 +236,6 @@ Graph::diameter() const
         std::fill(dist.begin(), dist.end(), unreachable);
     }
     return best;
-}
-
-double
-csrChunkLocality(const GraphCsr &g, std::size_t chunks)
-{
-    return csrChunkLocality(g, chunks, nullptr);
-}
-
-double
-csrChunkLocality(const GraphCsr &g, std::size_t chunks,
-                 const std::uint8_t *slot_live)
-{
-    const std::size_t n = g.offsets.size() - 1;
-    if (chunks <= 1 || g.neighbors.empty() || n == 0)
-        return 1.0;
-    std::size_t local = 0;
-    std::size_t live = 0;
-    for (std::size_t c = 0; c < chunks; ++c) {
-        const std::size_t begin = ThreadPool::chunkBegin(n, chunks, c);
-        const std::size_t end =
-            ThreadPool::chunkBegin(n, chunks, c + 1);
-        for (std::size_t v = begin; v < end; ++v)
-            for (std::uint32_t k = g.offsets[v];
-                 k < g.offsets[v + 1]; ++k) {
-                if (slot_live && !slot_live[k])
-                    continue;
-                ++live;
-                const std::uint32_t w = g.neighbors[k];
-                if (w >= begin && w < end)
-                    ++local;
-            }
-    }
-    if (live == 0)
-        return 1.0;
-    return static_cast<double>(local) /
-           static_cast<double>(live);
 }
 
 } // namespace dpc

@@ -111,9 +111,9 @@ class Graph
      * original list with every entry mapped through perm, *in the
      * original insertion order*.  Preserving per-vertex neighbour
      * order is load-bearing: the allocators' diffusion sums and
-     * edge enumerations iterate neighbour lists, so an order-
-     * preserving relabeling keeps those FP reductions and edge ids
-     * reproducible across layouts (see graph/reorder.hh).
+     * edge enumerations iterate neighbour lists, so a scrambled-id
+     * overlay keeps the same FP reduction order per node and the
+     * same edge enumeration up to the relabeling.
      */
     Graph relabeled(const std::vector<std::uint32_t> &perm) const;
 
@@ -164,29 +164,6 @@ class Graph
     /** Serializes the one-time lazy build. */
     mutable std::mutex csr_mutex_;
 };
-
-/**
- * Locality diagnostic for the chunk-partitioned round engines: the
- * fraction of directed CSR neighbour references whose target vertex
- * lies in the *same* static chunk as the referencing vertex when
- * [0, n) is cut into `chunks` contiguous pieces with
- * ThreadPool::chunkBegin geometry, i.e. the fraction of neighbour
- * reads that stay inside the worker's own slice of the SoA
- * streams.  Rings and chordal rings with contiguous vertex ids
- * score near 1; 1.0 for chunks <= 1 or an edgeless graph.
- *
- * The masked overload measures only the slots the round engines
- * actually stream after failure pruning: `slot_live` (size
- * g.neighbors.size(), may be null meaning all-live) marks each
- * directed CSR slot, and both the numerator and the denominator
- * count only live slots.  Both directions of a live undirected
- * edge contribute (each is a distinct gather in a sweep), and
- * masked/dead edges contribute nothing, so the metric agrees with
- * the traffic that survives failNode pruning.
- */
-double csrChunkLocality(const GraphCsr &g, std::size_t chunks);
-double csrChunkLocality(const GraphCsr &g, std::size_t chunks,
-                        const std::uint8_t *slot_live);
 
 } // namespace dpc
 

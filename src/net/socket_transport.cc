@@ -202,6 +202,9 @@ SocketTransport::SocketTransport(Config cfg) : cfg_(std::move(cfg))
     tx_has_.assign(cut_.size(), 0);
     rx_val_.assign(cut_.size(), 0);
     rx_has_.assign(cut_.size(), 0);
+    cut_patch_slot_.resize(cut_.size());
+    for (std::size_t ci = 0; ci < cut_.size(); ++ci)
+        cut_patch_slot_[ci] = cut_[ci].own_u ? cut_[ci].v : cut_[ci].u;
     tx_.resize(cfg_.num_shards);
 
     dp_win_.resize(kDpWindow);
@@ -287,7 +290,7 @@ SocketTransport::buildCutLists()
         pair_words_[s] = (pair_cut_[s].size() + 63) / 64;
 
     // Boundary node lists for the v4 wake channel: both endpoints
-    // of a shard pair derive the same ascending-original-id lists
+    // of a shard pair derive the same ascending-id lists
     // from the shared overlay, so bit positions agree with no
     // exchange.
     tx_nodes_.assign(cfg_.num_shards, {});
@@ -424,18 +427,6 @@ SocketTransport::beginRound(std::uint64_t round, const PatchSink &sink)
     // The sink lasts one round: the caller's row addresses rotate
     // with its history ring.
     sink_rows_.assign(sink.rows, sink.rows + sink.nrows);
-    if (!cut_patch_built_ || cut_patch_map_ != sink.slot_of) {
-        cut_patch_built_ = true;
-        cut_patch_map_ = sink.slot_of;
-        cut_patch_slot_.resize(cut_.size());
-        for (std::size_t ci = 0; ci < cut_.size(); ++ci) {
-            const CutEdge &ce = cut_[ci];
-            const std::uint32_t peer_node = ce.own_u ? ce.v : ce.u;
-            cut_patch_slot_[ci] =
-                sink.slot_of != nullptr ? sink.slot_of[peer_node]
-                                        : peer_node;
-        }
-    }
     for (std::uint32_t s = 0; s < cfg_.num_shards; ++s) {
         TxAccum &a = tx_[s];
         a.changed.clear();
@@ -653,8 +644,8 @@ SocketTransport::flushPeerV4(std::uint32_t s,
 {
     TxAccum &a = tx_[s];
     stats_.edges_suppressed += a.suppressed;
-    // The sweep may offer cut pairs in lane order; the v4 gap
-    // coding needs strictly ascending record positions.  The sort
+    // The v4 gap coding needs strictly ascending record positions,
+    // whatever order the pairs were offered in.  The sort
     // is deterministic (positions are unique).
     std::sort(a.changed.begin(), a.changed.end());
 

@@ -2,7 +2,7 @@
  * @file
  * Socket-backed Transport between shard processes.
  *
- * Each shard owns a contiguous working-id block of the overlay
+ * Each shard owns a contiguous id block of the overlay
  * (ShardPlan, src/cluster/shard.hh).  The transport's cut mask
  * names the *cut* edges -- one endpoint owned here, the other
  * owned by a peer shard; every other pair is local and never
@@ -91,7 +91,7 @@ class SocketTransport final : public Transport
         /** This shard's id in [0, num_shards). */
         std::uint32_t shard_id = 0;
         std::uint32_t num_shards = 1;
-        /** owner_of[original node id] = owning shard. */
+        /** owner_of[node id] = owning shard. */
         std::vector<std::uint32_t> owner_of;
         /** Canonical overlay edge list (u < v; index = edge id) --
          * the shared input both sides of every shard pair derive
@@ -264,7 +264,7 @@ class SocketTransport final : public Transport
         return cfg_.wire_version >= 4;
     }
 
-    /** Peer-owned boundary nodes (per-peer ascending original id,
+    /** Peer-owned boundary nodes (per-peer ascending id,
      * peers concatenated ascending shard id) + their current hot
      * bits; all-hot at construction and after an epoch change. */
     WakeView remoteWakes() const override
@@ -554,22 +554,20 @@ class SocketTransport final : public Transport
     /** The open round's patch sink: row pointers into the caller's
      * history ring, replaced by every beginRound. */
     std::vector<double *> sink_rows_;
-    /** cut_ index -> row slot of the peer-owned node under the
-     * sink's id map (rebuilt when the map changes). */
+    /** cut_ index -> the peer-owned node, the row slot its patch
+     * lands in. */
     std::vector<std::uint32_t> cut_patch_slot_;
-    const std::uint32_t *cut_patch_map_ = nullptr;
-    bool cut_patch_built_ = false;
     /** pair_cut_[s] = cut_ indices shared with shard s, ascending
      * edge id (the per-pair record index space). */
     std::vector<std::vector<std::uint32_t>> pair_cut_;
     /** Suppression bitmap words per peer. */
     std::vector<std::size_t> pair_words_;
     /** tx_nodes_[s] = OWN boundary nodes of the (me, s) pair,
-     * ascending original id (the outgoing wake bitmap's bit
+     * ascending id (the outgoing wake bitmap's bit
      * space; the peer derives the identical list). */
     std::vector<std::vector<std::uint32_t>> tx_nodes_;
     /** rx_nodes_[s] = PEER-owned boundary nodes of the (me, s)
-     * pair, ascending original id (the incoming bitmap's bit
+     * pair, ascending id (the incoming bitmap's bit
      * space; equals the peer's tx_nodes_[me]). */
     std::vector<std::vector<std::uint32_t>> rx_nodes_;
     /** Previous round's SENT hot words per peer (wake_messages

@@ -23,9 +23,8 @@
  *    delivered/dropped/stale; carries no bytes).  LossyChannel and
  *    GroundTruthChannel in dpc::fault implement it.  It is the
  *    only place fates come from: the synchronized round
- *    (DibaAllocator::iterateShard) and the async gossip entry
- *    points (gossipTick / gossipSweep / gossipTickPair) all take
- *    an optional channel.
+ *    (DibaAllocator::iterateShard) and the async gossip tick
+ *    (gossipTick) both take an optional channel.
  *
  *  - Transport: the data plane for synchronized rounds.  It
  *    carries the values of CUT edges (one endpoint in another
@@ -99,9 +98,8 @@ class GossipChannel
 /**
  * One cut pair offered to a Transport: the undirected edge, the
  * synchronized round it belongs to, and the endpoints' pre-round
- * snapshot estimates.  Endpoint ids are the canonical ORIGINAL ids
- * (u < v), so wire frames address the same physical link under
- * every Config::layout.  A sharded sender fills only the halves it
+ * snapshot estimates.  Endpoint ids are the overlay's canonical
+ * pair (u < v), the same on every shard.  A sharded sender fills only the halves it
  * owns; the transport routes each half to the peer that needs it.
  */
 struct EdgePair
@@ -149,16 +147,13 @@ class Transport
      * caller's estimate snapshot from a rounds before the open
      * round; a half whose age exceeds nrows - 1 clamps to the
      * oldest row (the first rounds after a reset have less
-     * history).  slot_of maps an ORIGINAL node id to its index
-     * within a row (nullptr: rows are indexed by original id).
-     * The rows must stay valid and unresized until the next
-     * beginRound().
+     * history).  Rows are indexed by node id.  The rows must
+     * stay valid and unresized until the next beginRound().
      */
     struct PatchSink
     {
         double *const *rows = nullptr;
         std::size_t nrows = 0;
-        const std::uint32_t *slot_of = nullptr;
     };
 
     /**
@@ -206,7 +201,7 @@ class Transport
 
     /**
      * Remote boundary wake view: the peer-owned endpoints of this
-     * caller's cut edges (canonical ORIGINAL ids) plus their
+     * caller's cut edges (canonical ids) plus their
      * current active-set bits as last carried by the wire.  The
      * arrays are stable for the transport's lifetime (nodes never
      * move; bits are refreshed in place as rounds resolve), start

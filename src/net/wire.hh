@@ -339,7 +339,7 @@ struct ResultMsg
      * broker handshake and result shipping excluded); the slowest
      * shard's value is the cluster's steady-state round time. */
     double round_loop_s = 0.0;
-    /** Parallel arrays over the shard's owned ORIGINAL ids. */
+    /** Parallel arrays over the shard's owned ids. */
     std::vector<std::uint32_t> node_ids;
     std::vector<double> power;
     std::vector<double> estimate;
@@ -397,7 +397,7 @@ struct EpochAckMsg
      * checkpointed high-water mark). */
     std::uint64_t last_completed = 0;
     /** Rollback ack: per-component (sum p, sum e) partials over
-     * the shard's OWNED active nodes in ascending original id --
+     * the shard's OWNED active nodes in ascending id --
      * the broker folds these in ascending shard order. */
     std::vector<double> sum_p;
     std::vector<double> sum_e;

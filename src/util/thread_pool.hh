@@ -2,7 +2,8 @@
  * @file
  * Small fixed-size worker pool with a static-chunked parallelFor,
  * used by the allocator round engines (DiBA's synchronized round,
- * the primal-dual best-response sweep).
+ * dense or over the active-set frontier, and the primal-dual
+ * best-response sweep).
  *
  * Design goals, in order:
  *

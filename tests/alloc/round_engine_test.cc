@@ -5,7 +5,9 @@
  * devirtualized quadratic SoA path must agree with the generic
  * black-box path; non-quadratic utilities must fall back; and
  * failNode() must prune the live-edge list that async gossip
- * samples from.
+ * samples from.  Every surviving round path -- the sparse
+ * frontier engine, a warmStart seed, churn and a lossy transport
+ * round -- is pinned thread-count invariant as well.
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +16,10 @@
 #include <vector>
 
 #include "alloc/diba.hh"
+#include "fault/lossy_channel.hh"
 #include "graph/topologies.hh"
 #include "model/utility.hh"
+#include "net/transport.hh"
 #include "tests/alloc/test_problems.hh"
 #include "util/stats.hh"
 
@@ -87,6 +91,60 @@ TEST(RoundEngineTest, ThreadCountsAreBitwiseIdenticalOnErdosRenyi)
     const auto four = runRounds(g, prob, engineConfig(4), 500);
     expectBitwiseEqual(serial, one);
     expectBitwiseEqual(serial, four);
+}
+
+TEST(RoundEngineTest, ThreadCountsAreBitwiseIdenticalOnEveryRoundPath)
+{
+    // One trajectory through every round path the pool chunks or
+    // feeds: sparse frontier rounds, a warmStart budget step, dense
+    // masked rounds under failNode/joinNode churn, and lossy rounds
+    // routed through iterateShard over the whole overlay.  n and
+    // the frontier stay above ThreadPool::kSerialCutoff, so the
+    // chunks really run on the workers.
+    const std::size_t n = 4096;
+    const auto prob = test::npbProblem(n, 172.0, 23);
+    Rng topo_rng(8);
+    const Graph g = makeChordalRing(n, n / 4, topo_rng);
+    const auto run = [&](std::size_t threads) {
+        DibaAllocator::Config cfg = engineConfig(threads);
+        cfg.active_threshold = 0.02;
+        DibaAllocator diba(g, cfg);
+        diba.reset(prob);
+        Trajectory t;
+        const auto rounds = [&](std::size_t k) {
+            for (std::size_t r = 0; r < k; ++r)
+                t.moves.push_back(diba.iterate());
+        };
+        rounds(150);
+        EXPECT_TRUE(diba.sparseEngineActive());
+        EXPECT_LT(diba.frontierHotCount(), n);
+        diba.warmStart(diba.result(), -0.04 * prob.budget);
+        rounds(60);
+        diba.failNode(7);
+        diba.failNode(130);
+        EXPECT_FALSE(diba.sparseEngineActive());
+        rounds(40);
+        diba.joinNode(7);
+        rounds(40);
+        LossyChannel::Config lossy;
+        lossy.drop_rate = 0.2;
+        lossy.delay_rate = 0.3;
+        lossy.max_lag = 2;
+        LossyChannel chan(lossy, 99);
+        net::LoopbackTransport loopback;
+        for (std::size_t r = 0; r < 40; ++r)
+            t.moves.push_back(diba.iterateShard(loopback, 0, n, &chan));
+        diba.joinNode(130);
+        rounds(40);
+        t.p = diba.power();
+        t.e = diba.estimates();
+        return t;
+    };
+    const auto serial = run(0);
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE(threads);
+        expectBitwiseEqual(serial, run(threads));
+    }
 }
 
 TEST(RoundEngineTest, GenericPathIsAlsoThreadCountInvariant)

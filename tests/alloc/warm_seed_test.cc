@@ -276,28 +276,24 @@ TEST(WarmSeedOracleTest, IdenticalUtilitiesMatchBisection)
 
 TEST(WarmSeedOracleTest, LinearMixesMatchBisection)
 {
-    // Roots inside segments and on linear steps alike; the layout
-    // permutes working ids, which the seed must not see.
+    // Roots inside segments and on linear steps alike.
     Rng rng(77);
-    for (const Layout layout : {Layout::identity, Layout::rcm}) {
-        for (int cluster = 0; cluster < 8; ++cluster) {
-            const std::size_t n = 64 + rng.index(400);
-            AllocationProblem prob;
-            prob.utilities = mixedUtilities(n, rng);
-            const double lo = minTotal(prob.utilities);
-            const double hi = maxTotal(prob.utilities);
-            prob.budget = 0.5 * (lo + hi);
-            DibaAllocator::Config cfg;
-            cfg.layout = layout;
-            Rng topo_rng(cluster);
-            DibaAllocator d(makeChordalRing(n, n / 8, topo_rng), cfg);
-            d.reset(prob);
-            for (int k = 0; k < 12; ++k)
-                expectSeedMatchesBisection(
-                    d, lo + rng.uniform(0.001, 1.0) * (hi - lo),
-                    "mix " + std::to_string(cluster) + "/" +
-                        std::to_string(k));
-        }
+    for (int cluster = 0; cluster < 8; ++cluster) {
+        const std::size_t n = 64 + rng.index(400);
+        AllocationProblem prob;
+        prob.utilities = mixedUtilities(n, rng);
+        const double lo = minTotal(prob.utilities);
+        const double hi = maxTotal(prob.utilities);
+        prob.budget = 0.5 * (lo + hi);
+        DibaAllocator::Config cfg;
+        Rng topo_rng(cluster);
+        DibaAllocator d(makeChordalRing(n, n / 8, topo_rng), cfg);
+        d.reset(prob);
+        for (int k = 0; k < 12; ++k)
+            expectSeedMatchesBisection(
+                d, lo + rng.uniform(0.001, 1.0) * (hi - lo),
+                "mix " + std::to_string(cluster) + "/" +
+                    std::to_string(k));
     }
 }
 
@@ -506,29 +502,20 @@ TEST(RecoverySeedTest, OneSurvivingComponentMatchesBisection)
 TEST(RecoverySeedTest, FederatedComponentsMatchBisection)
 {
     // Two dead blocks split the ring into two arcs, each seeded at
-    // its federated share; a layout permutes working ids, which the
-    // seed must not see.
+    // its federated share.
     const std::size_t n = 900;
     const auto prob = test::npbProblem(n, 160.0, 13);
-    std::vector<std::vector<double>> p, e;
-    for (const Layout layout : {Layout::identity, Layout::rcm}) {
-        DibaAllocator::Config cfg;
-        cfg.layout = layout;
-        DibaAllocator d(makeRing(n), cfg);
-        d.reset(prob);
-        Rng rng(2);
-        for (int r = 0; r < 25; ++r)
-            d.step(rng);
-        const auto label =
-            failBlocksAndRefederate(d, {{100, 180}, {500, 520}});
-        ASSERT_TRUE(d.federationActive());
-        ASSERT_EQ(d.federationShares().size(), 2u);
-        expectComponentsSeeded(d, label);
-        p.push_back(d.power());
-        e.push_back(d.estimates());
-    }
-    EXPECT_EQ(p[0], p[1]);
-    EXPECT_EQ(e[0], e[1]);
+    DibaAllocator::Config cfg;
+    DibaAllocator d(makeRing(n), cfg);
+    d.reset(prob);
+    Rng rng(2);
+    for (int r = 0; r < 25; ++r)
+        d.step(rng);
+    const auto label =
+        failBlocksAndRefederate(d, {{100, 180}, {500, 520}});
+    ASSERT_TRUE(d.federationActive());
+    ASSERT_EQ(d.federationShares().size(), 2u);
+    expectComponentsSeeded(d, label);
 }
 
 TEST(RecoverySeedTest, DissolvingTheFederationSeedsAtTheBudget)

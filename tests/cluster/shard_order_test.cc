@@ -97,9 +97,7 @@ class ScriptTransport final : public net::Transport
   private:
     void file(const Patch &p)
     {
-        const std::size_t slot =
-            sink_.slot_of != nullptr ? sink_.slot_of[p.node] : p.node;
-        sink_.rows[0][slot] = p.value;
+        sink_.rows[0][p.node] = p.value;
     }
 
     std::vector<std::uint8_t> cut_;
@@ -173,7 +171,7 @@ TEST(ShardOrderTest, EveryPatchPermutationLandsOnTheSameBits)
     const auto prob = test::npbProblem(n, 170.0, 5);
     const DibaAllocator::Config cfg{};
 
-    // The locality layout actively shrinks the cut, so probe chord
+    // Contiguous blocks of a ring keep the cut small, so probe chord
     // densities until shard 0 sees a cut that is big enough to be
     // interesting yet small enough to permute exhaustively.
     Graph topo;

@@ -64,7 +64,7 @@ TEST(ShardPlanTest, BlocksPartitionAndCutsAreCounted)
     for (std::size_t s = 0; s < 4; ++s)
         EXPECT_EQ(owned[s], plan.block_end[s] - plan.block_begin[s]);
     // A connected overlay split 4 ways must cut something, but the
-    // locality layout keeps it well below all of it.
+    // ring's contiguous blocks keep it well below all of it.
     EXPECT_GT(plan.cut_edges, 0u);
     EXPECT_LT(plan.cut_edges, plan.total_edges);
     EXPECT_GT(plan.cutFraction(), 0.0);
@@ -82,15 +82,13 @@ TEST(ShardPlanTest, HeldBudgetsIsTheOneShardFold)
     // In-process recovery and the sharded broker fold held budgets
     // through the same code: heldBudgets() must equal the one-shard
     // owned partial + fold the broker runs, bitwise, also after
-    // churn and a link cut under a non-identity layout.
+    // churn and a link cut.
     const std::size_t n = 64;
     const auto prob = test::npbProblem(n, 170.0, 5);
     Rng topo_rng(9);
     const auto topo = makeChordalRing(n, 8, topo_rng);
     DibaAllocator::Config cfg;
-    cfg.layout = Layout::rcm;
     DibaAllocator alloc(topo, cfg);
-    ASSERT_TRUE(alloc.layoutActive());
     alloc.reset(prob);
     for (std::size_t r = 0; r < 20; ++r)
         alloc.iterate();

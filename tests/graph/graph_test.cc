@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "graph/graph.hh"
+#include "graph/topologies.hh"
+#include "util/rng.hh"
 
 namespace dpc {
 namespace {
@@ -143,65 +146,25 @@ TEST(GraphTest, DiameterOfRing)
     EXPECT_EQ(ring.diameter(), 4u);
 }
 
-TEST(GraphTest, CsrChunkLocality)
+TEST(GraphTest, RelabeledPreservesStructureAndNeighborOrder)
 {
-    // A contiguous-id ring keeps every neighbour reference inside
-    // its chunk except the two directed references crossing each
-    // of the `chunks` cut points.
-    Graph ring(64);
-    for (std::size_t v = 0; v < 64; ++v)
-        ring.addEdge(v, (v + 1) % 64);
-    const GraphCsr &csr = ring.csr();
-    EXPECT_DOUBLE_EQ(csrChunkLocality(csr, 1), 1.0);
-    const double expected = 1.0 - (4.0 * 2.0) / 128.0;
-    EXPECT_DOUBLE_EQ(csrChunkLocality(csr, 4), expected);
-
-    // A star from vertex 0 is maximally non-local: only the
-    // references inside chunk 0 stay local.
-    Graph star(64);
-    for (std::size_t v = 1; v < 64; ++v)
-        star.addEdge(0, v);
-    EXPECT_LT(csrChunkLocality(star.csr(), 4), 0.3);
-
-    Graph empty(5);
-    EXPECT_DOUBLE_EQ(csrChunkLocality(empty.csr(), 4), 1.0);
-}
-
-TEST(GraphTest, CsrChunkLocalityMasked)
-{
-    // Ring plus one long chord: in the unmasked metric the chord
-    // contributes two non-local directed slots; masking exactly
-    // those slots must restore the pure-ring score, and masking
-    // everything scores 1.0 (no live traffic).
-    Graph g(64);
-    for (std::size_t v = 0; v < 64; ++v)
-        g.addEdge(v, (v + 1) % 64);
-    g.addEdge(3, 40);
-    const GraphCsr &csr = g.csr();
-
-    std::vector<std::uint8_t> live(csr.neighbors.size(), 1);
-    const double all_live = csrChunkLocality(csr, 4, live.data());
-    EXPECT_DOUBLE_EQ(all_live, csrChunkLocality(csr, 4));
-
-    // Both directions of the chord are distinct directed slots;
-    // kill both, plus nothing else.
-    std::size_t masked = 0;
-    for (std::size_t v : {std::size_t{3}, std::size_t{40}})
-        for (std::uint32_t k = csr.offsets[v];
-             k < csr.offsets[v + 1]; ++k)
-            if (csr.neighbors[k] == (v == 3 ? 40u : 3u)) {
-                live[k] = 0;
-                ++masked;
-            }
-    ASSERT_EQ(masked, 2u);
-    const double ring_expected = 1.0 - (4.0 * 2.0) / 128.0;
-    EXPECT_DOUBLE_EQ(csrChunkLocality(csr, 4, live.data()),
-                     ring_expected);
-    // The chord really did depress the unmasked score.
-    EXPECT_LT(all_live, ring_expected);
-    // Fully masked graph: defined as perfectly local.
-    std::fill(live.begin(), live.end(), 0);
-    EXPECT_DOUBLE_EQ(csrChunkLocality(csr, 4, live.data()), 1.0);
+    Rng rng(13);
+    const Graph g = makeChordalRing(64, 10, rng);
+    std::vector<std::uint32_t> shuf(g.numVertices());
+    std::iota(shuf.begin(), shuf.end(), 0u);
+    rng.shuffle(shuf);
+    const Graph h = g.relabeled(shuf);
+    ASSERT_EQ(h.numVertices(), g.numVertices());
+    ASSERT_EQ(h.numEdges(), g.numEdges());
+    // Load-bearing invariant (FP reduction order, edge-id
+    // enumeration): neighbour lists map element for element.
+    for (std::size_t v = 0; v < g.numVertices(); ++v) {
+        const auto &gv = g.neighbors(v);
+        const auto &hv = h.neighbors(shuf[v]);
+        ASSERT_EQ(gv.size(), hv.size());
+        for (std::size_t k = 0; k < gv.size(); ++k)
+            EXPECT_EQ(hv[k], shuf[gv[k]]);
+    }
 }
 
 } // namespace

@@ -17,16 +17,6 @@ matched by identity and their metrics compared:
                               estimator, see bench/common.hh)
   util_frac_of_opt            higher is better; FAIL when current
                               drops more than 1% below baseline
-  speedup_x                   higher is better; FAIL when current
-                              falls below baseline by more than
-                              the perf threshold (the ratio of two
-                              timings drifts like a timing)
-  locality                    higher is better; FAIL when current
-                              drops more than 0.02 (absolute)
-                              below baseline -- the metric is a
-                              deterministic edge count ratio, so
-                              any real drop means the layout loop
-                              regressed, not the host
   warm_frac                   FAIL only above the 0.25 acceptance
                               bar (the metric is a ratio of two
                               round counts and jitters at the
@@ -39,7 +29,7 @@ matched by identity and their metrics compared:
                               past 0.1% -- cut-edge wire traffic
                               is deterministic in topology + shard
                               plan, so real growth means the
-                              frames got fatter or the layout cut
+                              frames got fatter or the shard cut
                               got worse, never host noise
   frames_per_round            lower is better; FAIL on any growth
                               past 0.1% (deterministic, like
@@ -85,11 +75,9 @@ import json
 import sys
 
 # Fields that carry measurements; everything else is identity.
-PERF_METRICS = ("ns_per_node", "ns_per_edge", "ms_per_round")
+PERF_METRICS = ("ns_per_node", "ms_per_round")
 OTHER_METRICS = (
     "util_frac_of_opt",
-    "speedup_x",
-    "locality",
     "warm_frac",
     "peak_rss_mb",
     "rounds",
@@ -145,7 +133,6 @@ METRICS = set(PERF_METRICS) | set(OTHER_METRICS)
 
 WARM_FRAC_BAR = 0.25
 UTIL_FRAC_SLACK = 0.01
-LOCALITY_SLACK = 0.02
 WIRE_BYTES_SLACK = 0.001
 # Absolute bars for bench == "wire_recovery" rows (applied to the
 # CURRENT run, baseline or not): recovery must deliver every
@@ -231,25 +218,6 @@ def main():
             if c < b - UTIL_FRAC_SLACK:
                 failures.append(
                     f"QUALITY  {describe(key)}: util_frac_of_opt "
-                    f"{b:.4f} -> {c:.4f}"
-                )
-        if "speedup_x" in brec and "speedup_x" in crec:
-            b = float(brec["speedup_x"])
-            c = float(crec["speedup_x"])
-            compared += 1
-            if b > 0.0 and c < b * (1.0 - args.threshold):
-                failures.append(
-                    f"SPEEDUP  {describe(key)}: speedup_x "
-                    f"{b:.4g} -> {c:.4g} "
-                    f"(-{100.0 * (1.0 - c / b):.1f}%)"
-                )
-        if "locality" in brec and "locality" in crec:
-            b = float(brec["locality"])
-            c = float(crec["locality"])
-            compared += 1
-            if c < b - LOCALITY_SLACK:
-                failures.append(
-                    f"LOCALITY {describe(key)}: locality "
                     f"{b:.4f} -> {c:.4f}"
                 )
         if "rounds_per_sec" in brec and "rounds_per_sec" in crec:

@@ -13,8 +13,6 @@
 #        unless each prints every BENCHMARK.json metric and
 #        passes its cap/invariant/parity checks
 #   2. AVX2 build + full ctest                  (bitwise SIMD parity)
-#      + bench smoke run of gossip_async (bitwise bars only;
-#        DPC_BENCH_SMOKE=1)
 #      + loopback-vs-socket parity smoke: wire_shard forks 2
 #        shard processes over 127.0.0.1 (UDP and TCP, zero loss)
 #        and exits non-zero unless every reassembled result is
@@ -77,12 +75,6 @@ cmake -S "$repo" -B "$repo/build-avx2" -DCMAKE_BUILD_TYPE=Release \
       -DDPC_AVX2=ON
 cmake --build "$repo/build-avx2" -j"$(nproc)"
 ctest --test-dir "$repo/build-avx2" --output-on-failure -j"$(nproc)"
-
-step "AVX2 bench smoke (bitwise bars, no perf gate)"
-bench_smoke_dir=$(mktemp -d)
-(cd "$bench_smoke_dir" &&
-     DPC_BENCH_SMOKE=1 "$repo/build-avx2/bench/gossip_async")
-rm -rf "$bench_smoke_dir"
 
 step "loopback-vs-socket + steady-state smoke (2 shards)"
 wire_smoke_dir=$(mktemp -d)

@@ -358,7 +358,7 @@ cmdShard(const Args &args)
         return 1;
     }
 
-    Table table({"shard", "nodes_owned", "working_ids"});
+    Table table({"shard", "nodes_owned", "ids"});
     for (std::uint32_t s = 0; s < shards; ++s) {
         const auto lo = run.plan.block_begin[s];
         const auto hi = run.plan.block_end[s];

@@ -19,10 +19,6 @@
 #   BENCH_recovery.json      (recovery_storm: detector-driven
 #                             self-healing -- availability,
 #                             time-to-recover, quality vs oracle)
-#   BENCH_gossip_async.json  (gossip_async: scalar ticks vs batched
-#                             matching sweeps -- ns_per_edge gated
-#                             at the perf threshold, quality at the
-#                             1% util_frac slack)
 #   BENCH_wire.json          (wire_shard: forked shard processes
 #                             over 127.0.0.1 sockets -- cut-edge
 #                             bytes/round gated at 0.1% growth,
@@ -50,7 +46,7 @@ if [ ! -d "$BUILD_DIR" ]; then
 fi
 cmake --build "$BUILD_DIR" -j \
     --target table4_2_scalability fault_storm recovery_storm \
-    gossip_async wire_shard wire_recovery micro_round_engine
+    wire_shard wire_recovery micro_round_engine
 
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
@@ -64,9 +60,6 @@ echo
 echo "== recovery_storm =="
 (cd "$workdir" && "$BUILD_DIR/bench/recovery_storm")
 echo
-echo "== gossip_async =="
-(cd "$workdir" && "$BUILD_DIR/bench/gossip_async")
-echo
 echo "== wire_shard =="
 (cd "$workdir" && "$BUILD_DIR/bench/wire_shard")
 echo
@@ -79,8 +72,8 @@ echo "== micro_round_engine (informational) =="
 
 status=0
 for name in BENCH_diba_rounds.json BENCH_fault_storm.json \
-            BENCH_recovery.json BENCH_gossip_async.json \
-            BENCH_wire.json BENCH_wire_recovery.json; do
+            BENCH_recovery.json BENCH_wire.json \
+            BENCH_wire_recovery.json; do
     if [ -f "$ROOT/$name" ]; then
         echo
         echo "== compare $name =="
