@@ -57,7 +57,7 @@ Row
 runAsync(const std::string &label, const AllocationProblem &prob,
          double opt)
 {
-    DibaAllocator diba(makeRing(prob.size()));
+    DibaAllocator diba(makeRing(prob.size()), bench::uniformStart());
     diba.reset(prob);
     Rng rng(99);
     Row row{label, kHorizon, 0.0, 0.0};
@@ -94,7 +94,7 @@ main()
 
     std::vector<Row> rows;
 
-    DibaAllocator::Config base;
+    const DibaAllocator::Config base = bench::uniformStart();
     rows.push_back(runSync("default (annealed barrier)", base,
                            prob, opt));
 

@@ -38,7 +38,7 @@ main()
         auto g = m >= 260 ? makeConnectedErdosRenyi(n, m, rng)
                           : makeRandomConnectedGraph(n, m, rng);
         const double degree = g.averageDegree();
-        DibaAllocator diba(std::move(g));
+        DibaAllocator diba(std::move(g), bench::uniformStart());
         const auto its = bench::dibaIterationsToFraction(
             diba, prob, oracle.utility, 0.99);
         degrees.push_back(degree);

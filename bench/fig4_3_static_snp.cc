@@ -31,7 +31,7 @@ main()
         PrimalDualAllocator pd;
         const auto r_pd = pd.allocate(prob);
 
-        DibaAllocator diba(makeRing(n));
+        DibaAllocator diba(makeRing(n), bench::uniformStart());
         const auto r_diba = diba.allocate(prob);
 
         const double s_uni = bench::snpOf(prob, r_uni.power);

@@ -37,7 +37,7 @@ ms(std::chrono::steady_clock::duration d)
 DibaAllocator::Config
 engineConfig(std::size_t threads, double active_threshold = -1.0)
 {
-    DibaAllocator::Config cfg;
+    DibaAllocator::Config cfg = bench::uniformStart();
     cfg.num_threads = threads;
     cfg.active_threshold = active_threshold;
     return cfg;
@@ -88,7 +88,7 @@ main()
             pd_comm += net.coordinatorRoundUs(n, net_rng) / 1000.0;
 
         // DiBA: per-node compute in parallel, neighbour-only comm.
-        DibaAllocator diba(makeRing(n));
+        DibaAllocator diba(makeRing(n), bench::uniformStart());
         t0 = std::chrono::steady_clock::now();
         const std::size_t diba_iters =
             bench::dibaIterationsToFraction(diba, prob,

@@ -123,13 +123,13 @@ ConvergenceWatchdog::apply(DibaAllocator &diba)
 {
     switch (stage_) {
     case 1:
-        diba.reheat();
-        ++stats_.reheats;
-        return Action::Reheat;
-    case 2:
         diba.reseedEquilibrium();
         ++stats_.reseeds;
         return Action::Reseed;
+    case 2:
+        diba.reheat();
+        ++stats_.reheats;
+        return Action::Reheat;
     default:
         applyFallback(diba);
         ++stats_.fallbacks;

@@ -30,13 +30,15 @@
  *
  * Either symptom escalates one stage on the recovery ladder:
  *
- *   1. reheat      -- DibaAllocator::reheat(): barriers back to
+ *   1. re-seed     -- DibaAllocator::reseedEquilibrium(): every
+ *                     live component is re-seeded at the barrier
+ *                     equilibrium of the budget it holds (the
+ *                     water-level seed), so a settled cluster stays
+ *                     settled; a component the seed refuses has its
+ *                     estimates equalized and its barriers reheated.
+ *   2. reheat      -- DibaAllocator::reheat(): barriers back to
  *                     eta_initial, frontier reheated; re-opens the
  *                     slack transport pipe.
- *   2. re-seed     -- DibaAllocator::reseedEquilibrium(): the
- *                     warmStart waterfill machinery re-seeds at the
- *                     barrier equilibrium (healthy clusters) or
- *                     equalizes estimates per component.
  *   3. fallback    -- solve each live component's reduced problem
  *                     with CentralizedAllocator (through the
  *                     IterativeAllocator::allocate() wrapper) or
@@ -69,8 +71,8 @@ class ConvergenceWatchdog
     enum class Action
     {
         None,
-        Reheat,
         Reseed,
+        Reheat,
         Fallback,
     };
 

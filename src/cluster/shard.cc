@@ -333,6 +333,11 @@ shardMain(std::uint32_t shard_id, const ShardPlan &plan,
                               static_cast<std::uint32_t>(v));
     net::SocketTransport sock(tc);
     sockp = &sock;
+    // The routed round's one-time setup (edge index, interior /
+    // boundary split, cut ids) overlaps the handshake instead of
+    // landing on round 0's clock.
+    alloc.prepareShardRounds(sock, plan.block_begin[shard_id],
+                             plan.block_end[shard_id]);
     {
         Frame hello;
         hello.type = FrameType::Hello;
@@ -488,6 +493,11 @@ shardMain(std::uint32_t shard_id, const ShardPlan &plan,
         }
     };
 
+    // The first heartbeat (and the broker link's first send) goes
+    // out here rather than on round 0's clock; a Quiesce it drains
+    // is handled at the top of the loop.
+    if (guarded)
+        tickNow();
     bool released = false;
     while (!released) {
         const auto loop0 = std::chrono::steady_clock::now();

@@ -53,13 +53,70 @@ TEST(ConvergenceWatchdogTest, PersistentStallClimbsTheLadder)
             fired.push_back(a);
     }
     ASSERT_GE(fired.size(), 3u);
-    EXPECT_EQ(fired[0], ConvergenceWatchdog::Action::Reheat);
-    EXPECT_EQ(fired[1], ConvergenceWatchdog::Action::Reseed);
+    EXPECT_EQ(fired[0], ConvergenceWatchdog::Action::Reseed);
+    EXPECT_EQ(fired[1], ConvergenceWatchdog::Action::Reheat);
     EXPECT_EQ(fired[2], ConvergenceWatchdog::Action::Fallback);
     // The ladder saturates at fallback instead of overflowing.
     for (std::size_t i = 3; i < fired.size(); ++i)
         EXPECT_EQ(fired[i], ConvergenceWatchdog::Action::Fallback);
     EXPECT_EQ(dog.stage(), 3u);
+}
+
+TEST(ConvergenceWatchdogTest, FirstRungReseedsEveryLiveComponent)
+{
+    // Failures split a settled ring in two.  The first rung seeds
+    // each live component at the water level of the budget its
+    // books hold: every component keeps sum e = sum p - held, and
+    // the survivors land within 1% of their own optimum.
+    const std::size_t n = 200;
+    const auto prob = test::npbProblem(n, 170.0, 26);
+    DibaAllocator diba(makeRing(n));
+    diba.reset(prob);
+    Rng rng(1);
+    for (int r = 0; r < 20000 && !diba.converged(); ++r)
+        diba.step(rng);
+    ASSERT_TRUE(diba.converged());
+    diba.failNode(30);
+    diba.failNode(120);
+    std::vector<std::uint32_t> label;
+    const std::size_t k = diba.liveComponents(label);
+    ASSERT_EQ(k, 2u);
+    const std::vector<double> held = diba.heldBudgets(label, k);
+
+    ConvergenceWatchdog::Config cfg;
+    cfg.window = 4;
+    ConvergenceWatchdog dog(cfg);
+    auto first = ConvergenceWatchdog::Action::None;
+    for (int r = 0; r < 40 && first == ConvergenceWatchdog::Action::None;
+         ++r)
+        first = dog.observe(diba, 1.0);
+    ASSERT_EQ(first, ConvergenceWatchdog::Action::Reseed);
+    InvariantChecker checker;
+    checker.check(diba);
+
+    double got = 0.0, best = 0.0;
+    for (std::uint32_t j = 0; j < k; ++j) {
+        SCOPED_TRACE(j);
+        AllocationProblem sub;
+        std::vector<double> caps;
+        double sp = 0.0, se = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (!diba.isActive(i) || label[i] != j)
+                continue;
+            sub.utilities.push_back(diba.utilities()[i]);
+            caps.push_back(diba.power()[i]);
+            sp += diba.power()[i];
+            se += diba.estimates()[i];
+            EXPECT_EQ(diba.barrierWeight(i), diba.config().eta)
+                << "node " << i << " was not seeded";
+        }
+        EXPECT_NEAR(se, sp - held[j], 1e-9 * held[j]);
+        sub.budget = held[j];
+        got += totalUtility(sub.utilities, caps);
+        best += totalUtility(sub.utilities,
+                             CentralizedAllocator().allocate(sub).power);
+    }
+    EXPECT_GE(got, 0.99 * best);
 }
 
 TEST(ConvergenceWatchdogTest, DisturbanceResetsTheLadder)
