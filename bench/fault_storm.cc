@@ -45,7 +45,10 @@ runCell(const AllocationProblem &prob, double drop, bool churn)
     const std::size_t n = prob.size();
     const std::size_t rounds = 800;
     Rng topo_rng(7);
-    DibaAllocator diba(makeChordalRing(n, 30, topo_rng));
+    // The paper's uniform start: a seeded one begins at the
+    // equilibrium, so loss would have nothing left to carry.
+    DibaAllocator diba(makeChordalRing(n, 30, topo_rng),
+                       bench::uniformStart());
     diba.reset(prob);
 
     FaultPlan plan =
