@@ -14,8 +14,9 @@
  *
  * plus steady-state rounds (dense vs. active-set frontier), the
  * warm-start seed of a budget step, the seeded cold start, the
- * survivor seed of a recovery, and the primal-dual
- * best-response sweep reusing the same pool.
+ * phases of bringing up one allocator, the survivor seed of a
+ * recovery, and the primal-dual best-response sweep reusing the
+ * same pool.
  * The serial/parallel DiBA rounds are bitwise-identical by
  * construction (see DESIGN.md "Round engine"), so these measure
  * the same computation.  Problems come from the shared cache so
@@ -24,7 +25,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <sys/resource.h>
+
 #include <chrono>
+#include <memory>
 
 #include "alloc/diba.hh"
 #include "alloc/primal_dual.hh"
@@ -165,11 +169,11 @@ BM_WarmStart(benchmark::State &state)
 /**
  * Cold-start seeding: reset() under the default config seeds the
  * barrier equilibrium with the sort-free water-level search (a few
- * O(n) passes).  The timed region is one reset(); the uniform_us
- * counter is the same reset() with the seed off (the paper's
- * uniform start), so seed_us = time - uniform_us is what the seed
- * adds to setup, and rounds counts the confirmation rounds
- * step() then needs to converge.
+ * O(n) passes).  The timed region is one reset(); seed_us is the
+ * search plus the cap pass on their own (the allocator's seed
+ * phase), uniform_us the same reset() with the seed off (the
+ * paper's uniform start), and rounds counts the confirmation
+ * rounds step() then needs to converge.
  */
 void
 BM_ColdSeed(benchmark::State &state)
@@ -179,14 +183,13 @@ BM_ColdSeed(benchmark::State &state)
                                                kSeed);
     using Us = std::chrono::duration<double, std::micro>;
     DibaAllocator diba(makeRing(n), DibaAllocator::Config{});
-    const auto t0 = std::chrono::steady_clock::now();
+    double seed_s = 0.0;
     for (auto _ : state) {
         diba.reset(prob);
         benchmark::ClobberMemory();
+        seed_s += diba.setupPhases().seed_s;
     }
     const double iters = static_cast<double>(state.iterations());
-    const double reset_us =
-        Us(std::chrono::steady_clock::now() - t0).count() / iters;
     DibaAllocator uniform(makeRing(n), bench::uniformStart());
     const auto t1 = std::chrono::steady_clock::now();
     for (benchmark::IterationCount k = 0; k < state.iterations(); ++k) {
@@ -203,8 +206,85 @@ BM_ColdSeed(benchmark::State &state)
     }
     state.SetLabel(bench::problemLabel(n, kWattsPerNode, kSeed));
     state.counters["uniform_us"] = uniform_us;
-    state.counters["seed_us"] = reset_us - uniform_us;
+    state.counters["seed_us"] = 1e6 * seed_s / iters;
     state.counters["rounds"] = static_cast<double>(rounds);
+}
+
+/** Minor page faults of this process so far. */
+double
+minorFaults()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return static_cast<double>(ru.ru_minflt);
+}
+
+/**
+ * Bringing up one allocator as perfbench's dr-budget setup does:
+ * the previous instance is destroyed off the clock, then the timed
+ * region copies the overlay (a chordal ring with n/4 chords), runs
+ * the constructor and a seeded reset().  One counter per phase
+ * (mean us per setup): graph_copy_us, then the constructor's
+ * slot_tables_us (canonical edge ids, the slot -> edge map and the
+ * Metropolis weights, one pass) and connect_us (the connectivity
+ * assert), ctor_other_us for the rest of the constructor, then
+ * reset()'s mirror_us (the quadratic SoA mirror), seed_us (the
+ * water-level search and the caps) and reset_other_us (the
+ * problem copy and the remaining state, live-edge list included).
+ * faults counts the minor page faults per setup.
+ */
+void
+BM_AllocatorSetup(benchmark::State &state)
+{
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const auto &prob = bench::cachedNpbProblem(n, kWattsPerNode,
+                                               kSeed);
+    Rng rng(kSeed);
+    const Graph topo = makeChordalRing(n, n / 4, rng);
+    const DibaAllocator::Config cfg{};
+    using Clock = std::chrono::steady_clock;
+    const auto secs = [](Clock::time_point a, Clock::time_point b) {
+        return std::chrono::duration<double>(b - a).count();
+    };
+    double copy_s = 0.0, ctor_s = 0.0, reset_s = 0.0, faults = 0.0;
+    DibaAllocator::SetupPhases sum;
+    std::unique_ptr<DibaAllocator> diba;
+    for (auto _ : state) {
+        state.PauseTiming();
+        diba.reset();
+        state.ResumeTiming();
+        const double f0 = minorFaults();
+        const auto t0 = Clock::now();
+        Graph g = topo;
+        const auto t1 = Clock::now();
+        diba = std::make_unique<DibaAllocator>(std::move(g), cfg);
+        const auto t2 = Clock::now();
+        diba->reset(prob);
+        const auto t3 = Clock::now();
+        faults += minorFaults() - f0;
+        copy_s += secs(t0, t1);
+        ctor_s += secs(t1, t2);
+        reset_s += secs(t2, t3);
+        const DibaAllocator::SetupPhases &ph = diba->setupPhases();
+        sum.slot_tables_s += ph.slot_tables_s;
+        sum.connect_s += ph.connect_s;
+        sum.mirror_s += ph.mirror_s;
+        sum.seed_s += ph.seed_s;
+    }
+    const double us = 1e6 / static_cast<double>(state.iterations());
+    state.SetLabel(bench::problemLabel(n, kWattsPerNode, kSeed));
+    state.counters["graph_copy_us"] = us * copy_s;
+    state.counters["slot_tables_us"] = us * sum.slot_tables_s;
+    state.counters["connect_us"] = us * sum.connect_s;
+    state.counters["ctor_other_us"] =
+        us * (ctor_s - sum.slot_tables_s - sum.connect_s);
+    state.counters["mirror_us"] = us * sum.mirror_s;
+    state.counters["seed_us"] = us * sum.seed_s;
+    state.counters["reset_other_us"] =
+        us * (reset_s - sum.mirror_s - sum.seed_s);
+    state.counters["setup_us"] = us * (copy_s + ctor_s + reset_s);
+    state.counters["faults"] =
+        faults / static_cast<double>(state.iterations());
 }
 
 /**
@@ -292,6 +372,7 @@ BENCHMARK(BM_RoundDenseSteady)->Arg(1600)->Arg(6400)->Arg(25600);
 BENCHMARK(BM_RoundActiveSteady)->Arg(1600)->Arg(6400)->Arg(25600);
 BENCHMARK(BM_WarmStart)->Arg(1600)->Arg(6400)->Arg(25600);
 BENCHMARK(BM_ColdSeed)->Arg(6400)->Arg(25600);
+BENCHMARK(BM_AllocatorSetup)->Arg(6400)->Arg(25600);
 BENCHMARK(BM_RecoverySeed)->Arg(1024)->Arg(25600);
 BENCHMARK(BM_PdSolve)
     ->Args({6400, 0})

@@ -15,6 +15,16 @@ namespace dpc {
 
 namespace {
 
+/** Seconds since `t0`, and restart `t0` (setup phase timing). */
+double
+lap(std::chrono::steady_clock::time_point &t0)
+{
+    const auto t1 = std::chrono::steady_clock::now();
+    const double s = std::chrono::duration<double>(t1 - t0).count();
+    t0 = t1;
+    return s;
+}
+
 /** Flatten the hot-loop Config subset for the shared kernels. */
 RoundKernelParams
 kernelParamsOf(const DibaAllocator::Config &cfg)
@@ -32,14 +42,6 @@ kernelParamsOf(const DibaAllocator::Config &cfg)
     return k;
 }
 
-/** Pack an undirected edge (u < v) into one 64-bit map key. */
-inline std::uint64_t
-edgeKey(std::size_t u, std::size_t v)
-{
-    return (static_cast<std::uint64_t>(u) << 32) |
-           static_cast<std::uint64_t>(v);
-}
-
 } // namespace
 
 DibaAllocator::DibaAllocator(Graph topology)
@@ -51,34 +53,18 @@ DibaAllocator::DibaAllocator(Graph topology, Config cfg)
     : topo_(std::move(topology)), cfg_(cfg),
       kp_(kernelParamsOf(cfg))
 {
-    // Edge ids: the canonical enumeration (for v ascending, for w
-    // in neighbors(v), v < w) that channels, fault plans and the
-    // recovery layer address links by.
-    for (std::size_t v = 0; v < topo_.numVertices(); ++v)
-        for (std::size_t w : topo_.neighbors(v))
-            if (v < w)
-                all_edges_.emplace_back(v, w);
-    resetLiveEdges();
-    edge_enabled_.assign(all_edges_.size(), 1);
-    // Force the CSR build now (lazy building is not thread-safe)
-    // and bake the Metropolis weights, one per directed edge slot:
-    // degrees never change, so the divisions leave the hot path.
-    const GraphCsr &g = topo_.csr();
-    w_.resize(g.neighbors.size());
-    for (std::size_t v = 0; v < topo_.numVertices(); ++v) {
-        for (std::uint32_t k = g.offsets[v]; k < g.offsets[v + 1];
-             ++k) {
-            const std::uint32_t j = g.neighbors[k];
-            w_[k] = 1.0 / (1.0 + static_cast<double>(std::max(
-                                     g.degree(v), g.degree(j))));
-        }
-    }
-    if (cfg_.num_threads >= 1)
-        pool_ = ThreadPool::acquire(cfg_.num_threads);
     DPC_ASSERT(topo_.numVertices() >= 2,
                "DiBA needs at least two nodes");
-    DPC_ASSERT(topo_.isConnected(),
+    auto t0 = std::chrono::steady_clock::now();
+    const bool connected = topo_.isConnected();
+    setup_phases_.connect_s = lap(t0);
+    DPC_ASSERT(connected,
                "DiBA requires a connected communication graph");
+    // The live-edge list and the link mask are reset()'s to fill.
+    buildSlotTables();
+    setup_phases_.slot_tables_s = lap(t0);
+    if (cfg_.num_threads >= 1)
+        pool_ = ThreadPool::acquire(cfg_.num_threads);
     DPC_ASSERT(cfg_.eta > 0.0, "barrier weight must be positive");
     DPC_ASSERT(cfg_.eta_initial >= cfg_.eta,
                "initial barrier weight below the floor");
@@ -95,12 +81,16 @@ DibaAllocator::doReset()
     DPC_ASSERT(prob.size() == topo_.numVertices(),
                "problem size ", prob.size(),
                " != topology size ", topo_.numVertices());
-    DPC_ASSERT(prob.budget > prob.minTotalPower(),
+    auto t0 = std::chrono::steady_clock::now();
+    rebuildQuadFastPath();
+    setup_phases_.mirror_s = lap(t0);
+    // A quadratic cluster's power floors sit in the mirror: the same
+    // left fold over them, without n more virtual calls.
+    DPC_ASSERT(prob.budget >
+                   (quad_fast_ ? sum(qmin_) : prob.minTotalPower()),
                "DiBA needs strict interior feasibility");
 
     budget_ = prob.budget;
-    u_ = prob.utilities;
-    rebuildQuadFastPath();
     level_ = 0.0;
     // Cold start at the barrier equilibrium when the search finds
     // it (all-quadratic clusters), else the paper's uniform start.
@@ -115,6 +105,7 @@ DibaAllocator::doReset()
         e_.assign(prob.size(), e0);
         eta_now_.assign(prob.size(), cfg_.eta_initial);
     }
+    setup_phases_.seed_s = lap(t0);
     e_snapshot_.assign(prob.size(), 0.0);
     active_.assign(prob.size(), 1);
     num_active_ = prob.size();
@@ -182,7 +173,7 @@ DibaAllocator::result() const
         }
         res.utility = acc;
     } else {
-        res.utility = totalUtility(u_, p_);
+        res.utility = totalUtility(problem_.utilities, p_);
     }
     res.iterations = iterations_;
     res.converged = converged();
@@ -193,7 +184,7 @@ void
 DibaAllocator::rebuildQuadFastPath()
 {
     quad_fast_ = false;
-    const std::size_t n = u_.size();
+    const std::size_t n = problem_.utilities.size();
     qa_.resize(n);
     qb_.resize(n);
     qc_.resize(n);
@@ -201,8 +192,7 @@ DibaAllocator::rebuildQuadFastPath()
     qmin_.resize(n);
     qmax_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-        const auto *q = dynamic_cast<const QuadraticUtility *>(
-            u_[i].get());
+        const auto *q = problem_.utilities[i]->quadratic();
         if (q == nullptr)
             return;
         qa_[i] = q->coeffA();
@@ -314,8 +304,9 @@ DibaAllocator::deactivateNode(std::size_t i)
     pruneEdgesOf(i);
 }
 
-void
-DibaAllocator::membershipLost(std::size_t failed)
+std::size_t
+DibaAllocator::membershipLost(std::size_t failed,
+                              std::vector<std::uint32_t> &label_of)
 {
     assertLiveEdgesExact();
     // Staleness never spans a membership change: lagged snapshots
@@ -325,7 +316,8 @@ DibaAllocator::membershipLost(std::size_t failed)
     hist_.clear();
     frontier_.reheatAll();
     quiet_ = 0;
-    if (!activeSubgraphConnected()) {
+    const std::size_t k = liveComponents(label_of);
+    if (k > 1) {
         // Survivors split into components.  Every component keeps
         // its share of the invariant (sum e = sum p - P holds
         // globally and per component), so the budget guarantee is
@@ -335,23 +327,21 @@ DibaAllocator::membershipLost(std::size_t failed)
         warn("DiBA overlay disconnected after ", failed,
              " node failure(s); partitions optimize independently");
     }
+    return k;
 }
 
 void
 DibaAllocator::failNode(std::size_t i)
 {
     deactivateNode(i);
-    membershipLost(1);
+    std::vector<std::uint32_t> label;
+    membershipLost(1, label);
 
     // The dead server draws no more power: hand its slack estimate
     // plus its entire released cap to the surviving neighbours it
     // could still talk to, preserving
     // sum_active(e) == sum_active(p) - P.
-    std::vector<std::size_t> live;
-    for (std::size_t j : topo_.neighbors(i))
-        if (active_[j] &&
-            edgeEnabledPair(std::min(i, j), std::max(i, j)))
-            live.push_back(j);
+    std::vector<std::size_t> live = liveNeighbors(i);
     if (live.empty()) {
         // All reachable neighbours are dead or cut (e.g. the
         // two-node corner case); give it to any survivor.
@@ -367,8 +357,9 @@ DibaAllocator::failNode(std::size_t i)
     e_[i] = 0.0;
 }
 
-void
-DibaAllocator::failNodesQuiet(std::vector<std::size_t> nodes)
+std::size_t
+DibaAllocator::failNodesQuiet(std::vector<std::size_t> nodes,
+                              std::vector<std::uint32_t> *label_of)
 {
     // Prune in ascending id: the swap-removals then leave
     // the live-edge list -- and so every later gossip draw -- in
@@ -386,10 +377,15 @@ DibaAllocator::failNodesQuiet(std::vector<std::size_t> nodes)
         p_[i] = 0.0;
         e_[i] = 0.0;
     }
-    // One history restart, frontier reheat and connectivity check
-    // for the whole set: O(n + E) per event instead of per node.
-    if (!nodes.empty())
-        membershipLost(nodes.size());
+    // One history restart, frontier reheat and component
+    // labelling for the whole set: O(n + E) per event instead of
+    // per node.
+    std::vector<std::uint32_t> scratch;
+    std::vector<std::uint32_t> &label =
+        label_of != nullptr ? *label_of : scratch;
+    if (nodes.empty())
+        return liveComponents(label);
+    return membershipLost(nodes.size(), label);
 }
 
 bool
@@ -399,42 +395,10 @@ DibaAllocator::isActive(std::size_t i) const
     return active_[i];
 }
 
-bool
-DibaAllocator::activeSubgraphConnected() const
-{
-    std::size_t source = active_.size();
-    for (std::size_t v = 0; v < active_.size(); ++v) {
-        if (active_[v]) {
-            source = v;
-            break;
-        }
-    }
-    if (source == active_.size())
-        return true;
-    std::vector<bool> seen(active_.size(), false);
-    std::vector<std::size_t> stack{source};
-    seen[source] = true;
-    std::size_t count = 1;
-    while (!stack.empty()) {
-        const std::size_t v = stack.back();
-        stack.pop_back();
-        for (std::size_t w : topo_.neighbors(v)) {
-            if (!edgeEnabledPair(std::min(v, w), std::max(v, w)))
-                continue;
-            if (active_[w] && !seen[w]) {
-                seen[w] = true;
-                ++count;
-                stack.push_back(w);
-            }
-        }
-    }
-    return count == num_active_;
-}
-
 double
 DibaAllocator::localStep(std::size_t i)
 {
-    const UtilityFunction &u = *u_[i];
+    const UtilityFunction &u = *problem_.utilities[i];
     const double p = p_[i];
     if (e_[i] >= 0.0)
         return emergencyShedStep(p_[i], e_[i], u.minPower());
@@ -754,7 +718,8 @@ DibaAllocator::emergencyShed()
             if (!active_[i])
                 continue;
             if (e_[i] > -kShedFloor) {
-                emergencyShedStep(p_[i], e_[i], u_[i]->minPower());
+                emergencyShedStep(p_[i], e_[i],
+                                  problem_.utilities[i]->minPower());
                 over += std::max(0.0, e_[i] + kShedFloor);
             }
         }
@@ -799,8 +764,7 @@ DibaAllocator::placeBudgetDelta(double delta)
     // quadratics.  Every other node takes a unit weight.
     std::vector<double> w(n, 1.0);
     for (std::size_t i = 0; i < n; ++i) {
-        const auto *q =
-            dynamic_cast<const QuadraticUtility *>(u_[i].get());
+        const auto *q = problem_.utilities[i]->quadratic();
         if (q != nullptr && q->coeffC() < 0.0)
             w[i] = -1.0 / q->coeffC();
     }
@@ -825,7 +789,7 @@ DibaAllocator::placeBudgetDelta(double delta)
                 continue;
             const double want = remaining * w[i] / wsum;
             const double target = p_[i] + want;
-            const double np = u_[i]->clampPower(target);
+            const double np = problem_.utilities[i]->clampPower(target);
             placed += np - p_[i];
             p_[i] = np;
             // Close only a node its box stopped; what rounding
@@ -1039,7 +1003,7 @@ DibaAllocator::seedAtLevel(double lambda, double budget)
 {
     // Caps at lambda land in scratch so a refusal leaves the state
     // untouched.
-    const std::size_t n = u_.size();
+    const std::size_t n = problem_.utilities.size();
     seed_p_.resize(n);
     double total = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -1064,7 +1028,7 @@ DibaAllocator::seedBarrierEquilibrium(double new_budget)
 {
     if (!quad_fast_)
         return false;
-    const std::size_t n = u_.size();
+    const std::size_t n = problem_.utilities.size();
     double lambda = level_;
     return waterLevel(qb_.data(), qc_.data(), qinv_.data(),
                       qmin_.data(), qmax_.data(), n, new_budget,
@@ -1091,8 +1055,7 @@ DibaAllocator::seedComponent(const std::vector<std::uint32_t> &ids,
             hi[k] = qmax_[i];
             continue;
         }
-        const auto *q =
-            dynamic_cast<const QuadraticUtility *>(u_[i].get());
+        const auto *q = problem_.utilities[i]->quadratic();
         if (q == nullptr)
             return false;
         b[k] = q->coeffB();
@@ -1213,7 +1176,7 @@ DibaAllocator::warmStart(const AllocationResult &prev,
     // External snapshot: adopt the caps, re-equalize the slack.
     const std::size_t n = p_.size();
     for (std::size_t i = 0; i < n; ++i)
-        p_[i] = u_[i]->clampPower(prev.power[i]);
+        p_[i] = problem_.utilities[i]->clampPower(prev.power[i]);
     budget_ = new_budget;
     problem_.budget = new_budget;
     const double e0 = (sum(p_) - budget_) / static_cast<double>(n);
@@ -1227,13 +1190,12 @@ DibaAllocator::warmStart(const AllocationResult &prev,
 void
 DibaAllocator::setUtility(std::size_t i, UtilityPtr u)
 {
-    DPC_ASSERT(i < u_.size(), "setUtility index out of range");
+    DPC_ASSERT(i < problem_.utilities.size(), "setUtility index out of range");
     DPC_ASSERT(u != nullptr, "null utility");
     const double clamped = u->clampPower(p_[i]);
     e_[i] += clamped - p_[i];
     p_[i] = clamped;
-    u_[i] = std::move(u);
-    problem_.utilities[i] = u_[i];
+    problem_.utilities[i] = std::move(u);
     // The perturbation's locus is known exactly: reheat just this
     // node; its neighbours join the work set via the N(frontier)
     // rule and the residual rule grows the frontier outward as the
@@ -1315,7 +1277,6 @@ DibaAllocator::prepareShardRounds(const net::Transport &t,
     DPC_ASSERT(begin <= end && end <= topo_.numVertices(),
                "prepareShardRounds range [", begin, ", ", end,
                ") out of bounds");
-    ensureEdgeIndex();
     buildOverlapSets(begin, end);
     if (const std::vector<std::uint8_t> *cut = t.cutMask())
         cutIdsOf(*cut);
@@ -1333,7 +1294,6 @@ DibaAllocator::iterateShard(net::Transport &t, std::size_t begin,
     DPC_ASSERT(n > 0, "transport round before reset()");
     DPC_ASSERT(begin <= end && end <= n, "iterateShard range [",
                begin, ", ", end, ") out of bounds");
-    ensureEdgeIndex();
     // Frontier branch (steady-state sparsity over the wire): when
     // the engine permits the active-set kernel, the caller asked
     // for it (threshold above zero), no channel decides fates, and
@@ -1565,11 +1525,7 @@ DibaAllocator::joinNode(std::size_t i)
     // slack; the enabled live neighbours are charged the matching
     // debt, so sum_active(e) == sum_active(p) - P holds across the
     // event (the exact inverse of failNode's hand-off).
-    std::vector<std::size_t> live;
-    for (std::size_t j : topo_.neighbors(i))
-        if (active_[j] &&
-            edgeEnabledPair(std::min(i, j), std::max(i, j)))
-            live.push_back(j);
+    std::vector<std::size_t> live = liveNeighbors(i);
     if (live.empty()) {
         warn("node ", i, " rejoined with no live link; charging ",
              "its re-admission debt to all survivors");
@@ -1578,7 +1534,7 @@ DibaAllocator::joinNode(std::size_t i)
                 live.push_back(j);
     }
     DPC_ASSERT(!live.empty(), "joinNode with no other active node");
-    p_[i] = u_[i]->minPower();
+    p_[i] = problem_.utilities[i]->minPower();
     e_[i] = -kShedFloor;
     // Ramp in through the barrier: annealing restarts wide open so
     // the rejoined node can acquire power over the next rounds.
@@ -1598,12 +1554,7 @@ DibaAllocator::setEdgeEnabled(std::size_t u, std::size_t v,
 {
     DPC_ASSERT(u < active_.size() && v < active_.size() && u != v,
                "setEdgeEnabled endpoints out of range");
-    ensureEdgeIndex();
-    const auto it =
-        edge_id_.find(edgeKey(std::min(u, v), std::max(u, v)));
-    DPC_ASSERT(it != edge_id_.end(), "{", u, ", ", v,
-               "} is not an overlay edge");
-    const std::uint32_t id = it->second;
+    const std::uint32_t id = edgeId(u, v);
     if (static_cast<bool>(edge_enabled_[id]) == enabled)
         return;
     edge_enabled_[id] = enabled ? 1 : 0;
@@ -1618,7 +1569,8 @@ DibaAllocator::setEdgeEnabled(std::size_t u, std::size_t v,
     assertLiveEdgesExact();
     frontier_.reheatAll();
     quiet_ = 0;
-    if (!enabled && !activeSubgraphConnected()) {
+    std::vector<std::uint32_t> label;
+    if (!enabled && liveComponents(label) > 1) {
         warn("DiBA overlay disconnected after link {", u, ", ", v,
              "} was cut; partitions optimize independently");
     }
@@ -1627,42 +1579,76 @@ DibaAllocator::setEdgeEnabled(std::size_t u, std::size_t v,
 bool
 DibaAllocator::edgeEnabled(std::size_t u, std::size_t v) const
 {
-    return edgeEnabledPair(std::min(u, v), std::max(u, v));
+    return disabled_edges_ == 0 || edge_enabled_[edgeId(u, v)] != 0;
 }
 
-bool
-DibaAllocator::edgeEnabledPair(std::size_t u, std::size_t v) const
+std::uint32_t
+DibaAllocator::edgeId(std::size_t u, std::size_t v) const
 {
-    if (disabled_edges_ == 0)
-        return true;
-    // setEdgeEnabled builds the index before the first cut, so the
-    // lookup table is guaranteed populated here.
-    const auto it = edge_id_.find(edgeKey(u, v));
-    DPC_ASSERT(it != edge_id_.end(), "{", u, ", ", v,
+    const auto nbr = topo_.neighbors(u);
+    const auto it = std::find(nbr.begin(), nbr.end(), v);
+    DPC_ASSERT(it != nbr.end(), "{", u, ", ", v,
                "} is not an overlay edge");
-    return edge_enabled_[it->second] != 0;
+    return slot_edge_[topo_.csr().offsets[u] + (it - nbr.begin())];
+}
+
+std::vector<std::size_t>
+DibaAllocator::liveNeighbors(std::size_t i) const
+{
+    const GraphCsr &g = topo_.csr();
+    std::vector<std::size_t> live;
+    for (std::uint32_t k = g.offsets[i]; k < g.offsets[i + 1]; ++k) {
+        const std::uint32_t j = g.neighbors[k];
+        if (active_[j] && edge_enabled_[slot_edge_[k]])
+            live.push_back(j);
+    }
+    return live;
 }
 
 void
-DibaAllocator::ensureEdgeIndex()
+DibaAllocator::buildSlotTables()
 {
-    if (!slot_edge_.empty())
-        return;
-    edge_id_.reserve(all_edges_.size());
-    for (std::size_t id = 0; id < all_edges_.size(); ++id)
-        edge_id_.emplace(edgeKey(all_edges_[id].first,
-                                 all_edges_[id].second),
-                         static_cast<std::uint32_t>(id));
+    // One branchless pass over the slots, no hashing.  Edge {v, w}
+    // (v < w) gets the next canonical id at v's turn and queues it
+    // at the front of w's slot range; w's turn maps its queue to
+    // its lower slots through word[], which counts the ids queued
+    // at x until x's turn and then holds the id of edge {x, w}.  A
+    // lower slot's idle queue write and edge record go to a spare
+    // entry at the end of each table, dropped after the pass.
     const GraphCsr &g = topo_.csr();
-    slot_edge_.resize(g.neighbors.size());
-    for (std::size_t v = 0; v < topo_.numVertices(); ++v) {
-        for (std::uint32_t k = g.offsets[v]; k < g.offsets[v + 1];
-             ++k) {
-            const std::size_t j = g.neighbors[k];
-            slot_edge_[k] = edge_id_.at(
-                edgeKey(std::min(v, j), std::max(v, j)));
+    const std::uint32_t *off = g.offsets.data();
+    const std::uint32_t *nbr = g.neighbors.data();
+    const auto n = static_cast<std::uint32_t>(topo_.numVertices());
+    const auto slots = static_cast<std::uint32_t>(g.neighbors.size());
+    // Metropolis weights: one division per distinct degree, the
+    // same quotient bits in every slot.
+    std::vector<double> inv_deg(topo_.maxDegree() + 1);
+    for (std::size_t d = 0; d < inv_deg.size(); ++d)
+        inv_deg[d] = 1.0 / (1.0 + static_cast<double>(d));
+    all_edges_.resize(topo_.numEdges() + 1);
+    slot_edge_.resize(slots + 1);
+    w_.resize(slots);
+    std::vector<std::uint32_t> word(n, 0);
+    std::uint32_t next = 0;
+    for (std::uint32_t v = 0; v < n; ++v) {
+        const std::uint32_t lo = off[v];
+        const std::uint32_t hi = off[v + 1];
+        for (std::uint32_t q = lo; q < lo + word[v]; ++q)
+            word[all_edges_[slot_edge_[q]].first] = slot_edge_[q];
+        for (std::uint32_t k = lo; k < hi; ++k) {
+            const std::uint32_t w = nbr[k];
+            const std::uint32_t x = word[w];
+            const std::uint32_t up = v < w ? 1 : 0;
+            slot_edge_[k] = up ? next : x;
+            slot_edge_[up ? off[w] + x : slots] = next;
+            word[w] = x + up;
+            all_edges_[next] = {v, w};
+            next += up;
+            w_[k] = inv_deg[std::max(hi - lo, off[w + 1] - off[w])];
         }
     }
+    all_edges_.pop_back();
+    slot_edge_.pop_back();
 }
 
 void
@@ -1707,7 +1693,6 @@ DibaAllocator::removeLiveEdge(std::uint32_t id)
 void
 DibaAllocator::pruneEdgesOf(std::size_t i)
 {
-    ensureEdgeIndex();
     const GraphCsr &g = topo_.csr();
     for (std::uint32_t k = g.offsets[i]; k < g.offsets[i + 1]; ++k)
         removeLiveEdge(slot_edge_[k]);
@@ -1716,7 +1701,6 @@ DibaAllocator::pruneEdgesOf(std::size_t i)
 void
 DibaAllocator::restoreEdgesOf(std::size_t i)
 {
-    ensureEdgeIndex();
     const GraphCsr &g = topo_.csr();
     for (std::uint32_t k = g.offsets[i]; k < g.offsets[i + 1]; ++k) {
         const std::uint32_t id = slot_edge_[k];
@@ -1779,21 +1763,23 @@ DibaAllocator::liveComponents(std::vector<std::uint32_t> &label_of) const
 {
     // Components are numbered by ascending lowest id.
     const std::size_t n = active_.size();
+    const GraphCsr &g = topo_.csr();
     label_of.assign(n, kNoComponent);
     std::uint32_t next = 0;
-    std::vector<std::size_t> stack;
+    std::vector<std::uint32_t> stack;
     for (std::size_t s = 0; s < n; ++s) {
         if (!active_[s] || label_of[s] != kNoComponent)
             continue;
         label_of[s] = next;
-        stack.push_back(s);
+        stack.push_back(static_cast<std::uint32_t>(s));
         while (!stack.empty()) {
-            const std::size_t v = stack.back();
+            const std::uint32_t v = stack.back();
             stack.pop_back();
-            for (std::size_t w : topo_.neighbors(v)) {
-                if (!active_[w] || label_of[w] != kNoComponent)
-                    continue;
-                if (!edgeEnabledPair(std::min(v, w), std::max(v, w)))
+            for (std::uint32_t k = g.offsets[v]; k < g.offsets[v + 1];
+                 ++k) {
+                const std::uint32_t w = g.neighbors[k];
+                if (!active_[w] || label_of[w] != kNoComponent ||
+                    !edge_enabled_[slot_edge_[k]])
                     continue;
                 label_of[w] = next;
                 stack.push_back(w);
@@ -1935,7 +1921,7 @@ DibaAllocator::adoptCaps(const std::vector<double> &caps)
     for (std::size_t i = 0; i < p_.size(); ++i) {
         if (!active_[i])
             continue;
-        p_[i] = u_[i]->clampPower(caps[i]);
+        p_[i] = problem_.utilities[i]->clampPower(caps[i]);
         sum_p[label[i]] += p_[i];
         ++cnt[label[i]];
         if (first[label[i]] == p_.size())
@@ -1995,8 +1981,9 @@ DibaAllocator::refederateBudgetWithHeld(
         DPC_ASSERT(comp_of[i] < num_comps,
                    "refederateBudget: active node ", i,
                    " has no component label");
-        min_p[comp_of[i]] += u_[i]->minPower();
-        head[comp_of[i]] += u_[i]->maxPower() - u_[i]->minPower();
+        const UtilityFunction &u = *problem_.utilities[i];
+        min_p[comp_of[i]] += u.minPower();
+        head[comp_of[i]] += u.maxPower() - u.minPower();
         ++cnt[comp_of[i]];
     }
     for (std::size_t j = 0; j < num_comps; ++j)

@@ -47,7 +47,6 @@
 #include <cstddef>
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -265,9 +264,9 @@ class DibaAllocator : public IterativeAllocator
 
     /**
      * Do the one-time setup of iterateShard over [owned_begin,
-     * owned_end) on `t` now, between rounds: the edge index, the
-     * interior/boundary run split and the cut-id list, which the
-     * first round would otherwise build lazily on its own clock.
+     * owned_end) on `t` now, between rounds: the interior/boundary
+     * run split and the cut-id list, which the first round would
+     * otherwise build lazily on its own clock.
      * Optional and state-neutral: the rounds compute the same bits
      * either way.
      */
@@ -297,6 +296,19 @@ class DibaAllocator : public IterativeAllocator
     {
         return phase_totals_;
     }
+
+    /** Wall-clock seconds of the constructor's phases (per-slot
+     * tables, connectivity assert) and the last reset()'s
+     * (quadratic mirror; seed, or the uniform start). */
+    struct SetupPhases
+    {
+        double slot_tables_s = 0.0;
+        double connect_s = 0.0;
+        double mirror_s = 0.0;
+        double seed_s = 0.0;
+    };
+
+    const SetupPhases &setupPhases() const { return setup_phases_; }
 
     /**
      * Fold an externally reduced round max |dp| (the broker
@@ -420,9 +432,14 @@ class DibaAllocator : public IterativeAllocator
      * connectivity check then run once for the set, so surgery on
      * a dead block is one O(n + E) pass.  Every survivor applies
      * the same transform, which keeps their full-size mirrors
-     * bitwise aligned.  Every listed node must be active.
+     * bitwise aligned.  Every listed node must be active.  The
+     * same pass labels the survivors' live components
+     * (liveComponents()), into `label_of` when given.
+     * @return the number of live components.
      */
-    void failNodesQuiet(std::vector<std::size_t> nodes);
+    std::size_t failNodesQuiet(std::vector<std::size_t> nodes,
+                               std::vector<std::uint32_t> *label_of =
+                                   nullptr);
 
     /**
      * Re-admit a previously failed server: the exact inverse of
@@ -453,6 +470,11 @@ class DibaAllocator : public IterativeAllocator
 
     /** Whether overlay edge {u, v} is currently enabled. */
     bool edgeEnabled(std::size_t u, std::size_t v) const;
+
+    /** Edge id (index into overlayEdges()) of overlay edge {u, v},
+     * either orientation: an O(deg(u)) scan of u's CSR slots;
+     * asserts that {u, v} is an overlay edge. */
+    std::uint32_t edgeId(std::size_t u, std::size_t v) const;
 
     /** Link mask per edge_id (index-aligned with overlayEdges();
      * 0 = administratively cut).  Lets the recovery layer decide in
@@ -633,15 +655,14 @@ class DibaAllocator : public IterativeAllocator
      * lifetime of the allocator); the index of an edge in this
      * list is its edge_id in GossipChannel queries.
      */
-    const std::vector<std::pair<std::size_t, std::size_t>> &
-    overlayEdges() const
+    const std::vector<GraphEdge> &overlayEdges() const
     {
         return all_edges_;
     }
 
-    /** Currently live edges (enabled, both endpoints active). */
-    const std::vector<std::pair<std::size_t, std::size_t>> &
-    liveEdges() const
+    /** Currently live edges (enabled, both endpoints active;
+     * empty before the first reset()). */
+    const std::vector<GraphEdge> &liveEdges() const
     {
         return edges_;
     }
@@ -659,7 +680,10 @@ class DibaAllocator : public IterativeAllocator
     const std::vector<double> &estimates() const { return e_; }
 
     /** Current utilities (after any setUtility calls). */
-    const std::vector<UtilityPtr> &utilities() const { return u_; }
+    const std::vector<UtilityPtr> &utilities() const
+    {
+        return problem_.utilities;
+    }
 
     /** Node i's annealed barrier weight. */
     double barrierWeight(std::size_t i) const { return eta_now_[i]; }
@@ -715,9 +739,10 @@ class DibaAllocator : public IterativeAllocator
     /** Update iterations_/quiet_ after one counted round. */
     void noteRound(double moved);
 
-    /** Build slot_edge_ and the (u,v) -> edge_id lookup (lazy;
-     * only fault-injection entry points pay for it). */
-    void ensureEdgeIndex();
+    /** Build the per-slot tables from the CSR at construction:
+     * all_edges_, slot_edge_ and the Metropolis weights w_ (one
+     * O(E) pass). */
+    void buildSlotTables();
 
     /** Reset the live-edge list to the full overlay (canonical
      * order) and rebuild the position index. */
@@ -731,8 +756,8 @@ class DibaAllocator : public IterativeAllocator
 
     /** Incremental churn maintenance: drop node i's live incident
      * edges / re-add the ones that became eligible.  O(deg(i))
-     * via the lazy slot_edge_ index instead of the old O(E)
-     * full-list rebuild. */
+     * via the slot_edge_ index instead of an O(E) full-list
+     * rebuild. */
     void pruneEdgesOf(std::size_t i);
     void restoreEdgesOf(std::size_t i);
 
@@ -745,14 +770,14 @@ class DibaAllocator : public IterativeAllocator
     void deactivateNode(std::size_t i);
 
     /** Shared back half: after `failed` nodes left, restart the
-     * history, reheat the frontier and warn if the survivors
-     * split. */
-    void membershipLost(std::size_t failed);
+     * history, reheat the frontier, label the live components
+     * (the one connectivity pass of the event) and warn if the
+     * survivors split.  Returns the component count. */
+    std::size_t membershipLost(std::size_t failed,
+                               std::vector<std::uint32_t> &label_of);
 
-    /** True unless the link mask disables {u, v} (mask checked
-     * only when some edge is disabled, so the common path stays
-     * free of the lazy edge index). */
-    bool edgeEnabledPair(std::size_t u, std::size_t v) const;
+    /** Active neighbours of i over enabled links, in CSR order. */
+    std::vector<std::size_t> liveNeighbors(std::size_t i) const;
 
     /** Record the pre-round estimates for staleness lookups,
      * keeping `depth` rounds of history. */
@@ -915,9 +940,6 @@ class DibaAllocator : public IterativeAllocator
                            const double *hi, std::size_t m,
                            double budget, double neta, double &lambda);
 
-    /** True if the active subgraph is connected. */
-    bool activeSubgraphConnected() const;
-
     /** The communication overlay; every hot loop (CSR diffusion,
      * SoA kernels, thread chunking) runs over its ids. */
     Graph topo_;
@@ -925,7 +947,6 @@ class DibaAllocator : public IterativeAllocator
     /** cfg_'s hot-loop subset, flattened once for the shared
      * round kernels (round_kernel.hh). */
     RoundKernelParams kp_;
-    std::vector<UtilityPtr> u_;
     std::vector<double> p_;
     std::vector<double> e_;
     std::vector<double> e_snapshot_;
@@ -939,7 +960,7 @@ class DibaAllocator : public IterativeAllocator
     std::size_t num_active_ = 0;
     /** Canonical overlay edge list (min < max, index == edge_id).
      * Immutable after construction. */
-    std::vector<std::pair<std::size_t, std::size_t>> all_edges_;
+    std::vector<GraphEdge> all_edges_;
     /**
      * Live-edge list of the overlay for async gossip activation:
      * the subset of all_edges_ that is enabled with both endpoints
@@ -950,7 +971,7 @@ class DibaAllocator : public IterativeAllocator
      * every consumer tolerates (membership queries, degree counts,
      * uniform draws).
      */
-    std::vector<std::pair<std::size_t, std::size_t>> edges_;
+    std::vector<GraphEdge> edges_;
     /** Edge id of each live-list slot (aligned with edges_). */
     std::vector<std::uint32_t> live_ids_;
     /** Position of each edge id in the live list (kNoLivePos when
@@ -962,10 +983,8 @@ class DibaAllocator : public IterativeAllocator
     /** Number of currently disabled edges (fast all-enabled test). */
     std::size_t disabled_edges_ = 0;
     /** Per directed CSR slot, the undirected edge_id it belongs
-     * to (built lazily by ensureEdgeIndex()). */
+     * to; with a scan of u's slots, edgeId()'s lookup. */
     std::vector<std::uint32_t> slot_edge_;
-    /** (min << 32 | max) -> edge_id lookup (lazy). */
-    std::unordered_map<std::uint64_t, std::uint32_t> edge_id_;
     /** Pre-round estimate snapshots, most recent first (depth
      * maxLag + 1), for stale paired transfers. */
     std::deque<std::vector<double>> hist_;
@@ -1006,6 +1025,7 @@ class DibaAllocator : public IterativeAllocator
     std::vector<double *> patch_rows_;
     /** Per-phase wall-clock totals of transport-routed rounds. */
     TransportPhaseTotals phase_totals_;
+    SetupPhases setup_phases_;
     /** Overlap schedule cache for iterateShard: maximal
      * contiguous runs of interior nodes (no CSR neighbour outside
      * the owned range) and of the boundary residue, keyed on the
@@ -1029,7 +1049,7 @@ class DibaAllocator : public IterativeAllocator
      * does no divisions on the hot path.
      */
     std::vector<double> w_;
-    /** Quadratic SoA mirror of u_ (valid iff quad_fast_); qa_ is
+    /** Quadratic SoA mirror of the utilities (valid iff quad_fast_); qa_ is
      * the constant term, read only by result(). */
     std::vector<double> qa_, qb_, qc_, qmin_, qmax_;
     /** 1/(2 c) per node, the water-level search's slope terms. */

@@ -78,8 +78,7 @@ PrimalDualAllocator::doReset()
     qmin_.reserve(n);
     qmax_.reserve(n);
     for (const auto &u : prob.utilities) {
-        const auto *q =
-            dynamic_cast<const QuadraticUtility *>(u.get());
+        const auto *q = u->quadratic();
         if (q == nullptr) {
             quad_ = false;
             break;

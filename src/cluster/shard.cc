@@ -47,8 +47,7 @@ failDeadBlocks(DibaAllocator &alloc, const ShardPlan &plan,
     for (std::size_t i = 0; i < plan.owner_of.size(); ++i)
         if (((dead >> plan.owner_of[i]) & 1) && alloc.isActive(i))
             nodes.push_back(i);
-    alloc.failNodesQuiet(std::move(nodes));
-    return alloc.liveComponents(label);
+    return alloc.failNodesQuiet(std::move(nodes), &label);
 }
 
 sockaddr_in
@@ -327,15 +326,12 @@ shardMain(std::uint32_t shard_id, const ShardPlan &plan,
         tc.tick = tickNow;
     // The canonical edge list both sides of every shard pair
     // derive their cut-batch record indices from.
-    tc.edges.reserve(alloc.overlayEdges().size());
-    for (const auto &[u, v] : alloc.overlayEdges())
-        tc.edges.emplace_back(static_cast<std::uint32_t>(u),
-                              static_cast<std::uint32_t>(v));
+    tc.edges = alloc.overlayEdges();
     net::SocketTransport sock(tc);
     sockp = &sock;
-    // The routed round's one-time setup (edge index, interior /
-    // boundary split, cut ids) overlaps the handshake instead of
-    // landing on round 0's clock.
+    // The routed round's one-time setup (interior / boundary
+    // split, cut ids) overlaps the handshake instead of landing on
+    // round 0's clock.
     alloc.prepareShardRounds(sock, plan.block_begin[shard_id],
                              plan.block_end[shard_id]);
     {
@@ -675,10 +671,10 @@ statusStr(int status)
 } // namespace
 
 ShardPlan
-makeShardPlan(const DibaAllocator &alloc, std::uint32_t num_shards)
+makeShardPlan(const Graph &topo, std::uint32_t num_shards)
 {
     DPC_ASSERT(num_shards >= 1, "need at least one shard");
-    const std::size_t n = alloc.topology().numVertices();
+    const std::size_t n = topo.numVertices();
     DPC_ASSERT(num_shards <= n, "more shards than nodes");
 
     ShardPlan plan;
@@ -693,12 +689,18 @@ makeShardPlan(const DibaAllocator &alloc, std::uint32_t num_shards)
                   plan.owner_of.begin() + plan.block_end[s], s);
     }
     // An edge is cut when its endpoints live in different blocks.
-    const auto &edges = alloc.overlayEdges();
-    plan.total_edges = edges.size();
-    for (const auto &[u, v] : edges)
-        if (plan.owner_of[u] != plan.owner_of[v])
-            ++plan.cut_edges;
+    plan.total_edges = topo.numEdges();
+    for (std::size_t v = 0; v < n; ++v)
+        for (const std::uint32_t w : topo.neighbors(v))
+            if (v < w && plan.owner_of[v] != plan.owner_of[w])
+                ++plan.cut_edges;
     return plan;
+}
+
+ShardPlan
+makeShardPlan(const DibaAllocator &alloc, std::uint32_t num_shards)
+{
+    return makeShardPlan(alloc.topology(), num_shards);
 }
 
 void
@@ -743,10 +745,8 @@ runShardedDiba(const AllocationProblem &prob, const Graph &topo,
     const bool guarded = opt.recover || !opt.faults.empty() ||
                          opt.heartbeat_ms > 0;
 
-    // The plan is deterministic in (topology, Config); children
-    // recompute it identically from their own allocator.
-    DibaAllocator planner(topo, cfg);
-    ShardPlan plan = makeShardPlan(planner, opt.num_shards);
+    // The plan is deterministic in the topology alone.
+    ShardPlan plan = makeShardPlan(topo, opt.num_shards);
 
     ShardRunResult out;
     out.plan = plan;

@@ -83,10 +83,13 @@ struct ShardPlan
 };
 
 /**
- * Partition `alloc`'s overlay into `num_shards` balanced
+ * Partition the overlay `topo` into `num_shards` balanced
  * contiguous id blocks.  Deterministic in the topology: parent
  * and children compute identical plans independently.
  */
+ShardPlan makeShardPlan(const Graph &topo, std::uint32_t num_shards);
+
+/** makeShardPlan over `alloc`'s topology. */
 ShardPlan makeShardPlan(const DibaAllocator &alloc,
                         std::uint32_t num_shards);
 

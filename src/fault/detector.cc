@@ -33,14 +33,14 @@ FailureDetector::Config::calibrated(std::size_t min_degree, double worst_loss,
 
 FailureDetector::FailureDetector(
     std::size_t num_nodes,
-    const std::vector<std::pair<std::size_t, std::size_t>> &overlay)
+    const std::vector<GraphEdge> &overlay)
     : FailureDetector(num_nodes, overlay, Config{})
 {
 }
 
 FailureDetector::FailureDetector(
     std::size_t num_nodes,
-    const std::vector<std::pair<std::size_t, std::size_t>> &overlay,
+    const std::vector<GraphEdge> &overlay,
     Config cfg)
     : cfg_(cfg), overlay_(overlay)
 {

@@ -42,6 +42,8 @@
 #include <utility>
 #include <vector>
 
+#include "graph/graph.hh"
+
 namespace dpc {
 
 /** Missed-pair failure detector with threshold + hysteresis. */
@@ -81,10 +83,10 @@ class FailureDetector
 
     FailureDetector(
         std::size_t num_nodes,
-        const std::vector<std::pair<std::size_t, std::size_t>> &overlay);
+        const std::vector<GraphEdge> &overlay);
     FailureDetector(
         std::size_t num_nodes,
-        const std::vector<std::pair<std::size_t, std::size_t>> &overlay,
+        const std::vector<GraphEdge> &overlay,
         Config cfg);
 
     /** Begin a round of observations. */
@@ -129,7 +131,7 @@ class FailureDetector
 
   private:
     Config cfg_;
-    std::vector<std::pair<std::size_t, std::size_t>> overlay_;
+    std::vector<GraphEdge> overlay_;
 
     // per-edge streaks
     std::vector<std::uint32_t> edge_miss_;

@@ -138,14 +138,6 @@ class ObservingChannel : public GossipChannel
     std::vector<std::uint8_t> &queried_;
 };
 
-std::uint64_t
-edgeKey(std::size_t u, std::size_t v)
-{
-    const std::uint64_t a = static_cast<std::uint64_t>(std::min(u, v));
-    const std::uint64_t b = static_cast<std::uint64_t>(std::max(u, v));
-    return (a << 32) | b;
-}
-
 } // namespace
 
 RecoverySession::RecoverySession(DibaAllocator &diba,
@@ -173,18 +165,11 @@ RecoverySession::RecoverySession(DibaAllocator &diba,
     const auto &overlay = diba_.overlayEdges();
     edge_status_.assign(overlay.size(), EdgeStatus::InUse);
     queried_.assign(overlay.size(), 0);
-    edge_id_.reserve(overlay.size());
-    for (std::size_t id = 0; id < overlay.size(); ++id)
-        edge_id_[edgeKey(overlay[id].first, overlay[id].second)] =
-            static_cast<std::uint32_t>(id);
 
     // Park the pre-provisioned spares: disabled at start, invisible
     // to the exchange, enabled only by the healer.
     for (const auto &[u, v] : cfg_.spare_edges) {
-        const auto it = edge_id_.find(edgeKey(u, v));
-        DPC_ASSERT(it != edge_id_.end(), "spare edge {", u, ", ", v,
-                   "} is not an overlay edge");
-        edge_status_[it->second] = EdgeStatus::Spare;
+        edge_status_[diba_.edgeId(u, v)] = EdgeStatus::Spare;
         if (diba_.edgeEnabled(u, v))
             diba_.setEdgeEnabled(u, v, false);
     }
@@ -380,7 +365,7 @@ RecoverySession::healOverlay()
         overlay, candidate, alive, tracker_.labels(), k, deg,
         cfg_.degree_floor);
     for (const auto &[u, v] : picks) {
-        const std::uint32_t id = edge_id_.at(edgeKey(u, v));
+        const std::uint32_t id = diba_.edgeId(u, v);
         diba_.setEdgeEnabled(u, v, true);
         tracker_.edgeUp(u, v);
         edge_status_[id] = EdgeStatus::InUse;

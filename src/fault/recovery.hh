@@ -47,7 +47,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -250,8 +249,6 @@ class RecoverySession
     InvariantChecker checker_;
 
     std::vector<EdgeStatus> edge_status_;
-    /** (min << 32 | max) -> edge_id lookup over the overlay. */
-    std::unordered_map<std::uint64_t, std::uint32_t> edge_id_;
     /** Scratch: which edge ids the round consumed fates for. */
     std::vector<std::uint8_t> queried_;
 

@@ -2,31 +2,31 @@
  * @file
  * Undirected graph used as the communication overlay of the
  * decentralized power-capping algorithms (ring, chordal ring,
- * Erdos-Renyi, star, two-tier cluster fabric).  Adjacency-list
- * representation for construction, plus a cached flat CSR view
- * (contiguous offsets[]/neighbors[] arrays) that the hot round
- * engines and the BFS-based structural queries iterate over:
- * degrees, connectivity, BFS distances, diameter.
+ * Erdos-Renyi, star, two-tier cluster fabric).  A Graph is one
+ * immutable compressed-sparse-row structure (32-bit offsets[] /
+ * neighbors[] arrays, each vertex's neighbours in the order its
+ * edges were added), built once by Graph::Builder: a copy is two
+ * flat vector copies, and the round engines and the BFS-based
+ * structural queries (degrees, connectivity, BFS distances,
+ * diameter) iterate the arrays directly.
  */
 
 #ifndef DPC_GRAPH_GRAPH_HH
 #define DPC_GRAPH_GRAPH_HH
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace dpc {
 
 /**
- * Compressed-sparse-row view of an undirected graph: the
- * neighbours of v are neighbors[offsets[v] .. offsets[v+1]), in
- * the same order as Graph::neighbors(v).  32-bit entries keep the
- * arrays cache-dense at million-node scale (2 x 4 bytes per
- * directed edge instead of 8-byte pointers plus per-vertex heap
- * blocks).
+ * Compressed-sparse-row adjacency of an undirected graph: the
+ * neighbours of v are neighbors[offsets[v] .. offsets[v+1]).
+ * 32-bit entries keep the arrays cache-dense at million-node scale
+ * (2 x 4 bytes per directed edge, no per-vertex heap blocks).
  */
 struct GraphCsr
 {
@@ -42,67 +42,42 @@ struct GraphCsr
     }
 };
 
-/** Simple undirected graph over vertices 0..n-1. */
+/** An undirected edge as a canonical (u < v) pair of vertex ids. */
+using GraphEdge = std::pair<std::uint32_t, std::uint32_t>;
+
+/** Simple undirected graph over vertices 0..n-1 (immutable). */
 class Graph
 {
   public:
-    /** Empty graph with n isolated vertices. */
+    class Builder;
+
+    /** Edgeless graph with n isolated vertices. */
     explicit Graph(std::size_t n = 0);
 
-    // The CSR cache carries a mutex (non-copyable), so the
-    // value-semantic copies/moves the topology factories rely on
-    // are spelled out: they transfer the adjacency lists and any
-    // already-built CSR view, and give the destination its own
-    // fresh synchronization state.
-    Graph(const Graph &other);
-    Graph(Graph &&other) noexcept;
-    Graph &operator=(const Graph &other);
-    Graph &operator=(Graph &&other) noexcept;
-
     /** Number of vertices. */
-    std::size_t numVertices() const { return adj_.size(); }
+    std::size_t numVertices() const
+    {
+        return csr_.offsets.empty() ? 0 : csr_.offsets.size() - 1;
+    }
 
     /** Number of undirected edges. */
-    std::size_t numEdges() const { return num_edges_; }
+    std::size_t numEdges() const { return csr_.neighbors.size() / 2; }
 
-    /**
-     * Add the undirected edge {u, v}.  Self-loops and duplicate
-     * edges are rejected (returns false).
-     */
-    bool addEdge(std::size_t u, std::size_t v);
-
-    /** True if {u, v} is an edge. */
+    /** True if {u, v} is an edge (scans the smaller list). */
     bool hasEdge(std::size_t u, std::size_t v) const;
 
     /** Neighbours of v, in insertion order. */
-    const std::vector<std::size_t> &neighbors(std::size_t v) const;
+    std::span<const std::uint32_t> neighbors(std::size_t v) const;
 
     /** Degree of v. */
-    std::size_t degree(std::size_t v) const;
+    std::size_t degree(std::size_t v) const
+    {
+        return neighbors(v).size();
+    }
 
-    /**
-     * Flat CSR adjacency view, built lazily on first access and
-     * cached until the next addEdge().
-     *
-     * Thread-safety contract: concurrent csr() calls on a fully
-     * constructed graph are safe — the lazy build is guarded by a
-     * double-checked atomic flag plus a build mutex, so exactly
-     * one caller builds and the rest wait.  What is NOT safe is
-     * mutating the graph (addEdge) concurrently with any reader;
-     * finish construction first.  Hot paths that want the build
-     * cost out of their timed region (or out of a parallel phase
-     * entirely) call buildCsr() once up front — every allocator
-     * constructor does.
-     */
-    const GraphCsr &csr() const;
-
-    /**
-     * Force the CSR build now (idempotent).  Call once after
-     * construction when the view will be consumed from worker
-     * threads or inside timed regions; csr() afterwards is a pure
-     * acquire-load + return.
-     */
-    void buildCsr() const;
+    /** The CSR arrays themselves (slot k of vertex v is
+     * offsets[v] + its position in neighbors(v)). */
+    const GraphCsr &csr() const { return csr_; }
 
     /**
      * Copy of this graph with vertex ids relabeled through a
@@ -123,7 +98,8 @@ class Graph
     /** Largest degree (0 for the empty graph). */
     std::size_t maxDegree() const;
 
-    /** True if every vertex is reachable from vertex 0. */
+    /** True if every vertex is reachable from vertex 0 (one BFS
+     * over a byte mask and a vertex queue). */
     bool isConnected() const;
 
     /**
@@ -153,16 +129,43 @@ class Graph
                         std::vector<std::uint32_t> &cur,
                         std::vector<std::uint32_t> &next) const;
 
-    std::vector<std::vector<std::size_t>> adj_;
-    std::size_t num_edges_ = 0;
+    GraphCsr csr_;
+};
 
-    /** Lazily built CSR mirror of adj_ (guarded; see csr()). */
-    mutable GraphCsr csr_;
-    /** Publication flag for csr_: set with release order after the
-     * build completes, read with acquire order on every access. */
-    mutable std::atomic<bool> csr_valid_{false};
-    /** Serializes the one-time lazy build. */
-    mutable std::mutex csr_mutex_;
+/**
+ * Mutable edge-by-edge construction of a Graph: the topology
+ * factories add edges here, then build() packs the adjacency into
+ * the immutable CSR, keeping each vertex's neighbours in insertion
+ * order.
+ */
+class Graph::Builder
+{
+  public:
+    /** n isolated vertices (fewer than 2^32). */
+    explicit Builder(std::size_t n);
+
+    /** Number of vertices. */
+    std::size_t numVertices() const { return adj_.size(); }
+
+    /** Number of undirected edges added so far. */
+    std::size_t numEdges() const { return num_edges_; }
+
+    /**
+     * Add the undirected edge {u, v}.  Self-loops and duplicate
+     * edges are rejected (returns false).
+     */
+    bool addEdge(std::size_t u, std::size_t v);
+
+    /** True if {u, v} was added. */
+    bool hasEdge(std::size_t u, std::size_t v) const;
+
+    /** The graph of the edges added so far (the builder stays
+     * usable: later edges go into later builds only). */
+    Graph build() const;
+
+  private:
+    std::vector<std::vector<std::uint32_t>> adj_;
+    std::size_t num_edges_ = 0;
 };
 
 } // namespace dpc

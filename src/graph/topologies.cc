@@ -1,43 +1,68 @@
 #include "graph/topologies.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace dpc {
 
-Graph
-makeRing(std::size_t n)
+namespace {
+
+/** A ring 0-1-...-(n-1)-0 in a builder. */
+Graph::Builder
+ringBuilder(std::size_t n)
 {
     DPC_ASSERT(n >= 3, "ring needs at least 3 vertices");
-    Graph g(n);
+    Graph::Builder g(n);
     for (std::size_t v = 0; v < n; ++v)
         g.addEdge(v, (v + 1) % n);
     return g;
 }
 
+/** Add `count` distinct random chords, each also appended to
+ * `added` as a canonical (u < v) pair when given. */
+void
+addChords(Graph::Builder &g, std::size_t count, Rng &rng,
+          std::vector<std::pair<std::size_t, std::size_t>> *added = nullptr)
+{
+    const std::size_t n = g.numVertices();
+    DPC_ASSERT(g.numEdges() + count <= n * (n - 1) / 2,
+               "too many chords requested");
+    for (std::size_t k = 0; k < count;) {
+        const std::size_t u = rng.index(n);
+        const std::size_t v = rng.index(n);
+        if (!g.addEdge(u, v))
+            continue;
+        ++k;
+        if (added != nullptr)
+            added->emplace_back(std::min(u, v), std::max(u, v));
+    }
+}
+
+} // namespace
+
+Graph
+makeRing(std::size_t n)
+{
+    return ringBuilder(n).build();
+}
+
 Graph
 makeChordalRing(std::size_t n, std::size_t chords, Rng &rng)
 {
-    Graph g = makeRing(n);
-    const std::size_t max_extra = n * (n - 1) / 2 - n;
-    DPC_ASSERT(chords <= max_extra, "too many chords requested");
-    std::size_t added = 0;
-    while (added < chords) {
-        const std::size_t u = rng.index(n);
-        const std::size_t v = rng.index(n);
-        if (g.addEdge(u, v))
-            ++added;
-    }
-    return g;
+    Graph::Builder g = ringBuilder(n);
+    addChords(g, chords, rng);
+    return g.build();
 }
 
 Graph
 makeStar(std::size_t n)
 {
     DPC_ASSERT(n >= 2, "star needs at least 2 vertices");
-    Graph g(n);
+    Graph::Builder g(n);
     for (std::size_t v = 1; v < n; ++v)
         g.addEdge(0, v);
-    return g;
+    return g.build();
 }
 
 Graph
@@ -46,12 +71,13 @@ makeConnectedErdosRenyi(std::size_t n, std::size_t m, Rng &rng)
     DPC_ASSERT(m >= n - 1, "too few edges for a connected graph");
     DPC_ASSERT(m <= n * (n - 1) / 2, "more edges than pairs");
     for (int attempt = 0; attempt < 10000; ++attempt) {
-        Graph g(n);
-        while (g.numEdges() < m) {
+        Graph::Builder b(n);
+        while (b.numEdges() < m) {
             const std::size_t u = rng.index(n);
             const std::size_t v = rng.index(n);
-            g.addEdge(u, v);
+            b.addEdge(u, v);
         }
+        Graph g = b.build();
         if (g.isConnected())
             return g;
     }
@@ -65,7 +91,7 @@ makeRandomConnectedGraph(std::size_t n, std::size_t m, Rng &rng)
     DPC_ASSERT(n >= 2, "need at least two vertices");
     DPC_ASSERT(m >= n - 1, "too few edges for a connected graph");
     DPC_ASSERT(m <= n * (n - 1) / 2, "more edges than pairs");
-    Graph g(n);
+    Graph::Builder g(n);
     // Random spanning tree: attach each new vertex (in shuffled
     // order) to a uniformly random already-attached vertex.
     std::vector<std::size_t> order(n);
@@ -79,7 +105,7 @@ makeRandomConnectedGraph(std::size_t n, std::size_t m, Rng &rng)
         const std::size_t v = rng.index(n);
         g.addEdge(u, v);
     }
-    return g;
+    return g.build();
 }
 
 Graph
@@ -88,13 +114,13 @@ makeTwoTierFabric(std::size_t n, std::size_t rack_size)
     DPC_ASSERT(n >= 1 && rack_size >= 1, "bad fabric dimensions");
     const std::size_t racks = (n + rack_size - 1) / rack_size;
     // Vertices: [0, n) servers, [n, n + racks) ToR, n + racks core.
-    Graph g(n + racks + 1);
+    Graph::Builder g(n + racks + 1);
     const std::size_t core = n + racks;
     for (std::size_t s = 0; s < n; ++s)
         g.addEdge(s, n + s / rack_size);
     for (std::size_t r = 0; r < racks; ++r)
         g.addEdge(n + r, core);
-    return g;
+    return g.build();
 }
 
 Graph
@@ -103,27 +129,16 @@ makeHealableRing(std::size_t n, std::size_t chords, std::size_t spares,
                  std::vector<std::pair<std::size_t, std::size_t>> *spare_edges)
 {
     DPC_ASSERT(spare_edges != nullptr, "makeHealableRing needs a spare sink");
-    const std::size_t max_extra = n * (n - 1) / 2 - n;
-    DPC_ASSERT(chords + spares <= max_extra,
-               "too many chords + spares requested");
-    Graph g = makeChordalRing(n, chords, rng);
+    Graph::Builder g = ringBuilder(n);
+    addChords(g, chords, rng);
     spare_edges->clear();
-    spare_edges->reserve(spares);
-    std::size_t added = 0;
-    while (added < spares) {
-        const std::size_t u = rng.index(n);
-        const std::size_t v = rng.index(n);
-        if (g.addEdge(u, v)) {
-            spare_edges->emplace_back(u < v ? u : v, u < v ? v : u);
-            ++added;
-        }
-    }
-    return g;
+    addChords(g, spares, rng, spare_edges);
+    return g.build();
 }
 
 std::vector<std::pair<std::size_t, std::size_t>>
 proposeOverlayRepairs(
-    const std::vector<std::pair<std::size_t, std::size_t>> &overlay,
+    const std::vector<GraphEdge> &overlay,
     const std::vector<std::uint8_t> &candidate,
     const std::vector<std::uint8_t> &alive,
     const std::vector<std::uint32_t> &comp_of, std::size_t num_comps,
@@ -189,11 +204,11 @@ proposeOverlayRepairs(
 Graph
 makeComplete(std::size_t n)
 {
-    Graph g(n);
+    Graph::Builder g(n);
     for (std::size_t u = 0; u < n; ++u)
         for (std::size_t v = u + 1; v < n; ++v)
             g.addEdge(u, v);
-    return g;
+    return g.build();
 }
 
 } // namespace dpc

@@ -107,7 +107,7 @@ Graph makeHealableRing(std::size_t n, std::size_t chords,
  * enable as canonical pairs.
  */
 std::vector<std::pair<std::size_t, std::size_t>> proposeOverlayRepairs(
-    const std::vector<std::pair<std::size_t, std::size_t>> &overlay,
+    const std::vector<GraphEdge> &overlay,
     const std::vector<std::uint8_t> &candidate,
     const std::vector<std::uint8_t> &alive,
     const std::vector<std::uint32_t> &comp_of, std::size_t num_comps,

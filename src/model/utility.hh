@@ -18,6 +18,8 @@
 
 namespace dpc {
 
+class QuadraticUtility;
+
 /**
  * Abstract concave utility (throughput) as a function of the power
  * cap, defined on the box [minPower, maxPower].
@@ -54,6 +56,11 @@ class UtilityFunction
 
     /** Clamp a power value into [minPower, maxPower]. */
     double clampPower(double p) const;
+
+    /** This utility as a QuadraticUtility, or null: one virtual
+     * call where the allocators' closed-form paths would otherwise
+     * pay a dynamic_cast per node. */
+    virtual const QuadraticUtility *quadratic() const { return nullptr; }
 };
 
 /**
@@ -93,6 +100,7 @@ class QuadraticUtility : public UtilityFunction
     double minPower() const override { return p_min_; }
     double maxPower() const override { return p_max_; }
     double bestResponse(double lambda) const override;
+    const QuadraticUtility *quadratic() const override { return this; }
 
     double coeffA() const { return a_; }
     double coeffB() const { return b_; }

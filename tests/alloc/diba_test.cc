@@ -53,9 +53,9 @@ expectInvariantOverActive(const DibaAllocator &diba)
 
 TEST(DibaTest, RequiresConnectedTopology)
 {
-    Graph g(4);
+    Graph::Builder g(4);
     g.addEdge(0, 1);
-    EXPECT_DEATH(DibaAllocator diba(g), "connected");
+    EXPECT_DEATH(DibaAllocator diba(g.build()), "connected");
 }
 
 TEST(DibaTest, ResetEstablishesInvariants)

@@ -336,9 +336,10 @@ TEST(ShardFaultTest, FourShardKillSplittingTheOverlaySeedsEachComponent)
     const std::size_t n = 48;
     const std::size_t rounds = 25;
     const auto prob = test::npbProblem(n, 170.0, 7);
-    Graph topo(n);
+    Graph::Builder path(n);
     for (std::size_t i = 0; i + 1 < n; ++i)
-        topo.addEdge(i, i + 1);
+        path.addEdge(i, i + 1);
+    const Graph topo = path.build();
     const DibaAllocator::Config cfg{};
 
     ShardRunOptions opt;

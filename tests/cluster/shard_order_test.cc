@@ -110,8 +110,7 @@ class ScriptTransport final : public net::Transport
 /** Shard `s`'s cut mask over the canonical edge list. */
 std::vector<std::uint8_t>
 cutMaskFor(const ShardPlan &plan,
-           const std::vector<std::pair<std::size_t, std::size_t>>
-               &edges,
+           const std::vector<GraphEdge> &edges,
            std::uint32_t s)
 {
     std::vector<std::uint8_t> cut;
@@ -128,8 +127,7 @@ cutMaskFor(const ShardPlan &plan,
  * combined pre-round estimate snapshot (original ids). */
 std::vector<Patch>
 patchesFor(const ShardPlan &plan,
-           const std::vector<std::pair<std::size_t, std::size_t>>
-               &edges,
+           const std::vector<GraphEdge> &edges,
            const std::vector<double> &pre, std::uint32_t s)
 {
     std::vector<Patch> out;

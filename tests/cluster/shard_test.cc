@@ -247,8 +247,7 @@ class FixedLagCutTransport final : public net::Transport
   public:
     FixedLagCutTransport(
         const std::vector<std::uint32_t> &owner_of,
-        const std::vector<std::pair<std::size_t, std::size_t>>
-            &edges,
+        const std::vector<GraphEdge> &edges,
         std::uint32_t depth)
         : depth_(depth)
     {

@@ -8,7 +8,7 @@
 namespace dpc {
 namespace {
 
-using Overlay = std::vector<std::pair<std::size_t, std::size_t>>;
+using Overlay = std::vector<GraphEdge>;
 
 /** Triangle overlay: every node has degree 2. */
 Overlay

@@ -146,7 +146,7 @@ TEST(TopologiesTest, RepairProposalsBridgeComponents)
     // Path 0-1-2-3 with edge {1,2} down, plus disabled candidates
     // {0,3} (bridges) and {0,1} (redundant, already live).
     using Edge = std::pair<std::size_t, std::size_t>;
-    const std::vector<Edge> overlay = {
+    const std::vector<GraphEdge> overlay = {
         {0, 1}, {1, 2}, {2, 3}, {0, 3}};
     const std::vector<std::uint8_t> candidate = {0, 0, 0, 1};
     const std::vector<std::uint8_t> alive = {1, 1, 1, 1};
@@ -165,7 +165,7 @@ TEST(TopologiesTest, RepairProposalsTopUpDegreeFloor)
     // Connected triangle 0-1-2 where node 3 hangs off node 0 by a
     // single live edge; a spare {1, 3} brings it to the floor.
     using Edge = std::pair<std::size_t, std::size_t>;
-    const std::vector<Edge> overlay = {
+    const std::vector<GraphEdge> overlay = {
         {0, 1}, {1, 2}, {0, 2}, {0, 3}, {1, 3}};
     const std::vector<std::uint8_t> candidate = {0, 0, 0, 0, 1};
     const std::vector<std::uint8_t> alive = {1, 1, 1, 1};
@@ -183,8 +183,7 @@ TEST(TopologiesTest, RepairProposalsRespectCapacity)
 {
     // Two components but no candidate that bridges them: the
     // healer proposes nothing rather than something wrong.
-    using Edge = std::pair<std::size_t, std::size_t>;
-    const std::vector<Edge> overlay = {{0, 1}, {2, 3}, {0, 2}};
+    const std::vector<GraphEdge> overlay = {{0, 1}, {2, 3}, {0, 2}};
     const std::vector<std::uint8_t> candidate = {0, 0, 0};
     const std::vector<std::uint8_t> alive = {1, 1, 1, 1};
     const std::vector<std::uint32_t> comp = {0, 0, 1, 1};

@@ -7,14 +7,16 @@ Both files are arrays of flat records (tools/bench_json.hh).  A
 record's identity is the tuple of its non-metric fields; records are
 matched by identity and their metrics compared:
 
-  ns_per_node, ms_per_round   lower is better; FAIL when current
-                              exceeds baseline by more than the
+  ns_per_node, ms_per_round,  lower is better; FAIL when current
+  ctor_ms, reset_ms           exceeds baseline by more than the
                               threshold (default 15%; calibrated to
                               the run-to-run drift of a shared
                               single-core host -- identical binaries
                               measured minutes apart differ by up to
                               ~13% even under a best-of-N minimum
-                              estimator, see bench/common.hh)
+                              estimator, see bench/common.hh);
+                              ctor_ms/reset_ms are the setup rows'
+                              allocator bring-up times
   util_frac_of_opt            higher is better; FAIL when current
                               drops more than 1% below baseline
   warm_frac                   FAIL only above the 0.25 acceptance
@@ -75,7 +77,7 @@ import json
 import sys
 
 # Fields that carry measurements; everything else is identity.
-PERF_METRICS = ("ns_per_node", "ms_per_round")
+PERF_METRICS = ("ns_per_node", "ms_per_round", "ctor_ms", "reset_ms")
 OTHER_METRICS = (
     "util_frac_of_opt",
     "warm_frac",
