@@ -1,14 +1,10 @@
 /**
  * @file
  * Round-engine microbenchmarks: one synchronized DiBA round
- * (diffuse + local steps) under the three engine configurations
- * the scalability work introduced --
+ * (diffuse + local steps) under two engine configurations --
  *
- *   seed:      generic virtual-dispatch utility path (the same
- *              quadratics behind test::OpaqueQuadratic), serial
- *              loop (num_threads = 0);
- *   soa:       devirtualized quadratic struct-of-arrays fast path
- *              over the CSR overlay, still serial;
+ *   soa:       the quadratic struct-of-arrays kernel over the CSR
+ *              overlay, serial (num_threads = 0);
  *   parallel:  soa + the static-chunked ThreadPool with one chunk
  *              per hardware thread.
  *
@@ -33,7 +29,6 @@
 #include "alloc/diba.hh"
 #include "alloc/primal_dual.hh"
 #include "bench/common.hh"
-#include "tests/alloc/test_problems.hh"
 #include "util/thread_pool.hh"
 
 using namespace dpc;
@@ -44,7 +39,7 @@ constexpr double kWattsPerNode = 172.0;
 constexpr std::uint64_t kSeed = 23;
 
 void
-roundBench(benchmark::State &state, bool soa, std::size_t threads)
+roundBench(benchmark::State &state, std::size_t threads)
 {
     const auto n = static_cast<std::size_t>(state.range(0));
     const auto &quad = bench::cachedNpbProblem(n, kWattsPerNode,
@@ -52,7 +47,7 @@ roundBench(benchmark::State &state, bool soa, std::size_t threads)
     DibaAllocator::Config cfg = bench::uniformStart();
     cfg.num_threads = threads;
     DibaAllocator diba(makeRing(n), cfg);
-    diba.reset(soa ? quad : test::opaqueProblem(quad));
+    diba.reset(quad);
     for (auto _ : state)
         benchmark::DoNotOptimize(diba.iterate());
     state.SetLabel(bench::problemLabel(n, kWattsPerNode, kSeed));
@@ -64,21 +59,15 @@ roundBench(benchmark::State &state, bool soa, std::size_t threads)
 }
 
 void
-BM_RoundSeedStyle(benchmark::State &state)
-{
-    roundBench(state, /*soa=*/false, /*threads=*/0);
-}
-
-void
 BM_RoundSoa(benchmark::State &state)
 {
-    roundBench(state, /*soa=*/true, /*threads=*/0);
+    roundBench(state, /*threads=*/0);
 }
 
 void
 BM_RoundSoaParallel(benchmark::State &state)
 {
-    roundBench(state, /*soa=*/true, ThreadPool::hardwareChunks());
+    roundBench(state, ThreadPool::hardwareChunks());
 }
 
 /**
@@ -350,12 +339,6 @@ BM_PdSolve(benchmark::State &state)
 
 } // namespace
 
-BENCHMARK(BM_RoundSeedStyle)
-    ->Arg(400)
-    ->Arg(1600)
-    ->Arg(6400)
-    ->Arg(25600)
-    ->Complexity();
 BENCHMARK(BM_RoundSoa)
     ->Arg(400)
     ->Arg(1600)

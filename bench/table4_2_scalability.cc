@@ -22,7 +22,6 @@
 #include "alloc/centralized.hh"
 #include "bench/common.hh"
 #include "net/comm_model.hh"
-#include "tests/alloc/test_problems.hh"
 #include "tools/bench_json.hh"
 #include "util/thread_pool.hh"
 
@@ -124,21 +123,20 @@ main()
     // Part 2: round-engine scaling.  Past 6400 nodes the oracle
     // solves above become the bottleneck, so this section measures
     // only what the paper claims stays flat -- DiBA per-round
-    // compute per node -- under the three engine configurations
-    // (seed-style generic serial, quadratic SoA serial, SoA +
-    // static-chunked thread pool).  Every run also lands in
+    // compute per node -- under three engine configurations
+    // (quadratic SoA serial, SoA + static-chunked thread pool, the
+    // active-set frontier).  Every run also lands in
     // BENCH_diba_rounds.json for the perf trajectory.
     bench::banner("Table 4.2 (round engine)",
                   "DiBA per-round compute vs. cluster size; "
-                  "engines: seed (virtual+serial), soa "
-                  "(devirtualized), par (soa + thread pool)");
+                  "engines: soa (serial), par (soa + thread pool), "
+                  "active (frontier)");
 
     const std::size_t hw = ThreadPool::hardwareChunks();
     const double thr = 0.25 * DibaAllocator::Config().tolerance;
     tools::BenchJsonWriter json;
-    Table scaling({"nodes", "rounds", "seed_ms", "soa_ms",
-                   "par_ms", "active_ms", "seed_node_ns",
-                   "par_node_ns", "speedup"});
+    Table scaling({"nodes", "rounds", "soa_ms", "par_ms",
+                   "active_ms", "par_node_ns"});
     for (std::size_t n : {6400u, 25600u, 102400u}) {
         const auto prob = bench::npbProblem(n, 172.0, 23);
         const std::size_t rounds =
@@ -148,12 +146,8 @@ main()
         {
             const char *name;
             DibaAllocator::Config cfg;
-            /** Same utilities behind a non-quadratic type: the
-             * generic virtual-dispatch path. */
-            bool generic = false;
             double per_round_ms = 0.0;
         } runs[] = {
-            {"seed", engineConfig(0), true},
             {"soa", engineConfig(0)},
             {"par", engineConfig(hw)},
             // Active-set engine, measured over a converging run:
@@ -164,8 +158,7 @@ main()
         };
         for (auto &run : runs) {
             DibaAllocator diba(makeRing(n), run.cfg);
-            diba.reset(run.generic ? test::opaqueProblem(prob)
-                                   : prob);
+            diba.reset(prob);
             bench::timeRounds(n, 5, [&] {
                 diba.iterate(); // warm caches / page in state
             });
@@ -190,22 +183,14 @@ main()
              Table::num(runs[0].per_round_ms, 3),
              Table::num(runs[1].per_round_ms, 3),
              Table::num(runs[2].per_round_ms, 3),
-             Table::num(runs[3].per_round_ms, 3),
-             Table::num(1e6 * runs[0].per_round_ms /
+             Table::num(1e6 * runs[1].per_round_ms /
                             static_cast<double>(n),
-                        1),
-             Table::num(1e6 * runs[2].per_round_ms /
-                            static_cast<double>(n),
-                        1),
-             Table::num(runs[0].per_round_ms /
-                            runs[2].per_round_ms,
-                        2)});
+                        1)});
     }
     scaling.print(std::cout);
     std::cout << "\nShape to check: per-node ns stays ~flat as N "
                  "grows 16x (the decentralized round is O(deg) "
-                 "per node), and the SoA/parallel engines beat "
-                 "the seed path by a widening margin.\n";
+                 "per node).\n";
 
     // Part 3: warm-started control steps.  The control loop's
     // common case is a small budget move on an already-converged

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <limits>
 
-#include "metrics/performance.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
 
@@ -82,18 +81,19 @@ DibaAllocator::doReset()
                "problem size ", prob.size(),
                " != topology size ", topo_.numVertices());
     auto t0 = std::chrono::steady_clock::now();
-    rebuildQuadFastPath();
+    const std::size_t n = prob.size();
+    for (std::vector<double> *v : {&qa_, &qb_, &qc_, &qinv_, &qmin_, &qmax_})
+        v->resize(n);
+    for (std::size_t i = 0; i < n; ++i)
+        mirrorUtility(i, *prob.utilities[i]);
     setup_phases_.mirror_s = lap(t0);
-    // A quadratic cluster's power floors sit in the mirror: the same
-    // left fold over them, without n more virtual calls.
-    DPC_ASSERT(prob.budget >
-                   (quad_fast_ ? sum(qmin_) : prob.minTotalPower()),
+    DPC_ASSERT(prob.budget > sum(qmin_),
                "DiBA needs strict interior feasibility");
 
     budget_ = prob.budget;
     level_ = 0.0;
-    // Cold start at the barrier equilibrium when the search finds
-    // it (all-quadratic clusters), else the paper's uniform start.
+    // Cold start at the barrier equilibrium, else the paper's
+    // uniform start.
     const bool seeded =
         cfg_.seed_cold_start && seedBarrierEquilibrium(budget_);
     double e0 = 0.0;
@@ -162,47 +162,32 @@ DibaAllocator::result() const
 {
     AllocationResult res;
     res.power = p_;
-    if (quad_fast_) {
-        // totalUtility without the n virtual calls: the same clamp
-        // and operation order as QuadraticUtility::value, so the
-        // sum is bitwise the generic one.
-        double acc = 0.0;
-        for (std::size_t i = 0; i < p_.size(); ++i) {
-            const double x = std::clamp(p_[i], qmin_[i], qmax_[i]);
-            acc += qa_[i] + qb_[i] * x + qc_[i] * x * x;
-        }
-        res.utility = acc;
-    } else {
-        res.utility = totalUtility(problem_.utilities, p_);
+    // totalUtility without the n virtual calls: the same clamp and
+    // operation order as QuadraticUtility::value, so the sum is
+    // bitwise totalUtility's.
+    double acc = 0.0;
+    for (std::size_t i = 0; i < p_.size(); ++i) {
+        const double x = std::clamp(p_[i], qmin_[i], qmax_[i]);
+        acc += qa_[i] + qb_[i] * x + qc_[i] * x * x;
     }
+    res.utility = acc;
     res.iterations = iterations_;
     res.converged = converged();
     return res;
 }
 
 void
-DibaAllocator::rebuildQuadFastPath()
+DibaAllocator::mirrorUtility(std::size_t i, const UtilityFunction &u)
 {
-    quad_fast_ = false;
-    const std::size_t n = problem_.utilities.size();
-    qa_.resize(n);
-    qb_.resize(n);
-    qc_.resize(n);
-    qinv_.resize(n);
-    qmin_.resize(n);
-    qmax_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto *q = problem_.utilities[i]->quadratic();
-        if (q == nullptr)
-            return;
-        qa_[i] = q->coeffA();
-        qb_[i] = q->coeffB();
-        qc_[i] = q->coeffC();
-        qinv_[i] = 1.0 / (2.0 * qc_[i]);
-        qmin_[i] = q->minPower();
-        qmax_[i] = q->maxPower();
-    }
-    quad_fast_ = true;
+    const QuadraticUtility *q = u.quadratic();
+    DPC_ASSERT(q != nullptr, "DiBA takes quadratic utilities only; "
+               "node ", i, "'s utility is not a QuadraticUtility");
+    qa_[i] = q->coeffA();
+    qb_[i] = q->coeffB();
+    qc_[i] = q->coeffC();
+    qinv_[i] = 1.0 / (2.0 * qc_[i]);
+    qmin_[i] = q->minPower();
+    qmax_[i] = q->maxPower();
 }
 
 double
@@ -248,8 +233,7 @@ double
 DibaAllocator::roundRange(std::size_t begin, std::size_t end,
                           const double *now, bool fated)
 {
-    if (!fated && quad_fast_ && num_active_ == p_.size() &&
-        disabled_edges_ == 0)
+    if (!fated && num_active_ == p_.size() && disabled_edges_ == 0)
         return roundRangeQuadDense(begin, end, now);
     diffuseMasked(begin, end, now, fated);
     double max_dp = 0.0;
@@ -396,55 +380,12 @@ DibaAllocator::isActive(std::size_t i) const
 }
 
 double
-DibaAllocator::localStep(std::size_t i)
-{
-    const UtilityFunction &u = *problem_.utilities[i];
-    const double p = p_[i];
-    if (e_[i] >= 0.0)
-        return emergencyShedStep(p_[i], e_[i], u.minPower());
-    const double e_eff = std::min(e_[i], -kBarrierFloor);
-
-    // Gradient of R_i = r_i(p) + eta * log(-e_i) in the direction
-    // of a joint (p_i, e_i) move.
-    const double eta = eta_now_[i];
-    const double grad = u.derivative(p) + eta / e_eff;
-
-    // Curvature-scaled (quasi-Newton) step: finite-difference the
-    // utility curvature so utilities stay black boxes, and add the
-    // barrier curvature eta / e^2.
-    const double h = 0.5;
-    const double x1 = u.clampPower(p + h);
-    const double x0 = u.clampPower(p - h);
-    double curv = eta / (e_eff * e_eff);
-    if (x1 > x0) {
-        curv +=
-            std::fabs(u.derivative(x1) - u.derivative(x0)) /
-            (x1 - x0);
-    }
-    double dp = cfg_.damping * grad / std::max(curv, 1e-12);
-
-    // Backtracking into the action space (the beta^t of Algorithm
-    // 4): per-round move limit, keep e_i strictly negative, stay in
-    // the power box.
-    dp = std::clamp(dp, -cfg_.max_move, cfg_.max_move);
-    if (dp > 0.0)
-        dp = std::min(dp, (cfg_.barrier_keep - 1.0) * e_[i]);
-    dp = std::clamp(dp, u.minPower() - p, u.maxPower() - p);
-
-    p_[i] = p + dp;
-    e_[i] += dp;
-    return dp;
-}
-
-double
 DibaAllocator::localStepQuad(std::size_t i)
 {
-    // Devirtualized localStep() over the SoA coefficient arrays:
-    // the gradient b + 2cp is computed inline and the exact
-    // curvature |r''| = 2|c| replaces the two-point finite
-    // difference (for a quadratic they agree to rounding error).
-    // quadNodeDp folds the e >= 0 emergency shed into the same
-    // branchless select the block kernels blend on.
+    // The gradient b + 2cp and the exact curvature |r''| = 2|c|
+    // come straight from the SoA mirror; quadNodeDp folds the
+    // e >= 0 emergency shed into the same branchless select the
+    // block kernels blend on.
     const double p = p_[i];
     const double dp =
         quadNodeDp(p, e_[i], eta_now_[i], qb_[i], qc_[i], qmin_[i],
@@ -718,8 +659,7 @@ DibaAllocator::emergencyShed()
             if (!active_[i])
                 continue;
             if (e_[i] > -kShedFloor) {
-                emergencyShedStep(p_[i], e_[i],
-                                  problem_.utilities[i]->minPower());
+                emergencyShedStep(p_[i], e_[i], qmin_[i]);
                 over += std::max(0.0, e_[i] + kShedFloor);
             }
         }
@@ -752,57 +692,6 @@ DibaAllocator::emergencyShed()
         diffuse();
     }
     shedPass();
-}
-
-double
-DibaAllocator::placeBudgetDelta(double delta)
-{
-    const std::size_t n = p_.size();
-    // KKT water-level direction: a budget shift moves every
-    // interior node's optimum by -d(lambda)/(2 c_i), so the delta
-    // splits proportionally to 1/|c_i| over the curved (c < 0)
-    // quadratics.  Every other node takes a unit weight.
-    std::vector<double> w(n, 1.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto *q = problem_.utilities[i]->quadratic();
-        if (q != nullptr && q->coeffC() < 0.0)
-            w[i] = -1.0 / q->coeffC();
-    }
-    // Waterfill: distribute the remainder over the nodes that have
-    // not yet hit a box, re-spreading whatever the clamps ate.
-    // Placement magnitude only ever shrinks under clamping, so the
-    // remainder keeps its sign and the loop is monotone.
-    std::vector<std::uint8_t> open(n, 1);
-    double remaining = delta;
-    const double eps = 1e-12 * (1.0 + std::fabs(delta));
-    for (int pass = 0; pass < 32 && std::fabs(remaining) > eps;
-         ++pass) {
-        double wsum = 0.0;
-        for (std::size_t i = 0; i < n; ++i)
-            if (open[i] && active_[i])
-                wsum += w[i];
-        if (wsum <= 0.0)
-            break;
-        double placed = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!open[i] || !active_[i])
-                continue;
-            const double want = remaining * w[i] / wsum;
-            const double target = p_[i] + want;
-            const double np = problem_.utilities[i]->clampPower(target);
-            placed += np - p_[i];
-            p_[i] = np;
-            // Close only a node its box stopped; what rounding
-            // keeps from an open node stays in `remaining` for the
-            // next pass.
-            if (np != target)
-                open[i] = 0;
-        }
-        remaining -= placed;
-        if (placed == 0.0)
-            break;
-    }
-    return remaining;
 }
 
 namespace {
@@ -1026,8 +915,6 @@ DibaAllocator::seedAtLevel(double lambda, double budget)
 bool
 DibaAllocator::seedBarrierEquilibrium(double new_budget)
 {
-    if (!quad_fast_)
-        return false;
     const std::size_t n = problem_.utilities.size();
     double lambda = level_;
     return waterLevel(qb_.data(), qc_.data(), qinv_.data(),
@@ -1047,22 +934,11 @@ DibaAllocator::seedComponent(const std::vector<std::uint32_t> &ids,
            *hi = lo + m;
     for (std::size_t k = 0; k < m; ++k) {
         const std::size_t i = ids[k];
-        if (quad_fast_) {
-            b[k] = qb_[i];
-            c[k] = qc_[i];
-            inv[k] = qinv_[i];
-            lo[k] = qmin_[i];
-            hi[k] = qmax_[i];
-            continue;
-        }
-        const auto *q = problem_.utilities[i]->quadratic();
-        if (q == nullptr)
-            return false;
-        b[k] = q->coeffB();
-        c[k] = q->coeffC();
-        inv[k] = 1.0 / (2.0 * c[k]);
-        lo[k] = q->minPower();
-        hi[k] = q->maxPower();
+        b[k] = qb_[i];
+        c[k] = qc_[i];
+        inv[k] = qinv_[i];
+        lo[k] = qmin_[i];
+        hi[k] = qmax_[i];
     }
     double lambda = 0.0;
     if (!waterLevel(b, c, inv, lo, hi, m, share,
@@ -1139,36 +1015,22 @@ DibaAllocator::warmStart(const AllocationResult &prev,
         // marginal at eta/(-e), so shifting power while keeping the
         // converged estimates leaves each node off-equilibrium and
         // the re-balancing transports estimate mass at ring speed.
-        // Instead the quadratic path re-seeds straight AT the new
-        // barrier equilibrium -- one scalar water level, searched
-        // from the previous one, then per-node local arithmetic --
-        // and gossip only has to confirm quiescence.  Non-quadratic
-        // clusters fall back to pre-placing the delta
-        // curvature-weighted onto the caps (waterfilled across box
-        // clamps), announcing only the clamping residue as a
-        // uniform estimate shift.
-        if (budget_delta != 0.0) {
-            if (seedBarrierEquilibrium(new_budget)) {
-                budget_ = new_budget;
-                problem_.budget = new_budget;
-                frontier_.reheatAll();
-                return;
-            }
-            const double residue = placeBudgetDelta(budget_delta);
+        // Instead the cluster re-seeds straight AT the new barrier
+        // equilibrium -- one scalar water level, searched from the
+        // previous one, then per-node local arithmetic -- and
+        // gossip only has to confirm quiescence.  A budget at or
+        // under the power floor has no equilibrium to seed: it is
+        // announced like any budget step, a uniform estimate shift
+        // plus the emergency shed.
+        if (budget_delta == 0.0) {
+            problem_.budget = new_budget;
+            frontier_.reheatAll();
+        } else if (seedBarrierEquilibrium(new_budget)) {
             budget_ = new_budget;
             problem_.budget = new_budget;
-            if (residue != 0.0) {
-                const double na = static_cast<double>(num_active_);
-                for (std::size_t i = 0; i < e_.size(); ++i)
-                    if (active_[i])
-                        e_[i] -= residue / na;
-            }
             frontier_.reheatAll();
-            if (residue < 0.0)
-                emergencyShed();
         } else {
-            problem_.budget = new_budget;
-            frontier_.reheatAll();
+            setBudget(new_budget);
         }
         return;
     }
@@ -1176,7 +1038,7 @@ DibaAllocator::warmStart(const AllocationResult &prev,
     // External snapshot: adopt the caps, re-equalize the slack.
     const std::size_t n = p_.size();
     for (std::size_t i = 0; i < n; ++i)
-        p_[i] = problem_.utilities[i]->clampPower(prev.power[i]);
+        p_[i] = std::clamp(prev.power[i], qmin_[i], qmax_[i]);
     budget_ = new_budget;
     problem_.budget = new_budget;
     const double e0 = (sum(p_) - budget_) / static_cast<double>(n);
@@ -1192,7 +1054,8 @@ DibaAllocator::setUtility(std::size_t i, UtilityPtr u)
 {
     DPC_ASSERT(i < problem_.utilities.size(), "setUtility index out of range");
     DPC_ASSERT(u != nullptr, "null utility");
-    const double clamped = u->clampPower(p_[i]);
+    mirrorUtility(i, *u);
+    const double clamped = std::clamp(p_[i], qmin_[i], qmax_[i]);
     e_[i] += clamped - p_[i];
     p_[i] = clamped;
     problem_.utilities[i] = std::move(u);
@@ -1202,9 +1065,6 @@ DibaAllocator::setUtility(std::size_t i, UtilityPtr u)
     // response actually propagates (Fig. 4.8 locality).
     frontier_.reheat(i);
     quiet_ = 0;
-    // Utility swaps are rare control events (Fig. 4.8); an O(n)
-    // re-extraction keeps the SoA mirror trivially consistent.
-    rebuildQuadFastPath();
 }
 
 double
@@ -1534,7 +1394,7 @@ DibaAllocator::joinNode(std::size_t i)
                 live.push_back(j);
     }
     DPC_ASSERT(!live.empty(), "joinNode with no other active node");
-    p_[i] = problem_.utilities[i]->minPower();
+    p_[i] = qmin_[i];
     e_[i] = -kShedFloor;
     // Ramp in through the barrier: annealing restarts wide open so
     // the rejoined node can acquire power over the next rounds.
@@ -1921,7 +1781,7 @@ DibaAllocator::adoptCaps(const std::vector<double> &caps)
     for (std::size_t i = 0; i < p_.size(); ++i) {
         if (!active_[i])
             continue;
-        p_[i] = problem_.utilities[i]->clampPower(caps[i]);
+        p_[i] = std::clamp(caps[i], qmin_[i], qmax_[i]);
         sum_p[label[i]] += p_[i];
         ++cnt[label[i]];
         if (first[label[i]] == p_.size())
@@ -1981,9 +1841,8 @@ DibaAllocator::refederateBudgetWithHeld(
         DPC_ASSERT(comp_of[i] < num_comps,
                    "refederateBudget: active node ", i,
                    " has no component label");
-        const UtilityFunction &u = *problem_.utilities[i];
-        min_p[comp_of[i]] += u.minPower();
-        head[comp_of[i]] += u.maxPower() - u.minPower();
+        min_p[comp_of[i]] += qmin_[i];
+        head[comp_of[i]] += qmax_[i] - qmin_[i];
         ++cnt[comp_of[i]];
     }
     for (std::size_t j = 0; j < num_comps; ++j)

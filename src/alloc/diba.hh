@@ -24,6 +24,10 @@
  *   - every e_i < 0, hence sum_i p_i < P: the budget is a hard
  *     guarantee at all times, including across budget changes.
  *
+ * Utilities are the concave quadratics r_i(p) = a + b p + c p^2 the
+ * paper's problem is posed over (QuadraticUtility): reset() and
+ * setUtility() refuse any other utility, naming the node.
+ *
  * Note on Eq. 4.10: the dissertation text writes the penalty as
  * "- eta log(-e)", which diverges to +infinity at the boundary and
  * would reward constraint violation under maximization; we use the
@@ -134,26 +138,24 @@ class DibaAllocator : public IterativeAllocator
          * Control events reheat conservatively: budget steps,
          * churn, link cuts and channel-routed rounds reheat every
          * node, setUtility only the node it touched.  The engine
-         * applies in the all-active all-quadratic zero-deadband
-         * configuration to iterate()/step() and to transport
-         * rounds over a synchronous wake-capable transport (the
-         * sharded sockets); every other transport or channel round
-         * and every gossip tick runs dense and reheats.
+         * applies in the all-active zero-deadband configuration
+         * to iterate()/step() and to transport rounds over a
+         * synchronous wake-capable transport (the sharded
+         * sockets); every other transport or channel round and
+         * every gossip tick runs dense and reheats.
          */
         double active_threshold = -1.0;
         /** Initial budget slack fraction of the uniform start. */
         double slack_frac = 0.01;
         /**
          * Seed reset() at the barrier equilibrium of the budget
-         * when every utility is quadratic (true, the default): one
-         * sort-free water-level search (a few O(n) passes), the
-         * caps at that level, uniform estimates (sum p - P)/n and
-         * barriers at `eta`, so gossip only confirms the start.
-         * false keeps the paper's uniform start (caps at (1 -
-         * slack_frac) P/n clamped into the boxes, equal estimates,
-         * barriers at eta_initial) and its cold gossip solve; the
-         * uniform start also stands wherever the seed refuses (a
-         * non-quadratic utility).
+         * (true, the default): one sort-free water-level search (a
+         * few O(n) passes), the caps at that level, uniform
+         * estimates (sum p - P)/n and barriers at `eta`, so gossip
+         * only confirms the start.  false keeps the paper's uniform
+         * start (caps at (1 - slack_frac) P/n clamped into the
+         * boxes, equal estimates, barriers at eta_initial) and its
+         * cold gossip solve.
          */
         bool seed_cold_start = true;
         /** Fixed-point tolerance on the max per-round move (W). */
@@ -345,20 +347,23 @@ class DibaAllocator : public IterativeAllocator
 
     /**
      * Replace one server's utility (a workload change, Fig. 4.8);
-     * its power cap is clamped into the new box and its estimate
-     * adjusted to preserve the global invariant.
+     * it must be a QuadraticUtility, whose coefficients and box
+     * overwrite node i's slot of the SoA mirror.  The power cap is
+     * clamped into the new box and the estimate adjusted to
+     * preserve the global invariant.
      */
     void setUtility(std::size_t i, UtilityPtr u) override;
 
     /**
      * Warm re-entry from a previous allocation (control-step
      * reconvergence instead of a cold solve).  When `prev.power`
-     * is exactly the live state (the ClusterSim steady loop), the
-     * converged estimate spread and annealed barriers are kept and
-     * the budget delta is pre-placed straight onto the caps along
-     * the KKT water-level direction (curvature-weighted waterfill
-     * across the boxes), leaving gossip only the clamping residue
-     * to clean up.  Otherwise the snapshot is adopted: caps
+     * is exactly the live state (the ClusterSim steady loop), a
+     * budget delta re-seeds the cluster at the barrier equilibrium
+     * of the new budget (seedBarrierEquilibrium), so gossip only
+     * confirms it; a new budget at or under the total power floor
+     * has no such equilibrium and is announced like setBudget (a
+     * uniform estimate shift plus the emergency shed).  Otherwise
+     * the snapshot is adopted: caps
      * clamped into the current boxes, slack re-equalized to
      * (sum p - P)/n (the one estimate vector derivable from an
      * external power vector that satisfies the invariant), and the
@@ -542,8 +547,8 @@ class DibaAllocator : public IterativeAllocator
      * exactly as warmStart seeds it; otherwise every live component
      * is seeded (seedComponent) against the budget it holds on the
      * books, sum p - sum e, so per-component conservation survives.
-     * A component the seed refuses (a non-quadratic node, or no
-     * headroom above its power floor) is equalized instead: its
+     * A component the seed refuses (no headroom above its power
+     * floor) is equalized instead: its
      * estimates jump to their mean (a one-node compensation keeps
      * the sum to rounding; skipped unless the mean is strictly
      * negative) and its barriers reheat to eta_initial.  Returns
@@ -703,20 +708,12 @@ class DibaAllocator : public IterativeAllocator
     /** The algorithm parameters in force. */
     const Config &config() const { return cfg_; }
 
-    /** True when the devirtualized quadratic SoA path is active
-     * for the current problem: every utility is a QuadraticUtility,
-     * whose coefficients reset() and setUtility() extract into flat
-     * arrays so localStep() computes the gradient and the exact
-     * curvature 2|c| inline with no virtual dispatch.  Any other
-     * utility runs the generic finite-difference path. */
-    bool quadFastPathActive() const { return quad_fast_; }
-
     /** True when synchronized rounds run the active-set engine
-     * (cfg.active_threshold >= 0 in the all-active all-quadratic
-     * zero-deadband configuration). */
+     * (cfg.active_threshold >= 0 in the all-active zero-deadband
+     * configuration). */
     bool sparseEngineActive() const
     {
-        return cfg_.active_threshold >= 0.0 && quad_fast_ &&
+        return cfg_.active_threshold >= 0.0 &&
                num_active_ == p_.size() && disabled_edges_ == 0 &&
                cfg_.deadband == 0.0;
     }
@@ -811,9 +808,8 @@ class DibaAllocator : public IterativeAllocator
     double roundRange(std::size_t begin, std::size_t end,
                       const double *now, bool fated);
 
-    /** roundRange hot kernel: every node active, all-quadratic
-     * SoA, every pair delivered fresh from `now`, no participation
-     * checks. */
+    /** roundRange hot kernel: every node active, every pair
+     * delivered fresh from `now`, no participation checks. */
     double roundRangeQuadDense(std::size_t begin, std::size_t end,
                                const double *now);
 
@@ -832,47 +828,25 @@ class DibaAllocator : public IterativeAllocator
     double roundSparseRange(const std::uint32_t *parts,
                             std::size_t begin, std::size_t end);
 
-    /** Curvature-scaled barrier gradient step for one node. */
-    double localStep(std::size_t i);
-
-    /** Devirtualized localStep over the quadratic SoA arrays. */
+    /** Curvature-scaled barrier gradient step for one node over
+     * the quadratic SoA mirror (quadNodeDp). */
     double localStepQuad(std::size_t i);
 
-    /** Dispatch to the SoA or generic step for one node. */
-    double stepNode(std::size_t i)
-    {
-        return quad_fast_ ? localStepQuad(i) : localStep(i);
-    }
-
-    /** stepNode + the post-step annealing/reheating decision for
-     * one node; returns |dp|. */
+    /** localStepQuad + the post-step annealing/reheating decision
+     * for one node; returns |dp|. */
     double stepAnneal(std::size_t i)
     {
-        const double dp = std::fabs(stepNode(i));
+        const double dp = std::fabs(localStepQuad(i));
         eta_now_[i] = annealEta(eta_now_[i], dp, kp_);
         return dp;
     }
 
-    /** Extract quadratic coefficients into the SoA arrays (or
-     * disable the fast path if any utility is not quadratic). */
-    void rebuildQuadFastPath();
+    /** Write node i's slot of the SoA mirror from `u`, which must
+     * be a QuadraticUtility (asserted, naming the node). */
+    void mirrorUtility(std::size_t i, const UtilityFunction &u);
 
     /** Immediately shed power at nodes whose slack is exhausted. */
     void emergencyShed();
-
-    /**
-     * Move `delta` watts of cap directly onto the nodes,
-     * curvature-weighted (the KKT water-level direction for
-     * curved quadratics: dp_i proportional to 1/|c_i|; unit weight
-     * for anything else), waterfilling across box clamps: a node
-     * leaves the fill only when its box stops it.  Returns the
-     * residue that could not be placed because every remaining node
-     * saturated its box.  Estimates are NOT touched: a fully placed
-     * delta changes sum(p) by exactly `delta`, so the caller can
-     * move the budget by the same amount and keep the converged
-     * estimate spread bit-for-bit.
-     */
-    double placeBudgetDelta(double delta);
 
     /**
      * Seed (p, e, eta) at the barrier equilibrium of the round
@@ -886,9 +860,8 @@ class DibaAllocator : public IterativeAllocator
      * that breakpoint with the step taken, which keeps e0 < 0.
      * One scalar broadcast plus per-node local arithmetic -- the
      * cold start, the warm re-entry and the healthy re-seed all
-     * take it.  Returns false with the state untouched unless
-     * every utility is quadratic and P exceeds the total power
-     * floor.
+     * take it.  Returns false with the state untouched unless P
+     * exceeds the total power floor.
      */
     bool seedBarrierEquilibrium(double new_budget);
 
@@ -908,9 +881,8 @@ class DibaAllocator : public IterativeAllocator
      * (sum p - share)/m and the floor barriers are written, with a
      * one-node compensation on ids[0] so the component's estimate
      * sum is sum p - share to rounding.  Returns false with the
-     * state untouched when the component holds a non-quadratic
-     * node or the share does not exceed the sum of its power
-     * floors.
+     * state untouched when the share does not exceed the sum of its
+     * power floors.
      */
     bool seedComponent(const std::vector<std::uint32_t> &ids,
                        double share);
@@ -1049,12 +1021,12 @@ class DibaAllocator : public IterativeAllocator
      * does no divisions on the hot path.
      */
     std::vector<double> w_;
-    /** Quadratic SoA mirror of the utilities (valid iff quad_fast_); qa_ is
-     * the constant term, read only by result(). */
+    /** SoA mirror of the quadratic utilities, the one place the
+     * allocator reads a node's coefficients and box; qa_ is the
+     * constant term, read only by result(). */
     std::vector<double> qa_, qb_, qc_, qmin_, qmax_;
     /** 1/(2 c) per node, the water-level search's slope terms. */
     std::vector<double> qinv_;
-    bool quad_fast_ = false;
     /** Water level of the last committed seed (0 after a uniform
      * reset): the next search's first iterate. */
     double level_ = 0.0;

@@ -1,9 +1,9 @@
 /**
  * @file
  * Round-engine tests: the serial, single-chunk and multi-chunk
- * engines must produce bitwise-identical trajectories; the
- * devirtualized quadratic SoA path must agree with the generic
- * black-box path; non-quadratic utilities must fall back; and
+ * engines must produce bitwise-identical trajectories; the SoA
+ * kernels must agree with the plain per-node reference round
+ * (reference_round.hh); non-quadratic utilities are refused; and
  * failNode() must prune the live-edge list that async gossip
  * samples from.  Every surviving round path -- the sparse
  * frontier engine, a warmStart seed, churn and a lossy transport
@@ -22,6 +22,7 @@
 #include "metrics/performance.hh"
 #include "model/utility.hh"
 #include "net/transport.hh"
+#include "tests/alloc/reference_round.hh"
 #include "tests/alloc/test_problems.hh"
 #include "util/stats.hh"
 #include "util/thread_pool.hh"
@@ -176,71 +177,64 @@ TEST(RoundEngineTest, ThreadCountsAreBitwiseIdenticalOnEveryRoundPath)
     }
 }
 
-TEST(RoundEngineTest, GenericPathIsAlsoThreadCountInvariant)
-{
-    // The fallback (finite-difference, virtual-dispatch) path goes
-    // through the same chunked engine and must be deterministic
-    // too.
-    const auto prob =
-        test::opaqueProblem(test::npbProblem(64, 172.0, 7));
-    const Graph g = makeRing(64);
-    const auto serial = runRounds(g, prob, engineConfig(0), 200);
-    const auto four = runRounds(g, prob, engineConfig(4), 200);
-    expectBitwiseEqual(serial, four);
-}
-
 TEST(RoundEngineTest, QuadFastPathMatchesGenericPath)
 {
-    // One round of the SoA path against the black-box path: for a
-    // quadratic utility the finite-difference curvature is exact,
-    // so the two engines compute the same update up to a couple of
-    // ulps of rounding-order difference.
-    // Both from the uniform start: the seeded one applies only to
-    // the SoA path.
+    // Three rounds of the SoA kernels against the plain reference
+    // round: for a quadratic utility the reference's
+    // finite-difference curvature is exact, so the two compute the
+    // same update up to a couple of ulps of rounding-order
+    // difference.  Both from the paper's uniform start.
     const auto prob = test::npbProblem(64, 172.0, 13);
     const Graph g = makeRing(64);
     DibaAllocator::Config cfg = engineConfig(0);
     cfg.seed_cold_start = false;
     const auto fast = runRounds(g, prob, cfg, 3);
-    const auto generic =
-        runRounds(g, test::opaqueProblem(prob), cfg, 3);
+    test::ReferenceState ref = test::referenceStart(prob, cfg);
+    for (int r = 0; r < 3; ++r)
+        test::referenceRound(g, prob.utilities, cfg, ref);
     for (std::size_t i = 0; i < fast.p.size(); ++i) {
-        EXPECT_NEAR(fast.p[i], generic.p[i], 1e-12);
-        EXPECT_NEAR(fast.e[i], generic.e[i], 1e-12);
+        EXPECT_NEAR(fast.p[i], ref.p[i], 1e-12);
+        EXPECT_NEAR(fast.e[i], ref.e[i], 1e-12);
     }
 }
 
 TEST(RoundEngineTest, QuadFastPathConvergesToTheSameAllocation)
 {
     const auto prob = test::npbProblem(48, 172.0, 17);
+    const Graph g = makeRing(48);
     DibaAllocator::Config cfg = engineConfig(0);
     cfg.seed_cold_start = false;
-    DibaAllocator fast(makeRing(48), cfg);
-    DibaAllocator generic(makeRing(48), cfg);
+    DibaAllocator fast(g, cfg);
     const auto rf = fast.allocate(prob);
-    const auto rg = generic.allocate(test::opaqueProblem(prob));
-    EXPECT_TRUE(fast.quadFastPathActive());
-    EXPECT_FALSE(generic.quadFastPathActive());
-    EXPECT_NEAR(rf.utility, rg.utility,
-                1e-6 * std::fabs(rg.utility));
+    ASSERT_TRUE(rf.converged);
+    // The reference under allocate()'s stopping rule.
+    test::ReferenceState ref = test::referenceStart(prob, cfg);
+    std::size_t quiet = 0;
+    for (std::size_t it = 0;
+         it < cfg.max_iterations && quiet < cfg.quiet_rounds; ++it) {
+        const double moved =
+            test::referenceRound(g, prob.utilities, cfg, ref);
+        quiet = moved < cfg.tolerance ? quiet + 1 : 0;
+    }
+    ASSERT_EQ(quiet, cfg.quiet_rounds);
+    const double ru = totalUtility(prob.utilities, ref.p);
+    EXPECT_NEAR(rf.utility, ru, 1e-6 * std::fabs(ru));
     for (std::size_t i = 0; i < prob.size(); ++i)
-        EXPECT_NEAR(rf.power[i], rg.power[i], 1e-3);
+        EXPECT_NEAR(rf.power[i], ref.p[i], 1e-3);
 }
 
-TEST(RoundEngineTest, NonQuadraticUtilityDisablesFastPath)
+TEST(RoundEngineTest, NonQuadraticUtilityIsRefused)
 {
     auto prob = test::npbProblem(16, 172.0, 3);
     prob.utilities[5] = std::make_shared<PiecewiseLinearUtility>(
         std::vector<double>{100.0, 150.0, 200.0},
         std::vector<double>{0.2, 0.7, 0.9});
-    DibaAllocator diba(makeRing(16), engineConfig(4));
-    diba.reset(prob);
-    EXPECT_FALSE(diba.quadFastPathActive());
-    for (int r = 0; r < 50; ++r)
-        diba.iterate();
-    EXPECT_LT(diba.totalPower(), prob.budget);
-    for (double e : diba.estimates())
-        EXPECT_LT(e, 0.0);
+    EXPECT_DEATH(
+        {
+            DibaAllocator diba(makeRing(16), engineConfig(0));
+            diba.reset(prob);
+        },
+        "node 5's utility is not a QuadraticUtility");
 }
 
 TEST(RoundEngineTest, ResultUtilityMatchesTheGenericSumBitwise)
@@ -255,7 +249,6 @@ TEST(RoundEngineTest, ResultUtilityMatchesTheGenericSumBitwise)
     cfg.seed_cold_start = false;
     DibaAllocator diba(makeChordalRing(n, n / 4, topo_rng), cfg);
     diba.reset(prob);
-    ASSERT_TRUE(diba.quadFastPathActive());
     const auto expectSame = [&diba](const char *when) {
         const double got = diba.result().utility;
         const double want = totalUtility(diba.utilities(), diba.power());
@@ -275,19 +268,25 @@ TEST(RoundEngineTest, ResultUtilityMatchesTheGenericSumBitwise)
 
 TEST(RoundEngineTest, SetUtilityRefreshesFastPathState)
 {
+    // A quadratic swap rewrites node 2's mirror slot: its cap lands
+    // in the new box and result() (which sums the mirror) agrees
+    // with the utilities bit for bit.  Anything else is refused.
     auto prob = test::npbProblem(16, 172.0, 3);
     DibaAllocator diba(makeRing(16), engineConfig(0));
     diba.reset(prob);
-    EXPECT_TRUE(diba.quadFastPathActive());
-    diba.setUtility(2, std::make_shared<PiecewiseLinearUtility>(
-                           std::vector<double>{100.0, 200.0},
-                           std::vector<double>{0.1, 0.8}));
-    EXPECT_FALSE(diba.quadFastPathActive());
     diba.setUtility(2,
                     std::make_shared<QuadraticUtility>(
                         QuadraticUtility::fromShape(0.5, 0.5,
-                                                    100.0, 200.0)));
-    EXPECT_TRUE(diba.quadFastPathActive());
+                                                    100.0, 120.0)));
+    EXPECT_LE(diba.power()[2], 120.0);
+    const double got = diba.result().utility;
+    const double want = totalUtility(diba.utilities(), diba.power());
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+        << got << " vs " << want;
+    const UtilityPtr pwl = std::make_shared<PiecewiseLinearUtility>(
+        std::vector<double>{100.0, 200.0}, std::vector<double>{0.1, 0.8});
+    EXPECT_DEATH(diba.setUtility(2, pwl),
+                 "node 2's utility is not a QuadraticUtility");
 }
 
 TEST(RoundEngineTest, GossipNeverSamplesEdgesOfFailedNodes)

@@ -6,10 +6,7 @@
 #ifndef DPC_TESTS_ALLOC_TEST_PROBLEMS_HH
 #define DPC_TESTS_ALLOC_TEST_PROBLEMS_HH
 
-#include <memory>
-
 #include "alloc/problem.hh"
-#include "model/utility.hh"
 #include "workload/generator.hh"
 
 namespace dpc {
@@ -35,45 +32,6 @@ tinyProblem()
         .quadratic(0.9, 0.9, 100.0, 200.0)
         .budget(310.0)
         .build();
-}
-
-/**
- * A QuadraticUtility behind a type the allocators cannot see
- * through: every call forwards to the quadratic it holds, but it is
- * not a QuadraticUtility, so DibaAllocator's devirtualized SoA path
- * stays off and the same problem runs the generic
- * (virtual-dispatch, finite-difference) path.
- */
-class OpaqueQuadratic final : public UtilityFunction
-{
-  public:
-    explicit OpaqueQuadratic(QuadraticUtility q) : q_(q) {}
-
-    double value(double p) const override { return q_.value(p); }
-    double derivative(double p) const override
-    {
-        return q_.derivative(p);
-    }
-    double minPower() const override { return q_.minPower(); }
-    double maxPower() const override { return q_.maxPower(); }
-    double bestResponse(double lambda) const override
-    {
-        return q_.bestResponse(lambda);
-    }
-
-  private:
-    QuadraticUtility q_;
-};
-
-/** `prob` with every (quadratic) utility wrapped in an
- * OpaqueQuadratic: same values, generic DiBA path. */
-inline AllocationProblem
-opaqueProblem(AllocationProblem prob)
-{
-    for (UtilityPtr &u : prob.utilities)
-        u = std::make_shared<OpaqueQuadratic>(
-            dynamic_cast<const QuadraticUtility &>(*u));
-    return prob;
 }
 
 } // namespace test

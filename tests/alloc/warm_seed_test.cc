@@ -6,15 +6,15 @@
  * must land where a bisection of the same equation lands, hold
  * every interior marginal at eta/(-e), refuse exactly where the
  * bisection does, keep sum(e) = sum(p) - P when it seeds a cluster
- * with linear utilities, and follow utility swaps (setUtility()).
- * A cold start the seed refuses is the uniform start bit for bit.
+ * with linear utilities or is refused at the power floor, and
+ * follow utility swaps (setUtility()).  A non-quadratic utility is
+ * refused outright.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -219,7 +219,7 @@ TEST(WarmStartTest, LinearUtilitiesKeepConservation)
 {
     // Small clusters with linear utilities put the water level on a
     // demand step often; every warm step must leave the invariant
-    // exact whether it seeds or falls back.
+    // exact.
     Rng rng(0x5eed);
     std::size_t steps = 0;
     for (int cluster = 0; cluster < 400; ++cluster) {
@@ -348,97 +348,88 @@ TEST(WarmSeedTableTest, UtilitySwapsRebuildTheTable)
     d.reset(prob);
     d.warmStart(d.result(), 0.05 * prob.budget);
 
-    // Another quadratic: the next seed must come from the swapped
-    // problem, bitwise as a fresh allocator seeds it.
+    // Other quadratics: the next seed must come from the swapped
+    // problem, bitwise as a fresh allocator seeds it -- caps,
+    // estimates and barriers.
     const UtilityPtr quad = shape(0.3, 0.5, 110.0, 210.0, 1.7);
-    d.setUtility(17, quad);
-    const double delta = -0.08 * prob.budget;
-    const auto freshSeed = [&](const AllocationProblem &swapped) {
-        auto fresh = std::make_unique<DibaAllocator>(
-            g, DibaAllocator::Config{});
-        fresh->reset(swapped);
-        fresh->warmStart(fresh->result(), delta);
-        return fresh;
-    };
+    const UtilityPtr linear = shape(0.6, 0.0, 95.0, 190.0, 0.8);
     auto swapped = prob;
-    swapped.utilities[17] = quad;
-    swapped.budget = d.budget();
-    d.warmStart(d.result(), delta);
-    {
-        const auto fresh = freshSeed(swapped);
-        EXPECT_EQ(d.power(), fresh->power());
-        EXPECT_EQ(d.estimates(), fresh->estimates());
-        EXPECT_EQ(d.budget(), fresh->budget());
-    }
+    const auto swap = [&](std::size_t i, const UtilityPtr &u) {
+        d.setUtility(i, u);
+        swapped.utilities[i] = u;
+    };
+    const auto expectFreshSeed = [&](double delta, const char *what) {
+        SCOPED_TRACE(what);
+        swapped.budget = d.budget();
+        d.warmStart(d.result(), delta);
+        DibaAllocator fresh(g, DibaAllocator::Config{});
+        fresh.reset(swapped);
+        fresh.warmStart(fresh.result(), delta);
+        EXPECT_EQ(d.power(), fresh.power());
+        EXPECT_EQ(d.estimates(), fresh.estimates());
+        EXPECT_EQ(d.budget(), fresh.budget());
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(d.barrierWeight(i), fresh.barrierWeight(i))
+                << "node " << i;
+    };
+    swap(17, quad);
+    expectFreshSeed(-0.08 * prob.budget, "one swap");
 
-    // A non-quadratic: no seed; the delta is pre-placed onto the
-    // caps and only the residue the boxes refused moves the
-    // estimates, all by one uniform shift.
-    d.setUtility(17, std::make_shared<PiecewiseLinearUtility>(
-                         std::vector<double>{100.0, 150.0, 200.0},
-                         std::vector<double>{0.4, 0.8, 0.9}));
+    // Several swaps between two seeds, with rounds in between and
+    // one swap undone: each rewrites only its own slot.
+    swap(203, linear);
+    swap(399, quad);
+    swap(0, linear);
     Rng rng(3);
     for (int r = 0; r < 40; ++r)
         d.step(rng);
-    const std::vector<double> e_before = d.estimates();
-    const double p_before = d.totalPower();
-    const double step = 0.01 * prob.budget;
-    d.warmStart(d.result(), step);
-    const double shift = d.estimates()[0] - e_before[0];
-    for (std::size_t i = 0; i < n; ++i)
-        ASSERT_NEAR(d.estimates()[i] - e_before[i], shift, 1e-12)
-            << "node " << i;
-    EXPECT_NE(d.estimates()[0], d.estimates()[1]);
-    EXPECT_NEAR(d.totalPower() - p_before,
-                step + static_cast<double>(n) * shift,
-                1e-9 * prob.budget);
-
-    // Back to a quadratic: seeding resumes, again bitwise.
-    d.setUtility(17, quad);
-    swapped.budget = d.budget();
-    d.warmStart(d.result(), delta);
-    const auto fresh = freshSeed(swapped);
-    EXPECT_EQ(d.power(), fresh->power());
-    EXPECT_EQ(d.estimates(), fresh->estimates());
+    swap(203, prob.utilities[203]);
+    swap(17, linear);
+    expectFreshSeed(0.03 * prob.budget, "several swaps");
 }
 
-TEST(WarmStartTest, FallbackPlacesTheWholeDelta)
+TEST(WarmStartTest, StepsToThePowerFloorKeepConservation)
 {
-    // A non-quadratic node turns the seed off; the fallback must
-    // then place the whole delta on the caps, leaving a residue for
-    // the estimates only when every node is boxed in the step's
-    // direction.
+    // A budget at or under the power floor has no barrier
+    // equilibrium: the step is announced as a uniform estimate
+    // shift plus the emergency shed.  Either way sum(e) = sum(p) - P
+    // holds and every cap stays in its box, and a later step back
+    // above the floor seeds again.
     const std::size_t n = 400;
-    const auto prob = test::npbProblem(n, 172.0, 41);
+    const auto prob = test::npbProblem(n, 172.0, 43);
     DibaAllocator d(makeRing(n), DibaAllocator::Config{});
     d.reset(prob);
-    d.setUtility(17, std::make_shared<PiecewiseLinearUtility>(
-                         std::vector<double>{100.0, 150.0, 200.0},
-                         std::vector<double>{0.4, 0.8, 0.9}));
-    Rng rng(3);
-    for (int r = 0; r < 40; ++r)
-        d.step(rng);
-    std::size_t boxed_steps = 0;
-    for (const double frac : {0.01, -0.01, 0.03, -0.05, 4.0}) {
-        SCOPED_TRACE(frac);
-        const double p0 = d.totalPower();
-        const double step = frac * prob.budget;
-        d.warmStart(d.result(), step);
-        const double residue = step - (d.totalPower() - p0);
-        bool all_boxed = true;
+    const double lo = prob.minTotalPower();
+    Rng rng(6);
+    const auto expectConserved = [&](const char *what) {
+        SCOPED_TRACE(what);
+        double se = 0.0;
+        for (const double x : d.estimates())
+            se += x;
+        EXPECT_NEAR(se, d.totalPower() - d.budget(), 1e-9 * prob.budget);
         for (std::size_t i = 0; i < n; ++i) {
             const UtilityFunction &u = *d.utilities()[i];
-            const double p = d.power()[i];
-            if (step > 0.0 ? p < u.maxPower() : p > u.minPower())
-                all_boxed = false;
+            ASSERT_GE(d.power()[i], u.minPower()) << "node " << i;
+            ASSERT_LE(d.power()[i], u.maxPower()) << "node " << i;
         }
-        if (all_boxed)
-            ++boxed_steps;
-        else
-            EXPECT_LE(std::fabs(residue), 1e-9 * prob.budget);
+    };
+    for (const double target : {lo, lo - 0.02 * lo, lo - 1.0}) {
+        SCOPED_TRACE(target);
+        d.warmStart(d.result(), target - d.budget());
+        EXPECT_NEAR(d.budget(), target, 1e-9 * target);
+        expectConserved("step");
+        for (int r = 0; r < 20; ++r)
+            d.step(rng);
+        expectConserved("rounds");
     }
-    // Only the step past the ceiling boxes every node.
-    EXPECT_EQ(boxed_steps, 1u);
+    d.warmStart(d.result(), prob.budget - d.budget());
+    expectConserved("back above the floor");
+    for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(d.estimates()[i], d.estimates()[0]) << "node " << i;
+        ASSERT_EQ(d.barrierWeight(i), d.config().eta) << "node " << i;
+    }
+    EXPECT_LT(d.estimates()[0], 0.0);
+    EXPECT_LT(d.totalPower(), d.budget());
 }
 
 namespace {
@@ -583,19 +574,18 @@ TEST(RecoverySeedTest, DissolvingTheFederationSeedsAtTheBudget)
 
 TEST(RecoverySeedTest, RefusingComponentKeepsTheUniformShift)
 {
-    // A non-quadratic node refuses its component's seed: that
-    // component takes the uniform shift bit for bit, while the
-    // other one is seeded.
+    // A share at or under a component's power floor refuses its
+    // seed: that component takes the uniform shift bit for bit,
+    // while the other one is seeded.  Such a share comes from the
+    // no-headroom arm of refederateBudgetWithHeld, which keeps the
+    // held budgets as the shares once the survivors' floors reach
+    // P: here the servers of one arc switch to a workload whose
+    // floors do, and the held budgets are supplied as the sharded
+    // recovery supplies the broker's fold.
     const std::size_t n = 800;
     const auto prob = test::npbProblem(n, 170.0, 19);
     DibaAllocator d(makeRing(n), DibaAllocator::Config{});
     d.reset(prob);
-    d.setUtility(250, std::make_shared<PiecewiseLinearUtility>(
-                          std::vector<double>{100.0, 150.0, 200.0},
-                          std::vector<double>{0.4, 0.8, 0.9}));
-    Rng rng(5);
-    for (int r = 0; r < 40; ++r)
-        d.step(rng);
     std::vector<std::size_t> dead;
     for (std::size_t i = 0; i < 100; ++i)
         dead.push_back(i);
@@ -606,10 +596,25 @@ TEST(RecoverySeedTest, RefusingComponentKeepsTheUniformShift)
     const std::size_t k = d.liveComponents(label);
     ASSERT_EQ(k, 2u);
     const std::uint32_t refused = label[250];
-    const std::vector<double> held = d.heldBudgets(label, k);
+    const UtilityPtr heavy = shape(0.5, 0.5, 320.0, 420.0, 1.0);
+    std::vector<double> floor(k, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!d.isActive(i))
+            continue;
+        if (label[i] != refused)
+            d.setUtility(i, heavy);
+        floor[label[i]] += d.utilities()[i]->minPower();
+    }
+    ASSERT_GE(floor[0] + floor[1], d.budget()) << "no headroom";
+    // The seeded arc holds just over its floor, the refused one the
+    // rest of P, which is under its floor.
+    std::vector<double> held(k);
+    held[1 - refused] = floor[1 - refused] + 1.0;
+    held[refused] = d.budget() - held[1 - refused] - 1.0;
+    ASSERT_LT(held[refused], floor[refused]);
     const std::vector<double> p_before = d.power();
     const std::vector<double> e_before = d.estimates();
-    d.refederateBudget(label, k);
+    d.refederateBudgetWithHeld(label, k, held);
     ASSERT_TRUE(d.federationActive());
 
     std::size_t cnt = 0;
@@ -633,63 +638,34 @@ TEST(RecoverySeedTest, RefusingComponentKeepsTheUniformShift)
                           d.federationShares()[other]);
 }
 
-namespace {
-
-/** Bit-for-bit equality of two double vectors. */
-bool
-sameBits(const std::vector<double> &a, const std::vector<double> &b)
+TEST(ColdSeedTest, NonQuadraticClustersAreRefused)
 {
-    return a.size() == b.size() &&
-           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) ==
-               0;
-}
-
-/**
- * A cluster the cold seed refuses: reset() under the default
- * config must be the uniform start of seed_cold_start = false bit
- * for bit -- caps, estimates and barriers -- and so must every
- * round after it.
- */
-void
-expectUniformStartBitwise(const Graph &g, const AllocationProblem &prob,
-                          const std::string &what)
-{
-    SCOPED_TRACE(what);
-    DibaAllocator::Config off;
-    off.seed_cold_start = false;
-    DibaAllocator dflt(g, DibaAllocator::Config{});
-    DibaAllocator uniform(g, off);
-    dflt.reset(prob);
-    uniform.reset(prob);
-    Rng ra(1), rb(1);
-    for (int r = 0; r <= 20; ++r) {
-        ASSERT_TRUE(sameBits(dflt.power(), uniform.power()))
-            << "round " << r;
-        ASSERT_TRUE(sameBits(dflt.estimates(), uniform.estimates()))
-            << "round " << r;
-        for (std::size_t i = 0; i < prob.size(); ++i)
-            ASSERT_EQ(dflt.barrierWeight(i), uniform.barrierWeight(i))
-                << "round " << r << " node " << i;
-        dflt.step(ra);
-        uniform.step(rb);
-    }
-}
-
-} // namespace
-
-TEST(ColdSeedTest, RefusingClustersKeepTheUniformStart)
-{
+    // DiBA takes quadratic utilities only: reset() names the first
+    // node that is not one, whether every node or a single one is
+    // piecewise-linear.
     const std::size_t n = 256;
     const auto prob = test::npbProblem(n, 172.0, 29);
     const Graph g = makeRing(n);
-    // Opaque utilities: no quadratic mirror, so no seed.
-    expectUniformStartBitwise(g, test::opaqueProblem(prob), "opaque");
-    // One non-quadratic node refuses the whole cluster.
-    auto mixed = prob;
-    mixed.utilities[40] = std::make_shared<PiecewiseLinearUtility>(
+    const UtilityPtr pwl = std::make_shared<PiecewiseLinearUtility>(
         std::vector<double>{100.0, 150.0, 200.0},
         std::vector<double>{0.4, 0.8, 0.9});
-    expectUniformStartBitwise(g, mixed, "one piecewise-linear node");
+    auto all = prob;
+    for (UtilityPtr &u : all.utilities)
+        u = pwl;
+    EXPECT_DEATH(
+        {
+            DibaAllocator d(g, DibaAllocator::Config{});
+            d.reset(all);
+        },
+        "node 0's utility is not a QuadraticUtility");
+    auto mixed = prob;
+    mixed.utilities[40] = pwl;
+    EXPECT_DEATH(
+        {
+            DibaAllocator d(g, DibaAllocator::Config{});
+            d.reset(mixed);
+        },
+        "node 40's utility is not a QuadraticUtility");
     // A budget at the power floor never reaches the seed: reset()
     // requires strict interior feasibility.
     auto floor = prob;

@@ -12,12 +12,12 @@ namespace dpc {
 namespace {
 
 /**
- * Every allocator treats utilities as black boxes (value /
- * derivative / bestResponse only).  These tests drive the whole
- * stack through PiecewiseLinearUtility -- raw measured samples
- * with kinks, no analytic quadratic structure -- exercising the
- * generic bisection best response and the finite-difference
- * curvature path in DiBA.
+ * The centralized allocators treat utilities as black boxes (value
+ * / derivative / bestResponse only).  These tests drive them
+ * through PiecewiseLinearUtility -- raw measured samples with
+ * kinks, no analytic quadratic structure -- exercising the generic
+ * bisection best response.  DiBA takes the paper's concave
+ * quadratics only and refuses these utilities.
  */
 AllocationProblem
 pwlProblem(std::size_t n, double wpn, std::uint64_t seed)
@@ -75,20 +75,17 @@ TEST(BlackboxUtilitiesTest, PrimalDualHandlesPiecewiseLinear)
         withinFractionOfOptimal(res.utility, opt.utility, 0.99));
 }
 
-TEST(BlackboxUtilitiesTest, DibaHandlesPiecewiseLinear)
+TEST(BlackboxUtilitiesTest, DibaRefusesPiecewiseLinear)
 {
     const auto prob = pwlProblem(48, 170.0, 3);
-    const auto opt = solveKkt(prob);
     Rng topo_rng(4);
-    DibaAllocator diba(makeChordalRing(48, 12, topo_rng));
-    diba.reset(prob);
-    for (int it = 0; it < 4000; ++it) {
-        diba.iterate();
-        ASSERT_LT(diba.totalPower(), prob.budget);
-    }
-    const double u = totalUtility(prob.utilities, diba.power());
-    EXPECT_TRUE(withinFractionOfOptimal(u, opt.utility, 0.97))
-        << u << " vs " << opt.utility;
+    const Graph g = makeChordalRing(48, 12, topo_rng);
+    EXPECT_DEATH(
+        {
+            DibaAllocator diba(g);
+            diba.reset(prob);
+        },
+        "node 0's utility is not a QuadraticUtility");
 }
 
 } // namespace
