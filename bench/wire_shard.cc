@@ -27,7 +27,7 @@
  * timing; gated at the perf threshold), cut_edges / cut_frac (plan
  * quality of the contiguous id blocks), retransmits / duplicates
  * (loopback UDP under zero loss should never need either),
- * edges_suppressed (bitmap-shipped quiesced halves) and the
+ * edges_suppressed (quiesced halves held, shipping nothing) and the
  * per-phase round breakdown (send / interior compute / drain /
  * boundary compute, ms per round summed over shards).  Every
  * sharded row is gated bitwise against the same reference.

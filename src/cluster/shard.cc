@@ -311,8 +311,6 @@ shardMain(std::uint32_t shard_id, const ShardPlan &plan,
     tc.retrans_ms = opt.retrans_ms;
     tc.pipeline_depth = opt.pipeline_depth;
     tc.datagram_budget = opt.datagram_budget;
-    tc.wire_version =
-        std::min<std::uint16_t>(opt.wire_version, net::kWireVersion);
     tc.hosts = opt.hosts;
     if (!opt.hosts.empty())
         tc.bind_host = opt.hosts[shard_id];
@@ -338,7 +336,7 @@ shardMain(std::uint32_t shard_id, const ShardPlan &plan,
         Frame hello;
         hello.type = FrameType::Hello;
         hello.hello.shard_id = shard_id;
-        hello.hello.version = tc.wire_version;
+        hello.hello.version = net::kWireVersion;
         hello.hello.udp_port = sock.localPort();
         hello.hello.tcp_port = sock.localPort();
         sendFrame(ctl.bfd, hello);
@@ -351,10 +349,6 @@ shardMain(std::uint32_t shard_id, const ShardPlan &plan,
                "expected Welcome from broker");
     DPC_ASSERT(welcome.welcome.num_shards == plan.num_shards,
                "broker shard count mismatch");
-    // Adopt the fleet minimum the broker agreed on (every shard
-    // advertises the same version here, so this is a no-op unless
-    // a heterogeneous deployment drives shardMain directly).
-    sock.setWireVersion(welcome.welcome.agreed_version);
     sock.connectPeers(
         opt.proto == net::SocketTransport::Proto::Udp
             ? welcome.welcome.udp_ports
@@ -1087,7 +1081,6 @@ runShardedDiba(const AllocationProblem &prob, const Graph &topo,
             std::vector<std::uint8_t> buf;
         };
         std::vector<Pending> pending;
-        std::uint16_t agreed = net::kWireVersion;
         std::uint32_t hellos = 0;
         std::string hs_err;
         while (hellos < opt.num_shards && hs_err.empty()) {
@@ -1162,35 +1155,16 @@ runShardedDiba(const AllocationProblem &prob, const Graph &topo,
                             hs_err = "bad or duplicate shard id " +
                                      std::to_string(s);
                         } else {
-                            std::uint16_t v = 0;
-                            if (!net::negotiateVersion(
-                                    agreed, f.hello.version, v)) {
-                                hs_err =
-                                    "shard " + std::to_string(s) +
-                                    " speaks wire version " +
-                                    std::to_string(
-                                        f.hello.version) +
-                                    ", below this broker's "
-                                    "floor " +
-                                    std::to_string(
-                                        net::kWireMinVersion);
-                            } else {
-                                agreed = v;
-                                sh[s].hello = true;
-                                sh[s].fd = pending[x].fd;
-                                sh[s].buf =
-                                    std::move(pending[x].buf);
-                                sh[s].udp_port =
-                                    f.hello.udp_port;
-                                sh[s].tcp_port =
-                                    f.hello.tcp_port;
-                                sh[s].last_hb = nowMs();
-                                pending.erase(pending.begin() +
-                                              static_cast<long>(
-                                                  x));
-                                ++hellos;
-                                continue;
-                            }
+                            sh[s].hello = true;
+                            sh[s].fd = pending[x].fd;
+                            sh[s].buf = std::move(pending[x].buf);
+                            sh[s].udp_port = f.hello.udp_port;
+                            sh[s].tcp_port = f.hello.tcp_port;
+                            sh[s].last_hb = nowMs();
+                            pending.erase(pending.begin() +
+                                          static_cast<long>(x));
+                            ++hellos;
+                            continue;
                         }
                     }
                 }
@@ -1212,7 +1186,7 @@ runShardedDiba(const AllocationProblem &prob, const Graph &topo,
 
         Frame welcome;
         welcome.type = FrameType::Welcome;
-        welcome.welcome.agreed_version = agreed;
+        welcome.welcome.agreed_version = net::kWireVersion;
         welcome.welcome.num_shards = opt.num_shards;
         welcome.welcome.rounds = opt.rounds;
         welcome.welcome.udp_ports.resize(opt.num_shards, 0);

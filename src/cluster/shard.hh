@@ -26,17 +26,19 @@
  * equal to the single-process run, round for round.
  *
  * Coordination.  The broker (run inline by the parent process)
- * handles membership and results ONLY: Hello/Welcome negotiates
- * the wire version and distributes the data-port table, a final
- * Result frame returns each shard's owned state + wire stats, and
- * one RoundGo ("Bye", stop = 1) releases the shards once every
- * Result is in.  The per-round barrier rides on the data plane:
+ * handles membership, results and recovery ONLY: Hello/Welcome
+ * distributes the data-port table, a final Result frame returns
+ * each shard's owned state + wire stats, and one RoundGo ("Bye",
+ * stop = 1) releases the shards once every Result is in.  The
+ * per-round barrier rides on the data plane:
  * CutBatch frames carry piggybacked max-|dp| all-reduce reports
  * (see net/socket_transport.hh), so a round costs zero broker
  * handoffs and the shards' convergence accounting still sees the
  * same global max single-process noteRound sees.
  *
- * Restrictions (v1): no churn/budget events mid-run, and
+ * Mid-run events are scheduled warm-started budget steps
+ * (ShardRunOptions::budget_steps) and, with
+ * ShardRunOptions::recover, shard deaths; there is no other churn.
  * Config::num_threads must be 0 (the shards are forked processes;
  * a live thread pool does not survive fork()).
  */
@@ -147,11 +149,6 @@ struct ShardRunOptions
      * round drift (<= the transport's 4-round rx window). */
     std::size_t checkpoint_depth = 8;
     /**
-     * Advertised wire protocol version; the broker agrees on the
-     * fleet minimum and every shard adopts it before connecting.
-     */
-    std::uint16_t wire_version = net::kWireVersion;
-    /**
      * Scheduled warm-started budget steps: before running round
      * `round`, every shard calls warmStart(result(), delta).  On a
      * quadratic cluster that re-seeds straight at the new barrier
@@ -199,13 +196,13 @@ struct ShardRunResult
     std::uint64_t bytes_received = 0;
     /** Batches dropped by (sender, round, seq) dedup. */
     std::uint64_t duplicates = 0;
-    /** Cut halves shipped as suppression-bitmap bits. */
+    /** Offered cut halves held unchanged (shipped nothing). */
     std::uint64_t edges_suppressed = 0;
     /** Summed histogram: bucket b counts first-transmitted frames
      * carrying [2^b, 2^(b+1)) cut halves. */
     std::array<std::uint64_t, net::kEdgesPerFrameBuckets>
         edges_per_frame_hist{};
-    // ---- steady-state wire sparsity (v4; zero on v3 runs) ----
+    // ---- steady-state wire sparsity ---------------------------
     /** Seq-0 frames declaring zero changed records: the whole
      * peer-round quiesced and shipped only the fixed header. */
     std::uint64_t suppressed_frames = 0;

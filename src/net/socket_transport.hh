@@ -12,9 +12,12 @@
  * position in the canonical per-shard-pair cut list both endpoints
  * derive independently from the shared overlay + ownership map.
  * Halves whose value is bitwise-unchanged since the sender's last
- * transmission ship as one bit in a suppression bitmap instead of
- * a 12-byte record, so a quiesced overlay costs ~cut/64 words per
- * round.
+ * transmission ship nothing (the receiver holds the last delivered
+ * value), live halves ship as varint XOR-deltas against the
+ * previous transmission, and each seq-0 batch declares the round's
+ * record total, so a quiesced peer round costs one header-sized
+ * frame.  Seq-0 batches also carry the sender's boundary hot
+ * bitmap, the cross-shard wake channel.
  *
  * Incoming peer halves are written straight from the frame decode
  * into the caller's snapshot rows (the PatchSink handed to
@@ -107,8 +110,8 @@ class SocketTransport final : public Transport
          * rounds ahead, with every cut pair at fixed lag d. */
         std::uint32_t pipeline_depth = 0;
         /** Target packed size of one batch frame.  A seq-0 frame
-         * whose fixed part (reports + suppression bitmap) alone
-         * exceeds it is sent oversized rather than split. */
+         * whose fixed part (reports + hot bitmap) alone exceeds it
+         * is sent oversized rather than split. */
         std::size_t datagram_budget = 1400;
         /**
          * Retransmit budget per peer: after this many consecutive
@@ -129,7 +132,9 @@ class SocketTransport final : public Transport
          * aborted() set, instead of spinning until the round
          * timeout.  The shard runtime uses this to pump heartbeats
          * and to notice a broker EpochChange while blocked on a
-         * dead peer.  Empty = pre-v3 behavior (fatal timeout).
+         * dead peer.  Empty: a round that outlasts
+         * round_timeout_ms is fatal, naming the peers it still
+         * waits on.
          */
         std::function<bool()> tick;
         /**
@@ -144,16 +149,6 @@ class SocketTransport final : public Transport
          * resend, no suspicion.
          */
         int control_fd = -1;
-        /**
-         * Negotiated CutBatch wire version (the broker's agreed
-         * version).  >= 4: delta-suppressed frames (quiesced
-         * halves ship nothing, live halves ship XOR varints,
-         * completion is sender-declared) and the boundary wake
-         * channel.  3: the dense PR 8 layout -- full records +
-         * suppression bitmap, receiver-side completion -- for
-         * clusters holding a v3 peer.
-         */
-        std::uint16_t wire_version = kWireVersion;
         /**
          * Per-shard peer hosts as IPv4 dotted-quad strings
          * (hosts[s] carries shard s's data address).  Empty, or an
@@ -181,7 +176,7 @@ class SocketTransport final : public Transport
         std::uint64_t retrans_bytes = 0;
         /** Batches dropped by (sender, round, seq) dedup. */
         std::uint64_t duplicates = 0;
-        /** Cut halves shipped as suppression-bitmap bits. */
+        /** Offered cut halves held unchanged (shipped nothing). */
         std::uint64_t edges_suppressed = 0;
         /** Histogram over first-transmitted batches: bucket b
          * counts frames carrying [2^b, 2^(b+1)) cut halves. */
@@ -199,13 +194,12 @@ class SocketTransport final : public Transport
         /** Bitmask of peers ever suspected (sticky; bit s = shard
          * s).  A queryable record, not a correctness input. */
         std::uint64_t peer_suspected = 0;
-        /** v4: first-transmission frames with zero changed records
+        /** First-transmission frames with zero changed records
          * (one per fully-quiesced peer round). */
         std::uint64_t suppressed_frames = 0;
-        /** v4: first-transmission frames carrying XOR-delta
-         * records. */
+        /** First-transmission frames carrying XOR-delta records. */
         std::uint64_t delta_frames = 0;
-        /** v4: boundary wake notifications shipped (0 -> 1 hot
+        /** Boundary wake notifications shipped (0 -> 1 hot
          * transitions vs the previous round's sent bitmap). */
         std::uint64_t wake_messages = 0;
     };
@@ -220,15 +214,6 @@ class SocketTransport final : public Transport
 
     /** The bound data port (UDP port or TCP listen port). */
     std::uint16_t localPort() const { return local_port_; }
-
-    /**
-     * Adopt the broker-negotiated wire version.  Downgrade only
-     * (the constructor validated the configured cap), and only
-     * before any round has opened: the per-version tx/rx state
-     * (delta chains, hot bitmaps, declared-count completion) is
-     * chosen at round granularity and never mixes.
-     */
-    void setWireVersion(std::uint16_t v);
 
     /**
      * Wire up the full peer mesh from the broker's port table
@@ -254,15 +239,12 @@ class SocketTransport final : public Transport
         return cfg_.pipeline_depth;
     }
 
-    /** The wake channel rides v4 seq-0 frames: EdgePair hot bits
+    /** The wake channel rides seq-0 frames: EdgePair hot bits
      * are folded into per-peer boundary bitmaps on send and the
      * peers' bitmaps are applied to the wake view as their rounds
      * emit (strict round order, same timing as the value
      * patches). */
-    bool wakesSupported() const override
-    {
-        return cfg_.wire_version >= 4;
-    }
+    bool wakesSupported() const override { return true; }
 
     /** Peer-owned boundary nodes (per-peer ascending id,
      * peers concatenated ascending shard id) + their current hot
@@ -379,13 +361,11 @@ class SocketTransport final : public Transport
     struct TxAccum
     {
         std::vector<std::pair<std::uint32_t, std::uint64_t>> changed;
-        std::vector<std::uint64_t> bitmap;
         std::uint32_t offered = 0;
         std::uint32_t suppressed = 0;
-        /** v4: boundary hot bitmap over tx_nodes_[peer] (words),
-         * folded from EdgePair hot bits during send(). */
+        /** Boundary hot bitmap over tx_nodes_[peer] (words), folded
+         * from EdgePair hot bits during send(). */
         std::vector<std::uint64_t> hot;
-        bool hot_valid = false;
     };
 
     /** Retained first-transmission datagrams of one (peer, round)
@@ -400,31 +380,28 @@ class SocketTransport final : public Transport
     struct RxSlot
     {
         std::uint64_t round = kNoRound;
-        /** Raw IEEE bits of the peer half, by cut_ index (v4: the
-         * raw XOR against the previous emitted value, resolved at
-         * emit time in strict round order). */
+        /** The peer half's raw XOR against its previous emitted
+         * value, by cut_ index, resolved at emit time in strict
+         * round order. */
         std::vector<std::uint64_t> val;
-        /** 0 unfiled, 1 explicit, 2 suppressed (replay cache).
-         * v4: 0 doubles as "suppressed" -- the sender-declared
-         * total decides completion, and an unfiled position at
-         * emit time means the sender shipped nothing for it. */
+        /** 1 filed, 0 held: the sender-declared totals decide
+         * completion, and an unfiled position at emit time means
+         * the sender shipped nothing for it. */
         std::vector<std::uint8_t> st;
-        std::size_t filed = 0;
         /** cut_ indices this shard offered in the round, in send
          * order; identical replicas make it equal to what every
-         * peer sent, so offered.size() is the completion target
-         * (v3; v4 completion is the sender-declared totals). */
+         * peer sent (the emit order). */
         std::vector<std::uint32_t> offered;
         /** Sends for the round are complete (offered is final). */
         bool open = false;
         /** Per-peer (round, seq) dedup bitsets. */
         std::vector<std::vector<std::uint64_t>> seq_seen;
-        /** v4: per-peer sender-declared record totals (from seq-0
+        /** Per-peer sender-declared record totals (from seq-0
          * frames) and the records filed so far. */
         std::vector<std::uint32_t> decl;
         std::vector<std::uint8_t> decl_seen;
         std::vector<std::uint32_t> got;
-        /** v4: per-peer boundary hot bitmap as shipped on seq 0
+        /** Per-peer boundary hot bitmap as shipped on seq 0
          * (mode + sparse words), applied to the wake view when the
          * round emits. */
         std::vector<std::uint8_t> hot_mode;
@@ -444,20 +421,24 @@ class SocketTransport final : public Transport
     std::uint32_t ownerOf(std::uint32_t node) const;
     void buildCutLists();
 
-    /** v4 flush: pack this round's accumulated records for peer s
-     * into delta frames (seq-0 declares the totals and carries the
-     * hot bitmap). */
-    void flushPeerV4(std::uint32_t s,
-                     const std::vector<DpReport> &reports);
+    /** Pack this round's accumulated records for peer s into delta
+     * frames (seq-0 declares the totals and carries the hot
+     * bitmap). */
+    void flushPeer(std::uint32_t s,
+                   const std::vector<DpReport> &reports);
 
-    /** v4: apply one emitted round's hot bitmap from peer s to the
+    /** Apply one emitted round's hot bitmap from peer s to the
      * wake view segment. */
     void applyHotWords(std::uint32_t s, std::uint8_t mode,
                        const std::vector<std::pair<std::uint32_t,
                                                    std::uint64_t>>
                            &words);
 
-    /** v4 round completion for one peer: seq-0 seen and every
+    /** Round completion waits on peer s: another shard sharing
+     * cut edges with this one and not confirmed dead. */
+    bool awaited(std::uint32_t s) const;
+
+    /** Round completion for one peer: seq-0 seen and every
      * declared record filed. */
     bool peerDone(const RxSlot &slot, std::uint32_t s) const;
 
@@ -493,9 +474,8 @@ class SocketTransport final : public Transport
      * decode and file the data frames. */
     Wake receiveSome(int timeout_ms, bool data_plane, bool control);
 
-    /** File one decoded CutBatch (version = its frame version;
-     * frames from the wrong negotiated layout are dropped). */
-    void fileBatch(const CutBatchMsg &msg, std::uint16_t version);
+    /** File one decoded CutBatch. */
+    void fileBatch(const CutBatchMsg &msg);
 
     /** Fold one all-reduce report; resolve in round order. */
     void foldReport(const DpReport &rep);
@@ -560,8 +540,6 @@ class SocketTransport final : public Transport
     /** pair_cut_[s] = cut_ indices shared with shard s, ascending
      * edge id (the per-pair record index space). */
     std::vector<std::vector<std::uint32_t>> pair_cut_;
-    /** Suppression bitmap words per peer. */
-    std::vector<std::size_t> pair_words_;
     /** tx_nodes_[s] = OWN boundary nodes of the (me, s) pair,
      * ascending id (the outgoing wake bitmap's bit
      * space; the peer derives the identical list). */
@@ -619,7 +597,7 @@ class SocketTransport final : public Transport
      * TCP stream closed under a fault-tolerant run). */
     std::vector<std::uint8_t> peer_alive_;
     /** Bit s set once an epoch fence CONFIRMED shard s dead.  The
-     * v4 sender-driven completion may only skip these: a peer
+     * sender-driven completion may only skip these: a peer
      * whose stream merely went down (suspected, obituary pending)
      * must keep blocking resolution, or the survivor races ahead
      * on held values instead of parking in poll() where the

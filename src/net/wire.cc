@@ -9,8 +9,8 @@ namespace net {
 namespace {
 
 // Little-endian scalar writers/readers.  Byte-at-a-time keeps the
-// codec endian-portable and alignment-safe; the hot PairTransfer
-// frame is 60 bytes, far below any memcpy win worth chasing.
+// codec endian-portable and alignment-safe; control frames are
+// small and rare, and the hot CutBatch path writes through Writer.
 
 void
 putU16(std::vector<std::uint8_t> &out, std::uint16_t x)
@@ -125,14 +125,6 @@ class Reader
         return true;
     }
 
-    bool skip(std::size_t k)
-    {
-        if (pos_ + k > len_)
-            return false;
-        pos_ += k;
-        return true;
-    }
-
     /** A payload must be consumed exactly: trailing garbage means
      * the sender and receiver disagree on the layout. */
     bool done() const { return pos_ == len_; }
@@ -194,10 +186,6 @@ class Writer
     std::uint8_t *p_;
 };
 
-/** Largest LEB128 encodings of a u32 and a u64. */
-constexpr std::size_t kVarint32Max = 5;
-constexpr std::size_t kVarint64Max = 10;
-
 /**
  * Append one whole CutBatch frame, header included.  The buffer
  * grows once to an upper bound of the frame (every varint at its
@@ -205,24 +193,20 @@ constexpr std::size_t kVarint64Max = 10;
  * is trimmed to the bytes written.
  */
 void
-encodeCutBatchFrame(const CutBatchMsg &m, std::uint16_t version,
+encodeCutBatchFrame(const CutBatchMsg &m,
                     std::vector<std::uint8_t> &out)
 {
-    const bool v4 = version >= 4;
-    // Header, sender, epoch, round, seq, n_reports and the reports.
-    std::size_t bound = kWireHeaderSize + 21 + m.reports.size() * 24;
-    if (v4)
-        bound += 1 + 3 * kVarint32Max +
-                 m.hot_words.size() * (kVarint32Max + kVarint64Max) +
-                 m.changed.size() * (kVarint32Max + kVarint64Max);
-    else
-        bound += 8 + m.changed.size() * 12 + m.unchanged.size() * 8;
+    // Fixed part, the reports, then every varint at its longest.
+    const std::size_t bound =
+        kCutBatchV4Fixed + m.reports.size() * 24 + 3 * kVarint32Max +
+        (m.hot_words.size() + m.changed.size()) *
+            (kVarint32Max + kVarint64Max);
     const std::size_t at = out.size();
     out.resize(at + bound);
     std::uint8_t *const begin = out.data() + at;
     Writer w(begin);
     w.u32(kWireMagic);
-    w.u16(version);
+    w.u16(kWireVersion);
     w.u16(static_cast<std::uint16_t>(FrameType::CutBatch));
     w.u32(0); // payload_len backpatched below
     w.u32(m.sender);
@@ -230,47 +214,33 @@ encodeCutBatchFrame(const CutBatchMsg &m, std::uint16_t version,
     w.u64(m.round);
     w.u32(m.seq);
     w.u8(static_cast<std::uint8_t>(m.reports.size()));
-    if (v4) {
-        w.u8(m.hot_mode);
-        w.varint(m.changed.size());
-        if (m.seq == 0)
-            w.varint(m.total_changed);
-        if (m.hot_mode == kHotSparse) {
-            w.varint(m.hot_words.size());
-            std::uint32_t prev = 0;
-            bool first = true;
-            for (const auto &[wd, bits] : m.hot_words) {
-                w.varint(first ? wd : wd - prev - 1);
-                w.varint(bits);
-                prev = wd;
-                first = false;
-            }
+    w.u8(m.hot_mode);
+    w.varint(m.changed.size());
+    if (m.seq == 0)
+        w.varint(m.total_changed);
+    if (m.hot_mode == kHotSparse) {
+        w.varint(m.hot_words.size());
+        std::uint32_t prev = 0;
+        bool first = true;
+        for (const auto &[wd, bits] : m.hot_words) {
+            w.varint(first ? wd : wd - prev - 1);
+            w.varint(bits);
+            prev = wd;
+            first = false;
         }
-    } else {
-        w.u32(static_cast<std::uint32_t>(m.changed.size()));
-        w.u32(static_cast<std::uint32_t>(m.unchanged.size()));
     }
     for (const DpReport &rep : m.reports) {
         w.u64(rep.round);
         w.u64(rep.shard_mask);
         w.f64(rep.max_dp);
     }
-    if (v4) {
-        std::uint32_t prev = 0;
-        bool first = true;
-        for (const auto &[idx, bits] : m.changed) {
-            w.varint(first ? idx : idx - prev - 1);
-            w.varint(bits);
-            prev = idx;
-            first = false;
-        }
-    } else {
-        for (const auto &[idx, bits] : m.changed) {
-            w.u32(idx);
-            w.u64(bits);
-        }
-        for (std::uint64_t wd : m.unchanged)
-            w.u64(wd);
+    std::uint32_t prev = 0;
+    bool first = true;
+    for (const auto &[idx, bits] : m.changed) {
+        w.varint(first ? idx : idx - prev - 1);
+        w.varint(bits);
+        prev = idx;
+        first = false;
     }
     const std::size_t len = static_cast<std::size_t>(w.pos() - begin);
     Writer(begin + 8).u32(
@@ -301,32 +271,6 @@ encodeBody(const Frame &frame, std::vector<std::uint8_t> &out)
             putU16(out, p);
         break;
     }
-    case FrameType::PairTransfer: {
-        const PairTransferMsg &m = frame.pair_transfer;
-        putU32(out, m.pair.edge_id);
-        putU32(out, m.pair.u);
-        putU32(out, m.pair.v);
-        putU64(out, m.pair.round);
-        putF64(out, m.pair.e_u);
-        putF64(out, m.pair.e_v);
-        putU32(out, m.fate.lag);
-        const std::uint8_t flags =
-            static_cast<std::uint8_t>((m.fate.delivered ? 1u : 0u) |
-                                      (m.update_u ? 2u : 0u) |
-                                      (m.update_v ? 4u : 0u));
-        out.push_back(flags);
-        out.push_back(0);
-        out.push_back(0);
-        out.push_back(0);
-        break;
-    }
-    case FrameType::RoundDone: {
-        const RoundDoneMsg &m = frame.round_done;
-        putU32(out, m.shard_id);
-        putU64(out, m.round);
-        putF64(out, m.local_max_dp);
-        break;
-    }
     case FrameType::RoundGo: {
         const RoundGoMsg &m = frame.round_go;
         putU64(out, m.round);
@@ -350,11 +294,9 @@ encodeBody(const Frame &frame, std::vector<std::uint8_t> &out)
         putU64(out, m.gaveup_frames);
         putU64(out, m.suspect_events);
         putU64(out, m.peer_suspected);
-        if (frame.version >= 4) {
-            putU64(out, m.suppressed_frames);
-            putU64(out, m.delta_frames);
-            putU64(out, m.wake_messages);
-        }
+        putU64(out, m.suppressed_frames);
+        putU64(out, m.delta_frames);
+        putU64(out, m.wake_messages);
         for (std::uint64_t b : m.edges_per_frame_hist)
             putU64(out, b);
         putF64(out, m.final_local_max_dp);
@@ -416,16 +358,20 @@ decodeBody(FrameType type, const std::uint8_t *data, std::size_t len,
     case FrameType::Hello: {
         HelloMsg &m = out.hello;
         return r.u32(m.shard_id) && r.u16(m.version) &&
-               r.u16(m.udp_port) && r.u16(m.tcp_port) && r.done();
+               m.version == kWireVersion && r.u16(m.udp_port) &&
+               r.u16(m.tcp_port) && r.done();
     }
     case FrameType::Welcome: {
         WelcomeMsg &m = out.welcome;
-        if (!(r.u16(m.agreed_version) && r.u32(m.num_shards) &&
-              r.u64(m.rounds)))
+        if (!(r.u16(m.agreed_version) &&
+              m.agreed_version == kWireVersion &&
+              r.u32(m.num_shards) && r.u64(m.rounds)))
             return false;
         // Port tables are sized by num_shards; reject absurd
-        // counts before allocating.
-        if (m.num_shards > (1u << 20))
+        // counts, and counts whose tables cannot fit the payload,
+        // before allocating.
+        if (m.num_shards > (1u << 20) ||
+            std::size_t{m.num_shards} * 4 > len)
             return false;
         m.udp_ports.resize(m.num_shards);
         m.tcp_ports.resize(m.num_shards);
@@ -436,25 +382,6 @@ decodeBody(FrameType type, const std::uint8_t *data, std::size_t len,
             if (!r.u16(p))
                 return false;
         return r.done();
-    }
-    case FrameType::PairTransfer: {
-        PairTransferMsg &m = out.pair_transfer;
-        std::uint8_t flags = 0;
-        if (!(r.u32(m.pair.edge_id) && r.u32(m.pair.u) &&
-              r.u32(m.pair.v) && r.u64(m.pair.round) &&
-              r.f64(m.pair.e_u) && r.f64(m.pair.e_v) &&
-              r.u32(m.fate.lag) && r.u8(flags) && r.skip(3) &&
-              r.done()))
-            return false;
-        m.fate.delivered = (flags & 1u) != 0;
-        m.update_u = (flags & 2u) != 0;
-        m.update_v = (flags & 4u) != 0;
-        return true;
-    }
-    case FrameType::RoundDone: {
-        RoundDoneMsg &m = out.round_done;
-        return r.u32(m.shard_id) && r.u64(m.round) &&
-               r.f64(m.local_max_dp) && r.done();
     }
     case FrameType::RoundGo: {
         RoundGoMsg &m = out.round_go;
@@ -471,11 +398,8 @@ decodeBody(FrameType type, const std::uint8_t *data, std::size_t len,
               r.u64(m.duplicates) && r.u64(m.edges_suppressed) &&
               r.u64(m.stale_epoch_frames) &&
               r.u64(m.gaveup_frames) && r.u64(m.suspect_events) &&
-              r.u64(m.peer_suspected)))
-            return false;
-        if (out.version >= 4 &&
-            !(r.u64(m.suppressed_frames) && r.u64(m.delta_frames) &&
-              r.u64(m.wake_messages)))
+              r.u64(m.peer_suspected) && r.u64(m.suppressed_frames) &&
+              r.u64(m.delta_frames) && r.u64(m.wake_messages)))
             return false;
         for (auto &b : m.edges_per_frame_hist)
             if (!r.u64(b))
@@ -501,98 +425,66 @@ decodeBody(FrameType type, const std::uint8_t *data, std::size_t len,
     case FrameType::CutBatch: {
         CutBatchMsg &m = out.cut_batch;
         std::uint8_t n_reports = 0;
-        std::uint32_t n_changed = 0, n_words = 0;
+        std::uint32_t n_changed = 0;
         if (!(r.u32(m.sender) && r.u32(m.epoch) &&
               r.u64(m.round) && r.u32(m.seq) && r.u8(n_reports)))
             return false;
-        if (out.version >= 4) {
-            m.unchanged.clear();
-            m.total_changed = 0;
-            m.hot_words.clear();
-            std::uint32_t n_hot = 0;
-            if (!(r.u8(m.hot_mode) && r.varint32(n_changed)))
-                return false;
-            if (m.seq == 0) {
-                if (!r.varint32(m.total_changed))
-                    return false;
-            } else if (m.hot_mode != kHotNone) {
-                // The hot bitmap rides seq 0 only.
-                return false;
-            }
-            if (m.hot_mode > kHotClear)
-                return false;
-            if (m.hot_mode == kHotSparse &&
-                !r.varint32(n_hot))
-                return false;
-            // Every entry/record is >= 2 varint bytes; reject
-            // counts that cannot fit before allocating.
-            if (std::size_t{n_reports} * 24 +
-                    std::size_t{n_changed} * 2 +
-                    std::size_t{n_hot} * 2 >
-                len)
-                return false;
-            m.hot_words.resize(n_hot);
-            std::uint64_t prev = 0;
-            bool first = true;
-            for (auto &[w, bits] : m.hot_words) {
-                std::uint32_t gap = 0;
-                if (!(r.varint32(gap) && r.varint(bits)))
-                    return false;
-                const std::uint64_t idx =
-                    first ? gap : prev + 1 + gap;
-                if (idx > 0xffffffffull)
-                    return false;
-                w = static_cast<std::uint32_t>(idx);
-                prev = idx;
-                first = false;
-            }
-            m.reports.resize(n_reports);
-            for (DpReport &rep : m.reports)
-                if (!(r.u64(rep.round) && r.u64(rep.shard_mask) &&
-                      r.f64(rep.max_dp)))
-                    return false;
-            m.changed.resize(n_changed);
-            prev = 0;
-            first = true;
-            for (auto &[idx, bits] : m.changed) {
-                std::uint32_t gap = 0;
-                if (!(r.varint32(gap) && r.varint(bits)))
-                    return false;
-                const std::uint64_t pos =
-                    first ? gap : prev + 1 + gap;
-                if (pos > 0xffffffffull)
-                    return false;
-                idx = static_cast<std::uint32_t>(pos);
-                prev = pos;
-                first = false;
-            }
-            return r.done();
-        }
         m.total_changed = 0;
-        m.hot_mode = kHotNone;
         m.hot_words.clear();
-        if (!(r.u32(n_changed) && r.u32(n_words)))
+        std::uint32_t n_hot = 0;
+        if (!(r.u8(m.hot_mode) && r.varint32(n_changed)))
             return false;
-        // The length prefix bounds the payload; reject counts that
-        // cannot fit before allocating.
+        if (m.seq == 0) {
+            if (!r.varint32(m.total_changed))
+                return false;
+        } else if (m.hot_mode != kHotNone) {
+            // The hot bitmap rides seq 0 only.
+            return false;
+        }
+        if (m.hot_mode > kHotClear)
+            return false;
+        if (m.hot_mode == kHotSparse && !r.varint32(n_hot))
+            return false;
+        // Every entry/record is >= 2 varint bytes; reject counts
+        // that cannot fit before allocating.
         if (std::size_t{n_reports} * 24 +
-                std::size_t{n_changed} * 12 +
-                std::size_t{n_words} * 8 >
+                std::size_t{n_changed} * 2 +
+                std::size_t{n_hot} * 2 >
             len)
             return false;
+        m.hot_words.resize(n_hot);
+        std::uint64_t prev = 0;
+        bool first = true;
+        for (auto &[w, bits] : m.hot_words) {
+            std::uint32_t gap = 0;
+            if (!(r.varint32(gap) && r.varint(bits)))
+                return false;
+            const std::uint64_t idx = first ? gap : prev + 1 + gap;
+            if (idx > 0xffffffffull)
+                return false;
+            w = static_cast<std::uint32_t>(idx);
+            prev = idx;
+            first = false;
+        }
         m.reports.resize(n_reports);
         for (DpReport &rep : m.reports)
             if (!(r.u64(rep.round) && r.u64(rep.shard_mask) &&
                   r.f64(rep.max_dp)))
                 return false;
         m.changed.resize(n_changed);
-        for (auto &[idx, bits] : m.changed)
-            if (!(r.u32(idx) && r.u64(bits)))
+        prev = 0;
+        first = true;
+        for (auto &[idx, bits] : m.changed) {
+            std::uint32_t gap = 0;
+            if (!(r.varint32(gap) && r.varint(bits)))
                 return false;
-        m.unchanged.resize(n_words);
-        for (std::uint64_t &w : m.unchanged)
-            if (!r.u64(w))
+            const std::uint64_t pos = first ? gap : prev + 1 + gap;
+            if (pos > 0xffffffffull)
                 return false;
+            idx = static_cast<std::uint32_t>(pos);
+            prev = pos;
+            first = false;
+        }
         return r.done();
     }
     case FrameType::EpochChange: {
@@ -645,8 +537,18 @@ decodeBody(FrameType type, const std::uint8_t *data, std::size_t len,
 bool
 knownType(std::uint16_t t)
 {
-    return t >= static_cast<std::uint16_t>(FrameType::Hello) &&
-           t <= static_cast<std::uint16_t>(FrameType::Heartbeat);
+    switch (static_cast<FrameType>(t)) {
+    case FrameType::Hello:
+    case FrameType::Welcome:
+    case FrameType::RoundGo:
+    case FrameType::Result:
+    case FrameType::CutBatch:
+    case FrameType::EpochChange:
+    case FrameType::EpochAck:
+    case FrameType::Heartbeat:
+        return true;
+    }
+    return false;
 }
 
 } // namespace
@@ -655,12 +557,12 @@ void
 encodeFrame(const Frame &frame, std::vector<std::uint8_t> &out)
 {
     if (frame.type == FrameType::CutBatch) {
-        encodeCutBatchFrame(frame.cut_batch, frame.version, out);
+        encodeCutBatchFrame(frame.cut_batch, out);
         return;
     }
     const std::size_t header_at = out.size();
     putU32(out, kWireMagic);
-    putU16(out, frame.version);
+    putU16(out, kWireVersion);
     putU16(out, static_cast<std::uint16_t>(frame.type));
     putU32(out, 0); // payload_len backpatched below
     const std::size_t body_at = out.size();
@@ -673,31 +575,9 @@ encodeFrame(const Frame &frame, std::vector<std::uint8_t> &out)
 }
 
 void
-encodePairTransfer(const PairTransferMsg &msg,
-                   std::vector<std::uint8_t> &out)
+encodeCutBatch(const CutBatchMsg &msg, std::vector<std::uint8_t> &out)
 {
-    Frame f;
-    f.type = FrameType::PairTransfer;
-    f.pair_transfer = msg;
-    encodeFrame(f, out);
-}
-
-void
-encodeCutBatch(const CutBatchMsg &msg,
-               std::vector<std::uint8_t> &out,
-               std::uint16_t version)
-{
-    encodeCutBatchFrame(msg, version, out);
-}
-
-std::size_t
-cutBatchFrameSize(std::size_t n_reports, std::size_t n_changed,
-                  std::size_t n_bitmap_words)
-{
-    // Fixed part: sender(4) + epoch(4) + round(8) + seq(4) +
-    // n_reports(1) + n_changed(4) + n_bitmap_words(4) = 29.
-    return kWireHeaderSize + 29 + n_reports * 24 + n_changed * 12 +
-           n_bitmap_words * 8;
+    encodeCutBatchFrame(msg, out);
 }
 
 DecodeStatus
@@ -721,15 +601,7 @@ decodeFrame(const std::uint8_t *data, std::size_t len, Frame &out,
     h.u16(version);
     h.u16(type);
     h.u32(payload_len);
-    if (magic != kWireMagic)
-        return DecodeStatus::Bad;
-    if (version < kWireMinVersion)
-        return DecodeStatus::Bad;
-    // The body layout is version-split (CutBatch, Result); a frame
-    // from a NEWER build cannot be decoded by this one's layouts.
-    // Negotiation keeps agreed traffic at min(mine, theirs), so
-    // anything above kWireVersion is a peer that skipped it.
-    if (version > kWireVersion)
+    if (magic != kWireMagic || version != kWireVersion)
         return DecodeStatus::Bad;
     if (!knownType(type))
         return DecodeStatus::Bad;
@@ -737,24 +609,12 @@ decodeFrame(const std::uint8_t *data, std::size_t len, Frame &out,
         return DecodeStatus::Bad;
     if (len < kWireHeaderSize + payload_len)
         return DecodeStatus::NeedMore;
-    out.version = version;
     out.type = static_cast<FrameType>(type);
     if (!decodeBody(out.type, data + kWireHeaderSize, payload_len,
                     out))
         return DecodeStatus::Bad;
     consumed = kWireHeaderSize + payload_len;
     return DecodeStatus::Ok;
-}
-
-bool
-negotiateVersion(std::uint16_t mine, std::uint16_t theirs,
-                 std::uint16_t &agreed)
-{
-    const std::uint16_t lo = mine < theirs ? mine : theirs;
-    if (lo < kWireMinVersion)
-        return false;
-    agreed = lo;
-    return true;
 }
 
 } // namespace net

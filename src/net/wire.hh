@@ -18,31 +18,29 @@
  * encode/decode round trip is *exact* for every double including
  * signed zeros, subnormals and NaN payloads -- the property the
  * bitwise shard-parity gate rests on.  The header carries the
- * protocol version on every frame; peers negotiate min(mine,
- * theirs) at Hello/Welcome time and refuse to talk below
- * kWireMinVersion.
+ * protocol version on every frame, and a decoder accepts
+ * kWireVersion only: every shard runs the same binary, so there is
+ * one layout per frame type and nothing to negotiate.
  *
  * Frame types (CutBatch is the hot one -- all cut-edge halves a
  * shard owes one peer for one round, coalesced into MTU-sized
  * batches; the rest are control traffic):
  *
  *   Hello        shard -> broker   shard id + listening ports
- *   Welcome      broker -> shard   agreed version + peer table
- *   PairTransfer shard <-> shard   one paired estimate transfer
- *                                  (v1 legacy; kept for tooling)
- *   RoundDone    shard -> broker   local max |dp| of a round
+ *   Welcome      broker -> shard   shard count + peer port table
  *   RoundGo      broker -> shard   final release ("Bye"); the
- *                                  per-round barrier now rides on
+ *                                  per-round barrier rides on
  *                                  CutBatch dp reports
  *   Result       shard -> broker   final owned caps/estimates +
  *                                  wire stats + phase breakdown
  *   CutBatch     shard <-> shard   one batch of cut-edge halves:
- *                                  changed values as (index, bits)
+ *                                  changed values as XOR-delta
  *                                  records against the canonical
- *                                  per-shard-pair cut list, quiesced
- *                                  values as a compact bitmap, and
- *                                  piggybacked max-|dp| all-reduce
- *                                  reports; epoch-stamped (v3)
+ *                                  per-shard-pair cut list (quiesced
+ *                                  values ship nothing), the
+ *                                  boundary hot bitmap, piggybacked
+ *                                  max-|dp| all-reduce reports and
+ *                                  the configuration epoch
  *   EpochChange  broker -> shard   recovery phase after a shard
  *                                  death (Quiesce/Rollback/Resume)
  *   EpochAck     shard -> broker   phase acknowledgement + the
@@ -64,34 +62,15 @@
 #include <utility>
 #include <vector>
 
-#include "net/transport.hh"
-
 namespace dpc {
 namespace net {
 
 /** Frame magic: "DPCW" read as a little-endian u32. */
 inline constexpr std::uint32_t kWireMagic = 0x57435044u;
 
-/** Protocol version this build speaks.  v2 added CutBatch frames
- * and the extended Result layout (stats + phase breakdown); v3
- * adds the epoch fence (epoch field on CutBatch/Result, the
- * EpochChange/EpochAck recovery handshake, and shard->broker
- * Heartbeat frames); v4 makes the steady state cheap: quiesced cut
- * halves are suppressed outright (the receiver holds the last
- * delivered value under the epoch-fenced contract), live halves
- * ship as varint XOR-deltas against the sender's previous
- * transmission, seq-0 frames declare the round's total record
- * count (sender-driven completion) and piggyback the sender's
- * boundary hot bitmap (the cross-shard wake channel), and the
- * Result layout grows the sparsity counters. */
+/** The protocol version every frame header carries; the only one
+ * this build encodes or decodes. */
 inline constexpr std::uint16_t kWireVersion = 4;
-
-/** Oldest version this build still accepts.  A v2 peer has no
- * epoch field in its CutBatch layout and cannot be fenced out of
- * a post-recovery round, so the floor stays at the epoch fence; a
- * v3 peer negotiates down to the dense bitmap CutBatch layout and
- * simply never sees suppression or wake bits. */
-inline constexpr std::uint16_t kWireMinVersion = 3;
 
 /** Fixed header size in bytes. */
 inline constexpr std::size_t kWireHeaderSize = 12;
@@ -100,13 +79,12 @@ inline constexpr std::size_t kWireHeaderSize = 12;
  * frames carrying [2^b, 2^(b+1)) cut halves (last bucket open). */
 inline constexpr std::size_t kEdgesPerFrameBuckets = 9;
 
-/** Wire frame types. */
+/** Wire frame types.  Values 3 and 4 are retired (no frame of
+ * this build carries them; the decoder rejects them). */
 enum class FrameType : std::uint16_t
 {
     Hello = 1,
     Welcome = 2,
-    PairTransfer = 3,
-    RoundDone = 4,
     RoundGo = 5,
     Result = 6,
     CutBatch = 7,
@@ -123,27 +101,8 @@ enum class FrameType : std::uint16_t
     Heartbeat = 10,
 };
 
-/**
- * One paired estimate transfer on the wire: the EdgePair plus its
- * decided fate and the update flags telling the receiver which
- * halves are authoritative.  seq sequences retransmissions per
- * edge (the sender stamps its round counter), letting a UDP
- * receiver dedup replays.
- *
- * Payload layout (48 bytes, little-endian):
- *   u32 edge_id | u32 u | u32 v | u64 round | u64 e_u_bits |
- *   u64 e_v_bits | u32 lag | u8 flags | 3 pad bytes
- * flags: bit0 delivered, bit1 update_u, bit2 update_v.
- */
-struct PairTransferMsg
-{
-    EdgePair pair;
-    EdgeFate fate;
-    bool update_u = false;
-    bool update_v = false;
-};
-
-/** Hello payload: shard announces itself to the broker. */
+/** Hello payload: shard announces itself to the broker.  `version`
+ * repeats the header's and must equal kWireVersion. */
 struct HelloMsg
 {
     std::uint32_t shard_id = 0;
@@ -152,7 +111,8 @@ struct HelloMsg
     std::uint16_t tcp_port = 0;
 };
 
-/** Welcome payload: agreed version + per-shard peer ports. */
+/** Welcome payload: per-shard peer ports.  `agreed_version`
+ * repeats the header's and must equal kWireVersion. */
 struct WelcomeMsg
 {
     std::uint16_t agreed_version = kWireVersion;
@@ -161,14 +121,6 @@ struct WelcomeMsg
     /** udp_ports[s], tcp_ports[s] for every shard s. */
     std::vector<std::uint16_t> udp_ports;
     std::vector<std::uint16_t> tcp_ports;
-};
-
-/** RoundDone payload: one shard finished round `round`. */
-struct RoundDoneMsg
-{
-    std::uint32_t shard_id = 0;
-    std::uint64_t round = 0;
-    double local_max_dp = 0.0;
 };
 
 /** RoundGo payload: all shards finished `round`; proceed. */
@@ -194,7 +146,7 @@ struct DpReport
     double max_dp = 0.0;
 };
 
-/** Encodings of the seq-0 boundary hot bitmap (v4 CutBatch): the
+/** Encodings of the seq-0 boundary hot bitmap (CutBatch): the
  * sender's active-set verdicts over the canonical per-pair
  * boundary node list, the wire half of the cross-shard wake
  * protocol.  AllHot/AllCold collapse the two stationary cases
@@ -222,20 +174,7 @@ varintSize(std::uint64_t v)
  * (cut edges between the two shards, ascending edge id) that both
  * endpoints derive independently from the shared overlay + plan.
  *
- * v3: halves whose value is bitwise-unchanged since the sender's
- * last transmission ship as set bits in `unchanged` (seq 0 only)
- * and the receiver replays them from its value cache; quiesced cut
- * edges therefore cost one bit per round instead of a 12-byte
- * record.
- *
- * v3 payload layout (little-endian):
- *   u32 sender | u32 epoch | u64 round | u32 seq | u8 n_reports |
- *   u32 n_changed | u32 n_bitmap_words |
- *   n_reports  x { u64 round | u64 shard_mask | f64 max_dp } |
- *   n_changed  x { u32 cut_index | u64 e_bits } |
- *   n_bitmap_words x u64
- *
- * v4: unchanged halves ship NOTHING (the receiver holds the last
+ * Unchanged halves ship NOTHING (the receiver holds the last
  * delivered value; the epoch fence invalidates the cache on
  * recovery), changed halves ship as XOR against the sender's
  * previous transmission of the same cut position (absolute on
@@ -249,7 +188,7 @@ varintSize(std::uint64_t v)
  * lets a fully-quiesced round consist of one 36-byte frame -- and
  * carry the sender's boundary hot bitmap (see kHot*).
  *
- * v4 payload layout (little-endian, v = unsigned LEB128 varint):
+ * Payload layout (little-endian, v = unsigned LEB128 varint):
  *   u32 sender | u32 epoch | u64 round | u32 seq |
  *   u8 n_reports | u8 hot_mode | v n_changed |
  *   [seq == 0:   v total_changed] |
@@ -270,19 +209,16 @@ struct CutBatchMsg
      * unit for UDP replays. */
     std::uint32_t seq = 0;
     std::vector<DpReport> reports;
-    /** v3: (position in the per-pair cut list, raw IEEE bits of
-     * the sender-owned estimate).  v4: (position, XOR of the raw
-     * bits against the sender's previous transmission); positions
-     * strictly ascending. */
+    /** (position in the per-pair cut list, XOR of the raw IEEE
+     * bits of the sender-owned estimate against the sender's
+     * previous transmission); positions strictly ascending. */
     std::vector<std::pair<std::uint32_t, std::uint64_t>> changed;
-    /** v3 only: suppression bitmap over the per-pair cut list. */
-    std::vector<std::uint64_t> unchanged;
-    /** v4, seq 0 only: total changed records of this (peer, round)
+    /** Seq 0 only: total changed records of this (peer, round)
      * across every seq -- the receiver's completion target. */
     std::uint32_t total_changed = 0;
-    /** v4, seq 0 only: boundary hot bitmap encoding (kHot*). */
+    /** Seq 0 only: boundary hot bitmap encoding (kHot*). */
     std::uint8_t hot_mode = kHotNone;
-    /** v4, hot_mode == kHotSparse: (word index, word bits) entries
+    /** hot_mode == kHotSparse: (word index, word bits) entries
      * of the nonzero bitmap words, word indices strictly
      * ascending. */
     std::vector<std::pair<std::uint32_t, std::uint64_t>> hot_words;
@@ -316,14 +252,14 @@ struct ResultMsg
     std::uint64_t suspect_events = 0;
     /** Bitmask of peers ever suspected (bit s = shard s). */
     std::uint64_t peer_suspected = 0;
-    /** v4+: first-transmission CutBatch frames carrying zero
+    /** First-transmission CutBatch frames carrying zero
      * changed records (pure header + hot bitmap -- the quiesced
      * steady state). */
     std::uint64_t suppressed_frames = 0;
-    /** v4+: first-transmission CutBatch frames carrying at least
+    /** First-transmission CutBatch frames carrying at least
      * one XOR-delta record. */
     std::uint64_t delta_frames = 0;
-    /** v4+: boundary-node wake notifications shipped (0 -> 1 hot
+    /** Boundary-node wake notifications shipped (0 -> 1 hot
      * transitions against the previous round's sent bitmap). */
     std::uint64_t wake_messages = 0;
     std::array<std::uint64_t, kEdgesPerFrameBuckets>
@@ -415,12 +351,9 @@ struct HeartbeatMsg
 /** A decoded frame: type tag + the one active message. */
 struct Frame
 {
-    FrameType type = FrameType::PairTransfer;
-    std::uint16_t version = kWireVersion;
-    PairTransferMsg pair_transfer;
+    FrameType type = FrameType::CutBatch;
     HelloMsg hello;
     WelcomeMsg welcome;
-    RoundDoneMsg round_done;
     RoundGoMsg round_go;
     ResultMsg result;
     CutBatchMsg cut_batch;
@@ -437,63 +370,50 @@ enum class DecodeStatus
     Bad,      ///< bad magic / version / length / payload; resync
 };
 
-/** Append one encoded frame to `out` (never fails).  The frame's
- * `version` field selects the body layout for version-split
- * message types (CutBatch, Result). */
+/** Append one encoded frame to `out` (never fails). */
 void encodeFrame(const Frame &frame, std::vector<std::uint8_t> &out);
 
-/** Convenience encoders for the common frame bodies.  `version`
- * selects the CutBatch body layout (>= 4: delta/suppression
- * encoding; 3: dense records + bitmap). */
-void encodePairTransfer(const PairTransferMsg &msg,
-                        std::vector<std::uint8_t> &out);
+/** Append one CutBatch frame to `out`: encodeFrame() of a CutBatch
+ * frame carrying `msg`, without building the Frame. */
 void encodeCutBatch(const CutBatchMsg &msg,
-                    std::vector<std::uint8_t> &out,
-                    std::uint16_t version = kWireVersion);
+                    std::vector<std::uint8_t> &out);
 
-/** Encoded size of one v3 CutBatch frame (header included) -- the
- * v3 batch packer's budget arithmetic. */
-std::size_t cutBatchFrameSize(std::size_t n_reports,
-                              std::size_t n_changed,
-                              std::size_t n_bitmap_words);
-
-/** Fixed part of one v4 CutBatch frame, header included: the 12
+/** Fixed part of one CutBatch frame, header included: the 12
  * byte header plus sender(4) + epoch(4) + round(8) + seq(4) +
  * n_reports(1) + hot_mode(1) = 34; everything else is varints
- * (n_changed, seq-0 totals, hot entries, records) the v4 packer
+ * (n_changed, seq-0 totals, hot entries, records) the packer
  * accounts per item with varintSize(). */
 inline constexpr std::size_t kCutBatchV4Fixed =
     kWireHeaderSize + 22;
+
+/** Largest LEB128 encodings of a u32 and a u64. */
+inline constexpr std::size_t kVarint32Max = 5;
+inline constexpr std::size_t kVarint64Max = 10;
 
 /**
  * Try to decode one frame from data[0..len).  Ok: `out` is filled
  * and `consumed` is the total frame size.  NeedMore: len is a
  * proper prefix of a valid frame (consumed = 0).  Bad: the bytes
- * cannot begin a frame this build accepts -- wrong magic, version
- * below kWireMinVersion, oversized or short payload, unknown type
- * (consumed = 0; a stream transport should drop the connection, a
- * datagram transport drops the datagram).
+ * cannot begin a frame this build accepts -- wrong magic, a
+ * version other than kWireVersion, oversized or short payload,
+ * unknown type (consumed = 0; a stream transport should drop the
+ * connection, a datagram transport drops the datagram).
  */
 DecodeStatus decodeFrame(const std::uint8_t *data, std::size_t len,
                          Frame &out, std::size_t &consumed);
-
-/**
- * Version negotiation: agree on min(mine, theirs); false when the
- * older side is below the newer side's kWireMinVersion floor.
- */
-bool negotiateVersion(std::uint16_t mine, std::uint16_t theirs,
-                      std::uint16_t &agreed);
 
 /** Hard cap on payload_len (a decode guard against garbage
  * headers; generous for Result frames of large shards). */
 inline constexpr std::uint32_t kWireMaxPayload = 1u << 28;
 
-/** Smallest useful data-plane frame: a CutBatch carrying one
- * changed record and nothing else (fixed part 29 bytes + one
- * 12-byte record).  SocketTransport::Config::datagram_budget must
- * be at least this, or the batch packer cannot make progress. */
+/** Smallest useful data-plane frame: a continuation CutBatch
+ * carrying one changed record, at the packer's bounds (the fixed
+ * part, an n_changed varint and one record of a u32 gap plus a
+ * u64 XOR, each at its longest).  SocketTransport::Config::
+ * datagram_budget must be at least this, or the batch packer
+ * cannot make progress. */
 inline constexpr std::size_t kMinFrameSize =
-    kWireHeaderSize + 29 + 12;
+    kCutBatchV4Fixed + kVarint32Max + kVarint32Max + kVarint64Max;
 
 } // namespace net
 } // namespace dpc

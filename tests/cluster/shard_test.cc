@@ -469,12 +469,10 @@ TEST(ShardSparseTest, FullyQuiescedBoundaryShipsSuppressedFrames)
 TEST(ShardSparseTest, ThresholdZeroKeepsTheDenseShardedPath)
 {
     // Structural pin: active_threshold == 0 must leave the sharded
-    // rounds on the dense PR 8 transport path (the sparse round is
+    // rounds on the dense transport path (the sparse round is
     // gated on a STRICTLY positive threshold), bitwise equal to
-    // the dense loopback reference -- on the v4 wire (whose delta
-    // framing then applies to the dense rounds) AND forced down to
-    // v3 through the broker's version negotiation, where the v4
-    // sparsity counters must all stay zero.
+    // the dense loopback reference, with the wire's delta framing
+    // applied to the dense rounds.
     const std::size_t n = 64, rounds = 40;
     const auto prob = test::npbProblem(n, 170.0, 5);
     Rng topo_rng(9);
@@ -483,24 +481,14 @@ TEST(ShardSparseTest, ThresholdZeroKeepsTheDenseShardedPath)
     cfg.active_threshold = 0.0;
 
     const auto ref = referenceRun(prob, topo, cfg, rounds);
-    for (const std::uint16_t version :
-         {net::kWireVersion, net::kWireMinVersion}) {
-        ShardRunOptions opt;
-        opt.num_shards = 2;
-        opt.rounds = rounds;
-        opt.proto = net::SocketTransport::Proto::Udp;
-        opt.wire_version = version;
-        const auto sharded = runShardedDiba(prob, topo, cfg, opt);
-        ASSERT_TRUE(sharded.ok) << sharded.error;
-        expectBitwiseEqual(ref.power(), sharded.power, "power");
-        expectBitwiseEqual(ref.estimates(), sharded.estimates,
-                           "estimate");
-        if (version < 4) {
-            EXPECT_EQ(sharded.suppressed_frames, 0u);
-            EXPECT_EQ(sharded.delta_frames, 0u);
-            EXPECT_EQ(sharded.wake_messages, 0u);
-        }
-    }
+    ShardRunOptions opt;
+    opt.num_shards = 2;
+    opt.rounds = rounds;
+    opt.proto = net::SocketTransport::Proto::Udp;
+    const auto sharded = runShardedDiba(prob, topo, cfg, opt);
+    ASSERT_TRUE(sharded.ok) << sharded.error;
+    expectBitwiseEqual(ref.power(), sharded.power, "power");
+    expectBitwiseEqual(ref.estimates(), sharded.estimates, "estimate");
 }
 
 TEST(ShardSparseTest, WarmStartedBudgetStepMatchesSingleProcess)
@@ -579,7 +567,7 @@ TEST(ShardProcessTest, LossyShardsMatchLossyLoopbackBitwise)
     // SAME-SEED LossyChannel, so the replicas agree on every fate
     // with zero coordination -- and the whole sharded run stays
     // bitwise equal to the single-process lossy round with that
-    // seed, on the v4 wire and forced down to v3.
+    // seed.
     const std::size_t n = 48, rounds = 30;
     const auto prob = test::npbProblem(n, 170.0, 11);
     Rng topo_rng(4);
@@ -598,21 +586,16 @@ TEST(ShardProcessTest, LossyShardsMatchLossyLoopbackBitwise)
     for (std::size_t r = 0; r < rounds; ++r)
         ref.stepWithTransport(loopback, &chan);
 
-    for (const std::uint16_t version :
-         {net::kWireVersion, net::kWireMinVersion}) {
-        ShardRunOptions opt;
-        opt.num_shards = 2;
-        opt.rounds = rounds;
-        opt.lossy = true;
-        opt.loss = loss;
-        opt.loss_seed = 99;
-        opt.wire_version = version;
-        const auto sharded = runShardedDiba(prob, topo, cfg, opt);
-        ASSERT_TRUE(sharded.ok) << sharded.error;
-        expectBitwiseEqual(ref.power(), sharded.power, "power");
-        expectBitwiseEqual(ref.estimates(), sharded.estimates,
-                           "estimate");
-    }
+    ShardRunOptions opt;
+    opt.num_shards = 2;
+    opt.rounds = rounds;
+    opt.lossy = true;
+    opt.loss = loss;
+    opt.loss_seed = 99;
+    const auto sharded = runShardedDiba(prob, topo, cfg, opt);
+    ASSERT_TRUE(sharded.ok) << sharded.error;
+    expectBitwiseEqual(ref.power(), sharded.power, "power");
+    expectBitwiseEqual(ref.estimates(), sharded.estimates, "estimate");
 }
 
 } // namespace

@@ -4,6 +4,11 @@
 #include <memory>
 #include <set>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include "alloc/diba.hh"
 #include "fault/lossy_channel.hh"
 #include "graph/topologies.hh"
@@ -165,6 +170,73 @@ TEST(SocketTransportTest, ConcurrentUdpTransportsGetDistinctPorts)
             << "port " << open.back()->localPort()
             << " handed out twice";
     }
+}
+
+/** Shard `id` of a two-node overlay whose one edge is cut between
+ * shard 0 and shard 1; a round that waits 60 ms is fatal. */
+net::SocketTransport::Config
+twoShardConfig(std::uint32_t id)
+{
+    net::SocketTransport::Config cfg;
+    cfg.shard_id = id;
+    cfg.num_shards = 2;
+    cfg.owner_of = {0, 1};
+    cfg.edges = {{0, 1}};
+    cfg.retrans_ms = 5;
+    cfg.round_timeout_ms = 60;
+    return cfg;
+}
+
+/** Shard 0 offers its half of round 0 and polls while shard 1
+ * never sends.  A non-empty `forged` is delivered to shard 0 first,
+ * as a datagram from outside either transport. */
+void
+pollAgainstSilentPeer(const std::vector<std::uint8_t> &forged)
+{
+    net::SocketTransport a(twoShardConfig(0));
+    net::SocketTransport b(twoShardConfig(1));
+    const std::vector<std::uint16_t> ports = {a.localPort(),
+                                              b.localPort()};
+    a.connectPeers(ports);
+    b.connectPeers(ports);
+    if (!forged.empty()) {
+        const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+        sockaddr_in to{};
+        to.sin_family = AF_INET;
+        to.sin_port = htons(a.localPort());
+        to.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        ::sendto(fd, forged.data(), forged.size(), 0,
+                 reinterpret_cast<sockaddr *>(&to), sizeof(to));
+        ::close(fd);
+    }
+    double row[2] = {0.0, 0.0};
+    double *rows[1] = {row};
+    a.beginRound(0, net::Transport::PatchSink{rows, 1});
+    a.send(net::EdgePair{/*edge_id=*/0, /*u=*/0, /*v=*/1,
+                         /*round=*/0, /*e_u=*/1.0, /*e_v=*/2.0});
+    a.poll();
+}
+
+TEST(SocketTransportDeathTest, RoundTimeoutNamesThePeerItWaitsOn)
+{
+    // A peer that never sends leaves no seq-0 declaration...
+    EXPECT_EXIT(pollAgainstSilentPeer({}),
+                ::testing::ExitedWithCode(1),
+                "round 0 still owed by peer 1 \\(no seq-0 seen\\)");
+
+    // ...and one whose seq-0 frame declares records that never
+    // arrive is named with its filed and declared counts.
+    net::CutBatchMsg m;
+    m.sender = 1;
+    m.seq = 0;
+    m.total_changed = 2;
+    m.hot_mode = net::kHotClear;
+    std::vector<std::uint8_t> forged;
+    net::encodeCutBatch(m, forged);
+    EXPECT_EXIT(pollAgainstSilentPeer(forged),
+                ::testing::ExitedWithCode(1),
+                "round 0 still owed by peer 1 \\(got 0 of 2 declared "
+                "records\\)");
 }
 
 } // namespace

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -34,50 +37,6 @@ roundTrip(const Frame &in)
     return out;
 }
 
-TEST(WireCodecTest, PairTransferRoundTripsAllFates)
-{
-    // Exhaustive over the fate space the transports produce:
-    // delivered x lag 0..maxLag x every update-flag combination.
-    constexpr std::uint32_t kMaxLag = 7;
-    for (int delivered = 0; delivered <= 1; ++delivered) {
-        for (std::uint32_t lag = 0; lag <= kMaxLag; ++lag) {
-            for (int flags = 0; flags < 4; ++flags) {
-                Frame in;
-                in.type = FrameType::PairTransfer;
-                in.pair_transfer.pair = EdgePair{
-                    /*edge_id=*/lag * 131u + 7u,
-                    /*u=*/3u,
-                    /*v=*/11u,
-                    /*round=*/0x0123456789abcdefULL,
-                    /*e_u=*/1.25 * lag - 0.5,
-                    /*e_v=*/-(1.25 * lag - 0.5),
-                };
-                in.pair_transfer.fate.delivered = delivered != 0;
-                in.pair_transfer.fate.lag = lag;
-                in.pair_transfer.update_u = (flags & 1) != 0;
-                in.pair_transfer.update_v = (flags & 2) != 0;
-
-                const Frame out = roundTrip(in);
-                ASSERT_EQ(out.type, FrameType::PairTransfer);
-                const auto &p = out.pair_transfer;
-                EXPECT_EQ(p.pair.edge_id,
-                          in.pair_transfer.pair.edge_id);
-                EXPECT_EQ(p.pair.u, 3u);
-                EXPECT_EQ(p.pair.v, 11u);
-                EXPECT_EQ(p.pair.round, 0x0123456789abcdefULL);
-                EXPECT_TRUE(sameBits(p.pair.e_u,
-                                     in.pair_transfer.pair.e_u));
-                EXPECT_TRUE(sameBits(p.pair.e_v,
-                                     in.pair_transfer.pair.e_v));
-                EXPECT_EQ(p.fate.delivered, delivered != 0);
-                EXPECT_EQ(p.fate.lag, lag);
-                EXPECT_EQ(p.update_u, (flags & 1) != 0);
-                EXPECT_EQ(p.update_v, (flags & 2) != 0);
-            }
-        }
-    }
-}
-
 TEST(WireCodecTest, DoublesTravelAsExactBitPatterns)
 {
     const double cases[] = {
@@ -94,12 +53,13 @@ TEST(WireCodecTest, DoublesTravelAsExactBitPatterns)
     };
     for (const double x : cases) {
         Frame in;
-        in.type = FrameType::PairTransfer;
-        in.pair_transfer.pair.e_u = x;
-        in.pair_transfer.pair.e_v = -x;
+        in.type = FrameType::EpochAck;
+        in.epoch_ack.sum_p = {x};
+        in.epoch_ack.sum_e = {-x};
         const Frame out = roundTrip(in);
-        EXPECT_TRUE(sameBits(out.pair_transfer.pair.e_u, x));
-        EXPECT_TRUE(sameBits(out.pair_transfer.pair.e_v, -x));
+        ASSERT_EQ(out.epoch_ack.sum_p.size(), 1u);
+        EXPECT_TRUE(sameBits(out.epoch_ack.sum_p[0], x));
+        EXPECT_TRUE(sameBits(out.epoch_ack.sum_e[0], -x));
     }
 }
 
@@ -130,18 +90,6 @@ TEST(WireCodecTest, ControlFramesRoundTrip)
         EXPECT_EQ(out.welcome.rounds, 60u);
         EXPECT_EQ(out.welcome.udp_ports, in.welcome.udp_ports);
         EXPECT_EQ(out.welcome.tcp_ports, in.welcome.tcp_ports);
-    }
-    {
-        Frame in;
-        in.type = FrameType::RoundDone;
-        in.round_done =
-            RoundDoneMsg{/*shard_id=*/1, /*round=*/42,
-                         /*local_max_dp=*/0.001953125};
-        const Frame out = roundTrip(in);
-        ASSERT_EQ(out.type, FrameType::RoundDone);
-        EXPECT_EQ(out.round_done.round, 42u);
-        EXPECT_TRUE(
-            sameBits(out.round_done.local_max_dp, 0.001953125));
     }
     {
         Frame in;
@@ -179,11 +127,9 @@ TEST(WireCodecTest, ControlFramesRoundTrip)
 
 TEST(WireCodecTest, CutBatchRoundTripsExactly)
 {
-    // Pinned to the v3 body layout: the unchanged bitmap and raw
-    // 12-byte records exist only there (v4 suppresses / XOR-codes
-    // them and is exercised by the CutBatchV4* tests below).
+    // A continuation batch (no hot bitmap, no declared total)
+    // whose records carry NaN and -0.0 bit patterns.
     Frame in;
-    in.version = 3;
     in.type = FrameType::CutBatch;
     in.cut_batch.sender = 3;
     in.cut_batch.round = 0xfedcba9876543210ULL;
@@ -202,7 +148,6 @@ TEST(WireCodecTest, CutBatchRoundTripsExactly)
         {17u, nan_bits},
         {0xffffffu, 0x8000000000000000ULL}, // -0.0
     };
-    in.cut_batch.unchanged = {0xdeadbeefcafef00dULL, 0x1ULL};
 
     const Frame out = roundTrip(in);
     ASSERT_EQ(out.type, FrameType::CutBatch);
@@ -220,11 +165,9 @@ TEST(WireCodecTest, CutBatchRoundTripsExactly)
                              in.cut_batch.reports[i].max_dp));
     }
     EXPECT_EQ(b.changed, in.cut_batch.changed);
-    EXPECT_EQ(b.unchanged, in.cut_batch.unchanged);
 
     // Empty containers round-trip too (a pure-suppression batch).
     Frame empty;
-    empty.version = 3;
     empty.type = FrameType::CutBatch;
     empty.cut_batch.sender = 0;
     empty.cut_batch.round = 0;
@@ -232,12 +175,11 @@ TEST(WireCodecTest, CutBatchRoundTripsExactly)
     ASSERT_EQ(eout.type, FrameType::CutBatch);
     EXPECT_TRUE(eout.cut_batch.reports.empty());
     EXPECT_TRUE(eout.cut_batch.changed.empty());
-    EXPECT_TRUE(eout.cut_batch.unchanged.empty());
 }
 
 TEST(WireCodecTest, CutBatchCarriesItsEpoch)
 {
-    // The v3 epoch field is the recovery fence: a batch from an
+    // The epoch field is the recovery fence: a batch from an
     // old configuration epoch must arrive tagged so fileBatch can
     // drop it.
     Frame in;
@@ -346,47 +288,22 @@ TEST(WireCodecTest, HeartbeatAndFaultStatsRoundTrip)
 TEST(WireCodecTest, MinFrameSizeAdmitsTheSmallestRealBatch)
 {
     // SocketTransport validates datagram_budget >= kMinFrameSize
-    // at construction; the bound must actually cover an empty
-    // batch plus one changed record or the packer could emit an
-    // unsendable frame.
+    // at construction; the bound must cover a continuation batch
+    // carrying one changed record at its longest encoding (the
+    // largest position gap and a full 64-bit XOR), or the packer
+    // could emit an unsendable frame.
     Frame f;
     f.type = FrameType::CutBatch;
+    f.cut_batch.seq = 1;
+    f.cut_batch.changed = {{0xffffffffu, ~0ull}};
     std::vector<std::uint8_t> buf;
     encodeFrame(f, buf);
-    EXPECT_LE(buf.size() + 12, kMinFrameSize);
-    EXPECT_EQ(cutBatchFrameSize(0, 1, 0), kMinFrameSize);
-}
-
-TEST(WireCodecTest, CutBatchFrameSizeMatchesEncoder)
-{
-    // cutBatchFrameSize is the v3 batch packer's budget
-    // arithmetic; a drift between it and the encoder would make
-    // the packer over- or under-fill datagrams.  (The v4 packer
-    // accounts varints per item off kCutBatchV4Fixed instead.)
-    const std::size_t shapes[][3] = {
-        {0, 0, 0}, {1, 0, 0},  {0, 1, 0},  {0, 0, 1},
-        {8, 3, 2}, {2, 40, 7}, {8, 116, 0},
-    };
-    for (const auto &s : shapes) {
-        Frame f;
-        f.version = 3;
-        f.type = FrameType::CutBatch;
-        f.cut_batch.reports.resize(s[0]);
-        for (std::size_t i = 0; i < s[1]; ++i)
-            f.cut_batch.changed.emplace_back(
-                static_cast<std::uint32_t>(i), i * 0x9e3779b9ULL);
-        f.cut_batch.unchanged.resize(s[2], ~0ull);
-        std::vector<std::uint8_t> buf;
-        encodeFrame(f, buf);
-        EXPECT_EQ(buf.size(), cutBatchFrameSize(s[0], s[1], s[2]))
-            << s[0] << " reports, " << s[1] << " changed, "
-            << s[2] << " bitmap words";
-    }
+    EXPECT_LE(buf.size(), kMinFrameSize);
 }
 
 TEST(WireCodecTest, CutBatchV4RoundTripsEveryHotMode)
 {
-    // The v4 body gap-codes record indices and hot words and XOR-
+    // The body gap-codes record indices and hot words and XOR-
     // codes value bits; decode must hand back ABSOLUTE indices and
     // the exact 64-bit patterns for every hot-bitmap encoding.
     const std::uint8_t modes[] = {kHotAll, kHotClear, kHotSparse};
@@ -420,7 +337,6 @@ TEST(WireCodecTest, CutBatchV4RoundTripsEveryHotMode)
 
         const Frame out = roundTrip(in);
         ASSERT_EQ(out.type, FrameType::CutBatch);
-        EXPECT_EQ(out.version, kWireVersion);
         const auto &b = out.cut_batch;
         EXPECT_EQ(b.sender, 1u);
         EXPECT_EQ(b.epoch, 9u);
@@ -433,7 +349,6 @@ TEST(WireCodecTest, CutBatchV4RoundTripsEveryHotMode)
         ASSERT_EQ(b.reports.size(), 1u);
         EXPECT_EQ(b.reports[0].round, 41u);
         EXPECT_TRUE(sameBits(b.reports[0].max_dp, 0.001953125));
-        EXPECT_TRUE(b.unchanged.empty()); // v3-only field
     }
 
     // seq > 0: no hot bitmap, no total_changed on the wire.
@@ -499,7 +414,7 @@ TEST(WireCodecTest, CutBatchV4TruncationAsksForMore)
 
 TEST(WireCodecTest, CutBatchV4MalformedIsBad)
 {
-    // Offsets shared by every v4 CutBatch: n_reports at fixed +20,
+    // Offsets shared by every CutBatch: n_reports at fixed +20,
     // hot_mode at fixed +21.
     const std::size_t n_reports_off = kWireHeaderSize + 20;
     const std::size_t hot_mode_off = kWireHeaderSize + 21;
@@ -570,9 +485,8 @@ TEST(WireCodecTest, CutBatchV4MalformedIsBad)
 
 TEST(WireCodecTest, FramesAboveCurrentVersionAreBad)
 {
-    // Negotiation keeps agreed traffic at min(mine, theirs); a
-    // frame stamped from the future means the peer skipped it, and
-    // this build cannot know the newer body layout.
+    // A frame stamped from the future comes from a build whose body
+    // layouts this one cannot know.
     Frame in;
     in.type = FrameType::CutBatch;
     std::vector<std::uint8_t> buf;
@@ -594,21 +508,10 @@ TEST(WireCodecTest, ResultSparsityCountersRideV4Only)
     in.result.suppressed_frames = 111;
     in.result.delta_frames = 222;
     in.result.wake_messages = 333;
-
-    // v4 (default): the counters round-trip.
     const Frame out = roundTrip(in);
     EXPECT_EQ(out.result.suppressed_frames, 111u);
     EXPECT_EQ(out.result.delta_frames, 222u);
     EXPECT_EQ(out.result.wake_messages, 333u);
-
-    // v3: not on the wire, decoded as zero.
-    Frame legacy = in;
-    legacy.version = 3;
-    const Frame lout = roundTrip(legacy);
-    EXPECT_EQ(lout.version, 3u);
-    EXPECT_EQ(lout.result.suppressed_frames, 0u);
-    EXPECT_EQ(lout.result.delta_frames, 0u);
-    EXPECT_EQ(lout.result.wake_messages, 0u);
 }
 
 TEST(WireCodecTest, TruncatedCutBatchAsksForMore)
@@ -617,7 +520,6 @@ TEST(WireCodecTest, TruncatedCutBatchAsksForMore)
     in.type = FrameType::CutBatch;
     in.cut_batch.reports.resize(3);
     in.cut_batch.changed = {{1u, 2ull}, {3u, 4ull}};
-    in.cut_batch.unchanged = {5ull};
     std::vector<std::uint8_t> buf;
     encodeFrame(in, buf);
 
@@ -632,9 +534,8 @@ TEST(WireCodecTest, TruncatedCutBatchAsksForMore)
 
     // Internally inconsistent counts must be Bad, not a crash: a
     // payload_len too small for the declared record counts.
-    // Fixed part of a CutBatch (v3 and v4 agree up to here):
-    // sender u32 | epoch u32 | round u64 | seq u32, then
-    // n_reports.
+    // Fixed part of a CutBatch: sender u32 | epoch u32 |
+    // round u64 | seq u32, then n_reports.
     std::vector<std::uint8_t> bad = buf;
     bad[kWireHeaderSize + 4 + 4 + 8 + 4] = 9; // n_reports: 3 -> 9
     EXPECT_EQ(decodeFrame(bad.data(), bad.size(), out, consumed),
@@ -644,8 +545,12 @@ TEST(WireCodecTest, TruncatedCutBatchAsksForMore)
 TEST(WireCodecTest, TruncatedFramesAskForMore)
 {
     Frame in;
-    in.type = FrameType::PairTransfer;
-    in.pair_transfer.pair = EdgePair{1, 2, 3, 4, 5.0, -5.0};
+    in.type = FrameType::EpochChange;
+    in.epoch_change.epoch = 2;
+    in.epoch_change.phase = EpochPhase::Resume;
+    in.epoch_change.resume_round = 40;
+    in.epoch_change.dead_mask = 0b10;
+    in.epoch_change.held = {-512.0, 1.0 / 3.0};
     std::vector<std::uint8_t> buf;
     encodeFrame(in, buf);
 
@@ -711,40 +616,54 @@ TEST(WireCodecTest, GarbageIsRejectedNotBuffered)
               DecodeStatus::Bad);
 }
 
-TEST(WireCodecTest, VersionNegotiation)
+TEST(WireCodecTest, OnlyTheCurrentVersionDecodes)
 {
-    std::uint16_t agreed = 0;
-
-    // Same version: trivially agreed.
-    EXPECT_TRUE(
-        negotiateVersion(kWireVersion, kWireVersion, agreed));
-    EXPECT_EQ(agreed, kWireVersion);
-
-    // A newer peer: we talk at our version (min of the two).
-    EXPECT_TRUE(negotiateVersion(kWireVersion, kWireVersion + 5,
-                                 agreed));
-    EXPECT_EQ(agreed, kWireVersion);
-
-    // A peer below our floor: refused.
-    if (kWireMinVersion > 0) {
-        EXPECT_FALSE(negotiateVersion(
-            kWireVersion,
-            static_cast<std::uint16_t>(kWireMinVersion - 1),
-            agreed));
+    // Every shard runs the same build: a header stamped with any
+    // other version -- older layouts included -- is Bad for every
+    // frame type.
+    const FrameType types[] = {
+        FrameType::Hello,       FrameType::Welcome,
+        FrameType::RoundGo,     FrameType::Result,
+        FrameType::CutBatch,    FrameType::EpochChange,
+        FrameType::EpochAck,    FrameType::Heartbeat,
+    };
+    const std::uint16_t others[] = {0, 1, 2, 3, kWireVersion + 1,
+                                    0xffff};
+    for (const FrameType t : types) {
+        Frame in;
+        in.type = t;
+        std::vector<std::uint8_t> buf;
+        encodeFrame(in, buf);
+        Frame out;
+        std::size_t consumed = 0;
+        EXPECT_EQ(decodeFrame(buf.data(), buf.size(), out, consumed),
+                  DecodeStatus::Ok)
+            << "type " << static_cast<int>(t);
+        for (const std::uint16_t v : others) {
+            buf[4] = static_cast<std::uint8_t>(v & 0xff);
+            buf[5] = static_cast<std::uint8_t>(v >> 8);
+            EXPECT_EQ(
+                decodeFrame(buf.data(), buf.size(), out, consumed),
+                DecodeStatus::Bad)
+                << "type " << static_cast<int>(t) << ", version "
+                << v;
+        }
     }
 
-    // Frames stamped with a version below the floor are Bad at
-    // decode time too.
-    Frame in;
-    in.type = FrameType::RoundGo;
-    std::vector<std::uint8_t> buf;
-    encodeFrame(in, buf);
-    buf[4] = static_cast<std::uint8_t>(kWireMinVersion - 1);
-    buf[5] = 0;
-    Frame out;
-    std::size_t consumed = 0;
-    EXPECT_EQ(decodeFrame(buf.data(), buf.size(), out, consumed),
-              DecodeStatus::Bad);
+    // The retired frame types 3 and 4 are unknown types.
+    for (const std::uint16_t t : {3, 4}) {
+        Frame in;
+        in.type = FrameType::RoundGo;
+        std::vector<std::uint8_t> buf;
+        encodeFrame(in, buf);
+        buf[6] = static_cast<std::uint8_t>(t);
+        buf[7] = 0;
+        Frame out;
+        std::size_t consumed = 0;
+        EXPECT_EQ(decodeFrame(buf.data(), buf.size(), out, consumed),
+                  DecodeStatus::Bad)
+            << "type " << t;
+    }
 }
 
 TEST(WireCodecTest, BackToBackFramesDecodeInSequence)
@@ -752,8 +671,8 @@ TEST(WireCodecTest, BackToBackFramesDecodeInSequence)
     // Two frames appended to one buffer (the TCP case): decode
     // must consume exactly one frame at a time.
     Frame a, b;
-    a.type = FrameType::RoundDone;
-    a.round_done.round = 7;
+    a.type = FrameType::Heartbeat;
+    a.heartbeat.round = 7;
     b.type = FrameType::RoundGo;
     b.round_go.round = 7;
     std::vector<std::uint8_t> buf;
@@ -766,7 +685,7 @@ TEST(WireCodecTest, BackToBackFramesDecodeInSequence)
     ASSERT_EQ(decodeFrame(buf.data(), buf.size(), out, consumed),
               DecodeStatus::Ok);
     EXPECT_EQ(consumed, first);
-    EXPECT_EQ(out.type, FrameType::RoundDone);
+    EXPECT_EQ(out.type, FrameType::Heartbeat);
     ASSERT_EQ(decodeFrame(buf.data() + consumed,
                           buf.size() - consumed, out, consumed),
               DecodeStatus::Ok);
@@ -774,14 +693,13 @@ TEST(WireCodecTest, BackToBackFramesDecodeInSequence)
     EXPECT_EQ(consumed, buf.size() - first);
 }
 
-/** One pinned CutBatch frame: its case name, the message, the
- * version, whether it appends after a byte already in the buffer,
- * and its expected bytes as hex. */
+/** One pinned CutBatch frame: its case name, the message, whether
+ * it appends after a byte already in the buffer, and its expected
+ * bytes as hex. */
 struct GoldenFrame
 {
     std::string name;
     CutBatchMsg msg;
-    std::uint16_t version;
     bool append;
     std::string hex;
 };
@@ -792,25 +710,6 @@ goldenCutBatches()
     // Expected bytes: recorded from the push_back encoder the
     // pointer writer replaced.
     static const char *const kHex[] = {
-        // v3/seq0/sparse
-        "aa44504357030007008d0000000300000002000000896745230100000000"
-        "000000020400000002000000070000000000000005000000000000007b14"
-        "ae47e17a543f080000000000000003000000000000000000000000000080"
-        "00000000010000000000f03f010000008000000000000000090000007f00"
-        "0000000000002c01000000000000000000c0010000000000000010325476"
-        "98badcfe",
-        // v3/seq1/sparse
-        "aa44504357030007005d0000000300000002000000896745230100000001"
-        "00000000040000000200000000000000010000000000f03f010000008000"
-        "000000000000090000007f000000000000002c01000000000000000000c0"
-        "01000000000000001032547698badcfe",
-        // v3/seq0/allhot
-        "44504357030007003d000000030000000200000089674523010000000000"
-        "000000020000000100000002000000010000000000000003000000000000"
-        "00000010400000000000000000",
-        // v3/seq0/quiesced
-        "44504357030007001d000000030000000200000089674523010000000000"
-        "0000000000000000000000",
         // v4/seq0/sparse
         "aa4450435704000700730000000300000002000000896745230100000000"
         "0000000202040b03001003ffffffffffffffffff01000207000000000000"
@@ -838,37 +737,27 @@ goldenCutBatches()
     };
     std::vector<GoldenFrame> out;
     const char *const *hex = kHex;
-    for (const std::uint16_t v : {std::uint16_t{3}, std::uint16_t{4}}) {
-        const std::string tag = "v" + std::to_string(v);
-        for (const std::uint32_t seq : {0u, 1u}) {
-            CutBatchMsg m = base(seq);
-            if (seq == 0)
-                m.reports = {{7, 0x5, 1.25e-3}, {8, 0x3, -0.0}};
-            m.changed = {{0, 0x3ff0000000000001ull}, {1, 0x80ull},
-                         {9, 0x7fu}, {300, 0xc000000000000000ull}};
-            if (v == 3) {
-                m.unchanged = {0x1ull, 0xfedcba9876543210ull};
-            } else if (seq == 0) {
-                m.total_changed = 11;
-                m.hot_mode = kHotSparse;
-                m.hot_words = {{0, 0x10ull}, {4, ~0ull}, {5, 0x2ull}};
-            }
-            out.push_back({tag + "/seq" + std::to_string(seq) +
-                               "/sparse",
-                           m, v, true, *hex++});
+    for (const std::uint32_t seq : {0u, 1u}) {
+        CutBatchMsg m = base(seq);
+        if (seq == 0) {
+            m.reports = {{7, 0x5, 1.25e-3}, {8, 0x3, -0.0}};
+            m.total_changed = 11;
+            m.hot_mode = kHotSparse;
+            m.hot_words = {{0, 0x10ull}, {4, ~0ull}, {5, 0x2ull}};
         }
-        CutBatchMsg hot = base(0);
-        hot.hot_mode = v >= 4 ? kHotAll : kHotNone;
-        hot.total_changed = 2;
-        hot.changed = {{2, 0x1ull}, {3, 0x4010000000000000ull}};
-        if (v == 3)
-            hot.unchanged = {0x0ull};
-        out.push_back({tag + "/seq0/allhot", hot, v, false, *hex++});
-        CutBatchMsg quiet = base(0);
-        quiet.hot_mode = v >= 4 ? kHotClear : kHotNone;
-        out.push_back(
-            {tag + "/seq0/quiesced", quiet, v, false, *hex++});
+        m.changed = {{0, 0x3ff0000000000001ull}, {1, 0x80ull},
+                     {9, 0x7fu}, {300, 0xc000000000000000ull}};
+        out.push_back({"v4/seq" + std::to_string(seq) + "/sparse", m,
+                       true, *hex++});
     }
+    CutBatchMsg hot = base(0);
+    hot.hot_mode = kHotAll;
+    hot.total_changed = 2;
+    hot.changed = {{2, 0x1ull}, {3, 0x4010000000000000ull}};
+    out.push_back({"v4/seq0/allhot", hot, false, *hex++});
+    CutBatchMsg quiet = base(0);
+    quiet.hot_mode = kHotClear;
+    out.push_back({"v4/seq0/quiesced", quiet, false, *hex++});
     return out;
 }
 
@@ -886,7 +775,7 @@ toHex(const std::vector<std::uint8_t> &bytes)
 
 TEST(WireCodecTest, CutBatchBytesArePinned)
 {
-    // v3 and v4, seq 0 and 1, sparse, all-hot and quiesced frames:
+    // Seq 0 and 1, sparse, all-hot and quiesced frames:
     // encodeCutBatch() and encodeFrame() write the same pinned
     // bytes, appended after whatever the buffer already holds.
     for (const GoldenFrame &g : goldenCutBatches()) {
@@ -896,15 +785,318 @@ TEST(WireCodecTest, CutBatchBytesArePinned)
             direct.push_back(0xaa);
             framed.push_back(0xaa);
         }
-        encodeCutBatch(g.msg, direct, g.version);
+        encodeCutBatch(g.msg, direct);
         Frame f;
         f.type = FrameType::CutBatch;
-        f.version = g.version;
         f.cut_batch = g.msg;
         encodeFrame(f, framed);
         EXPECT_EQ(toHex(direct), g.hex);
         EXPECT_EQ(toHex(framed), g.hex);
     }
+}
+
+/** One pinned control-plane frame and its expected bytes as hex. */
+struct GoldenControlFrame
+{
+    std::string name;
+    Frame frame;
+    std::string hex;
+};
+
+std::vector<GoldenControlFrame>
+goldenControlFrames()
+{
+    std::vector<GoldenControlFrame> out;
+    {
+        Frame f;
+        f.type = FrameType::Hello;
+        f.hello = HelloMsg{/*shard_id=*/3, /*version=*/kWireVersion,
+                           /*udp_port=*/40123, /*tcp_port=*/40124};
+        out.push_back({"hello", f,
+            "44504357040001000a000000030000000400bb9cbc9c"});
+    }
+    {
+        Frame f;
+        f.type = FrameType::Welcome;
+        f.welcome.agreed_version = kWireVersion;
+        f.welcome.num_shards = 3;
+        f.welcome.rounds = 0x0123456789ull;
+        f.welcome.udp_ports = {1000, 1001, 50000};
+        f.welcome.tcp_ports = {2000, 2001, 65535};
+        out.push_back({"welcome", f,
+            "44504357040002001a0000000400030000008967452301000000e803"
+            "e90350c3d007d107ffff"});
+    }
+    {
+        Frame f;
+        f.type = FrameType::RoundGo;
+        f.round_go = RoundGoMsg{/*round=*/0x1122334455667788ull,
+                                /*global_max_dp=*/-0.0, /*stop=*/1};
+        out.push_back({"roundgo", f,
+            "44504357040005001100000088776655443322110000000000000080"
+            "01"});
+    }
+    {
+        Frame f;
+        f.type = FrameType::Result;
+        ResultMsg &m = f.result;
+        m.shard_id = 1;
+        m.epoch = 2;
+        m.bytes_sent = 3;
+        m.frames_sent = 4;
+        m.retransmits = 5;
+        m.retrans_bytes = 6;
+        m.bytes_received = 7;
+        m.frames_received = 8;
+        m.duplicates = 9;
+        m.edges_suppressed = 10;
+        m.stale_epoch_frames = 11;
+        m.gaveup_frames = 12;
+        m.suspect_events = 13;
+        m.peer_suspected = 0b110;
+        m.suppressed_frames = 15;
+        m.delta_frames = 16;
+        m.wake_messages = 17;
+        for (std::size_t b = 0; b < m.edges_per_frame_hist.size(); ++b)
+            m.edges_per_frame_hist[b] = 100 + b;
+        m.final_local_max_dp = 1.25e-3;
+        m.phase_send_s = 0.5;
+        m.phase_interior_s = 0.25;
+        m.phase_drain_s = -0.0;
+        m.phase_boundary_s = 2.0;
+        m.round_loop_s = 4.0;
+        m.node_ids = {512, 513};
+        m.power = {160.0, 170.5};
+        m.estimate = {-1e-12, 1.0 / 3.0};
+        out.push_back({"result", f,
+            "44504357040006002401000001000000020000000300000000000000"
+            "04000000000000000500000000000000060000000000000007000000"
+            "00000000080000000000000009000000000000000a00000000000000"
+            "0b000000000000000c000000000000000d0000000000000006000000"
+            "000000000f0000000000000010000000000000001100000000000000"
+            "64000000000000006500000000000000660000000000000067000000"
+            "00000000680000000000000069000000000000006a00000000000000"
+            "6b000000000000006c000000000000007b14ae47e17a543f00000000"
+            "0000e03f000000000000d03f00000000000000800000000000000040"
+            "00000000000010400200000000020000000000000000644011ea2d81"
+            "999771bd010200000000000000506540555555555555d53f"});
+    }
+    {
+        Frame f;
+        f.type = FrameType::EpochChange;
+        f.epoch_change.epoch = 3;
+        f.epoch_change.phase = EpochPhase::Resume;
+        f.epoch_change.resume_round = 0x123456789abcull;
+        f.epoch_change.dead_mask = 0b1010;
+        f.epoch_change.held = {-1234.5, -0.0};
+        out.push_back({"epochchange", f,
+            "4450435704000800290000000300000002bc9a7856341200000a0000"
+            "00000000000200000000000000004a93c00000000000000080"});
+    }
+    {
+        Frame f;
+        f.type = FrameType::EpochAck;
+        f.epoch_ack.shard_id = 2;
+        f.epoch_ack.epoch = 5;
+        f.epoch_ack.phase = EpochPhase::Rollback;
+        f.epoch_ack.last_completed = 41;
+        f.epoch_ack.sum_p = {513.0, 170.0};
+        f.epoch_ack.sum_e = {-1e-12, 0.0};
+        out.push_back({"epochack", f,
+            "44504357040009003500000002000000050000000129000000000000"
+            "0002000000000000000008804011ea2d81999771bd00000000004065"
+            "400000000000000000"});
+    }
+    {
+        Frame f;
+        f.type = FrameType::Heartbeat;
+        f.heartbeat.shard_id = 7;
+        f.heartbeat.epoch = 2;
+        f.heartbeat.round = 0xabcdefull;
+        out.push_back({"heartbeat", f,
+            "4450435704000a00100000000700000002000000efcdab0000000000"});
+    }
+    return out;
+}
+
+TEST(WireCodecTest, FrameBytesArePinned)
+{
+    // Every control frame type, pinned byte for byte, and each
+    // decodes back to the same encoding.
+    for (const GoldenControlFrame &g : goldenControlFrames()) {
+        SCOPED_TRACE(g.name);
+        std::vector<std::uint8_t> buf;
+        encodeFrame(g.frame, buf);
+        EXPECT_EQ(toHex(buf), g.hex);
+        Frame out;
+        std::size_t consumed = 0;
+        ASSERT_EQ(decodeFrame(buf.data(), buf.size(), out, consumed),
+                  DecodeStatus::Ok);
+        EXPECT_EQ(consumed, buf.size());
+        EXPECT_EQ(out.type, g.frame.type);
+        std::vector<std::uint8_t> again;
+        encodeFrame(out, again);
+        EXPECT_EQ(again, buf);
+    }
+}
+
+/** Every pinned frame's bytes: the fuzzer's seed corpus. */
+std::vector<std::vector<std::uint8_t>>
+goldenCorpus()
+{
+    std::vector<std::vector<std::uint8_t>> out;
+    for (const GoldenFrame &g : goldenCutBatches()) {
+        out.emplace_back();
+        encodeCutBatch(g.msg, out.back());
+    }
+    for (const GoldenControlFrame &g : goldenControlFrames()) {
+        out.emplace_back();
+        encodeFrame(g.frame, out.back());
+    }
+    return out;
+}
+
+/** The decoder's contract on one arbitrary buffer; true when it
+ * decoded Ok. */
+bool
+checkDecodeContract(const std::vector<std::uint8_t> &buf)
+{
+    Frame f;
+    std::size_t consumed = 0;
+    const DecodeStatus st =
+        decodeFrame(buf.data(), buf.size(), f, consumed);
+    if (st != DecodeStatus::Ok) {
+        EXPECT_EQ(consumed, 0u);
+        return false;
+    }
+    // Ok consumes exactly the header plus the declared payload,
+    // and never more than it was given.
+    EXPECT_GE(buf.size(), kWireHeaderSize);
+    std::uint32_t payload_len = 0;
+    for (int i = 0; i < 4; ++i)
+        payload_len |= std::uint32_t{buf[8 + i]} << (8 * i);
+    EXPECT_EQ(consumed, kWireHeaderSize + payload_len);
+    EXPECT_LE(consumed, buf.size());
+    // Every proper prefix of the frame asks for more.
+    for (std::size_t len = 0; len < consumed; ++len) {
+        Frame p;
+        std::size_t c = 0;
+        EXPECT_EQ(decodeFrame(buf.data(), len, p, c),
+                  DecodeStatus::NeedMore)
+            << "prefix length " << len;
+    }
+    // The decoded frame survives its own round trip: it encodes to
+    // bytes that decode back to a frame with the same encoding.
+    // Fixed-width layouts re-encode to the very bytes decoded; a
+    // CutBatch may come back shorter, as the decoder accepts
+    // overlong varints and the encoder writes minimal ones.
+    std::vector<std::uint8_t> once;
+    encodeFrame(f, once);
+    if (f.type == FrameType::CutBatch)
+        EXPECT_LE(once.size(), consumed);
+    else
+        EXPECT_TRUE(std::equal(once.begin(), once.end(), buf.begin(),
+                               buf.begin() + consumed));
+    Frame again;
+    std::size_t c = 0;
+    EXPECT_EQ(decodeFrame(once.data(), once.size(), again, c),
+              DecodeStatus::Ok);
+    EXPECT_EQ(c, once.size());
+    EXPECT_EQ(again.type, f.type);
+    std::vector<std::uint8_t> twice;
+    encodeFrame(again, twice);
+    EXPECT_EQ(twice, once);
+    return true;
+}
+
+TEST(WireCodecTest, DecoderSurvivesMutatedAndRandomBytes)
+{
+    // A seeded mutation fuzzer over the pinned frames: bit flips,
+    // byte overwrites, truncations and payload-length edits, plus
+    // random buffers (half of them behind a well-formed header so
+    // the body decoders see the noise).  Fixed seed and iteration
+    // count: the run is deterministic and well under a second.
+    const std::vector<std::vector<std::uint8_t>> corpus =
+        goldenCorpus();
+    const FrameType types[] = {
+        FrameType::Hello,       FrameType::Welcome,
+        FrameType::RoundGo,     FrameType::Result,
+        FrameType::CutBatch,    FrameType::EpochChange,
+        FrameType::EpochAck,    FrameType::Heartbeat,
+    };
+    constexpr int kIterations = 20000;
+    std::mt19937_64 rng(0x5eedf00dull);
+    const auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    const auto setPayloadLen = [](std::vector<std::uint8_t> &b,
+                                  std::uint32_t v) {
+        for (int i = 0; i < 4; ++i)
+            b[8 + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    };
+    int ok = 0;
+    for (int it = 0; it < kIterations; ++it) {
+        std::vector<std::uint8_t> buf;
+        if (it % 8 == 0) {
+            buf.resize(pick(160));
+            for (std::uint8_t &b : buf)
+                b = static_cast<std::uint8_t>(rng());
+            if (buf.size() >= kWireHeaderSize && pick(2) == 0) {
+                Frame hdr;
+                hdr.type = types[pick(std::size(types))];
+                std::vector<std::uint8_t> h;
+                encodeFrame(hdr, h);
+                std::copy_n(h.begin(), kWireHeaderSize, buf.begin());
+                setPayloadLen(buf, static_cast<std::uint32_t>(
+                                       buf.size() - kWireHeaderSize));
+            }
+        } else {
+            buf = corpus[pick(corpus.size())];
+            const std::size_t n_mut = 1 + pick(4);
+            for (std::size_t m = 0; m < n_mut && !buf.empty(); ++m) {
+                switch (pick(4)) {
+                case 0: // bit flip
+                    buf[pick(buf.size())] ^=
+                        static_cast<std::uint8_t>(1u << pick(8));
+                    break;
+                case 1: { // byte overwrite, often a varint edge
+                    static const std::uint8_t edges[] = {
+                        0x00, 0x01, 0x7f, 0x80, 0xfe, 0xff};
+                    buf[pick(buf.size())] =
+                        pick(2) == 0
+                            ? edges[pick(std::size(edges))]
+                            : static_cast<std::uint8_t>(rng());
+                    break;
+                }
+                case 2: // truncation
+                    buf.resize(pick(buf.size()));
+                    break;
+                default: { // payload-length edit
+                    if (buf.size() < kWireHeaderSize)
+                        break;
+                    const auto exact = static_cast<std::uint32_t>(
+                        buf.size() - kWireHeaderSize);
+                    const std::uint32_t v =
+                        pick(4) == 0
+                            ? static_cast<std::uint32_t>(rng())
+                            : exact + static_cast<std::uint32_t>(
+                                          pick(17)) -
+                                  8;
+                    setPayloadLen(buf, v);
+                    break;
+                }
+                }
+            }
+        }
+        SCOPED_TRACE("iteration " + std::to_string(it));
+        if (checkDecodeContract(buf))
+            ++ok;
+        if (::testing::Test::HasFailure())
+            return;
+    }
+    // The mutations must leave enough frames intact for the Ok
+    // path's checks to mean something.
+    EXPECT_GT(ok, kIterations / 20);
 }
 
 } // namespace

@@ -20,6 +20,8 @@
  *   dpc shard     --nodes N --shards S [--rounds R] [--proto P]
  *                 [--budget W/node] [--seed X] [--stats 1]
  *                 [--depth D] [--retrans-ms MS] [--threshold M]
+ *                 [--kill-shard S@R] [--stall-shard S@R:D_MS]
+ *                 [--recover 0|1] [--deadline-ms MS]
  *       Fork S real shard processes that split the overlay and run
  *       DiBA over 127.0.0.1 sockets (proto: udp or tcp), then
  *       verify the reassembled caps bitwise against an in-process
@@ -31,7 +33,12 @@
  *       the per-phase round breakdown; --depth D enables
  *       bounded-staleness pipelining; --threshold M sets the
  *       active-set threshold to M x tolerance (M > 0 engages the
- *       sparse wire path).
+ *       sparse wire path).  --kill-shard S@R SIGKILLs shard S at
+ *       the top of round R; --stall-shard S@R:D_MS SIGSTOPs it
+ *       there and the broker resumes it after D_MS ms; --recover 1
+ *       survives a confirmed death by rolling the survivors back
+ *       and re-federating the dead block's budget; --deadline-ms
+ *       is the broker's liveness deadline for a silent shard.
  */
 
 #include <cstdio>
