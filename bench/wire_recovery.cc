@@ -208,7 +208,8 @@ main()
 
             if (bad != 0 || res.availability < kAvailabilityBar ||
                 detect_r > kDetectionBar ||
-                rollback_r > opt.checkpoint_depth || !settled)
+                rollback_r > cluster::kShardCheckpointDepth ||
+                !settled)
                 ++failures;
 
             table.addRow(

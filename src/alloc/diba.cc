@@ -1157,15 +1157,14 @@ DibaAllocator::iterateShard(net::Transport &t, std::size_t begin,
     // Frontier branch (steady-state sparsity over the wire): when
     // the engine permits the active-set kernel, the caller asked
     // for it (threshold above zero), no channel decides fates, and
-    // the transport is synchronous and carries the wake channel,
-    // the round's compute is the frontier sweep.  Threshold 0
-    // stays on the dense schedule, bitwise unchanged.
+    // the transport carries the wake channel, the round's compute
+    // is the frontier sweep.  Threshold 0 stays on the dense
+    // schedule, bitwise unchanged.
     const bool sparse = sparseEngineActive() &&
                         cfg_.active_threshold > 0.0 &&
-                        chan == nullptr && t.maxLag() == 0 &&
-                        t.wakesSupported();
+                        chan == nullptr && t.wakesSupported();
     const std::size_t chan_lag = chan != nullptr ? chan->maxLag() : 0;
-    pushHistory(chan_lag + t.maxLag() + 1);
+    pushHistory(chan_lag + 1);
     // Dense transport rounds touch every node outside the
     // active-set engine's bookkeeping; keep the frontier
     // conservatively hot so a later iterate() resumes from a valid
@@ -1173,20 +1172,13 @@ DibaAllocator::iterateShard(net::Transport &t, std::size_t begin,
     if (!sparse)
         frontier_.reheatAll();
 
-    // Open the round with the history ring as the patch sink: the
-    // transport writes every incoming peer half straight into the
-    // snapshot row of the round it belongs to (row addresses
-    // rotate with pushHistory, so the sink is handed over anew
-    // every round).
+    // Open the round with the front history row as the sink: the
+    // transport writes every incoming peer half straight into this
+    // round's snapshot (row addresses rotate with pushHistory, so
+    // the sink is handed over anew every round).
     const auto t0 = clock::now();
     const std::uint64_t round = transport_round_++;
-    patch_rows_.clear();
-    for (std::vector<double> &h : hist_)
-        patch_rows_.push_back(h.data());
-    net::Transport::PatchSink sink;
-    sink.rows = patch_rows_.data();
-    sink.nrows = patch_rows_.size();
-    t.beginRound(round, sink);
+    t.beginRound(round, hist_.front().data());
     if (chan != nullptr)
         chan->beginRound(all_edges_.size());
     const std::vector<std::uint8_t> *cut = t.cutMask();
@@ -1218,18 +1210,17 @@ DibaAllocator::iterateShard(net::Transport &t, std::size_t begin,
         pair.hot_v = hot[v] != 0;
         t.send(pair);
     };
-    // Fully-live overlay, no channel, no effective cut lag: every
-    // pair's fate is {delivered, 0}, so the fate table is neither
-    // written nor read (the compute below runs the fate-free
-    // kernels, slot for slot the arithmetic of iterate()) and the
-    // offer pass walks only the cut ids, O(cut) instead of O(E).
+    // Fully-live overlay, no channel: every pair's fate is
+    // {delivered, 0}, so the fate table is neither written nor
+    // read (the compute below runs the fate-free kernels, slot for
+    // slot the arithmetic of iterate()) and the offer pass walks
+    // only the cut ids, O(cut) instead of O(E).
     // Offered pairs include quiesced ones: suppression makes them
     // nearly free on the wire, and the unconditional offer keeps
     // the sender-declared completion alive on both ends.  The
     // active-set branch always lands here (its engine implies a
-    // fully-live overlay and maxLag 0).
+    // fully-live overlay).
     const bool uniform_fresh = chan == nullptr &&
-                               clampLag(t.maxLag()) == 0 &&
                                num_active_ == p_.size() &&
                                disabled_edges_ == 0;
     if (uniform_fresh) {
@@ -1243,8 +1234,7 @@ DibaAllocator::iterateShard(net::Transport &t, std::size_t begin,
         // dead or cut-off edges consume no draw and stay dropped.
         // A cut pair is offered whatever its fate (the frame flows
         // even when the transfer is cancelled, which keeps remote
-        // snapshots exact) and lags by the transport's maxLag() on
-        // top of the channel's lag.
+        // snapshots exact).
         fates_.assign(all_edges_.size(), EdgeFate{false, 0});
         for (std::size_t id = 0; id < all_edges_.size(); ++id) {
             const auto &[u, v] = all_edges_[id];
@@ -1256,10 +1246,8 @@ DibaAllocator::iterateShard(net::Transport &t, std::size_t begin,
                 DPC_ASSERT(f.lag <= chan_lag, "channel returned lag ",
                            f.lag, " above its maxLag()");
             }
-            if (cut != nullptr && (*cut)[id] != 0) {
-                f.lag += static_cast<std::uint32_t>(t.maxLag());
+            if (cut != nullptr && (*cut)[id] != 0)
                 offerPair(static_cast<std::uint32_t>(id));
-            }
             f.lag = clampLag(f.lag);
             fates_[id] = f;
         }

@@ -230,8 +230,7 @@ class DibaAllocator : public IterativeAllocator
      * is computed by both endpoints from the same lagged snapshot,
      * so sum(e) == sum(p) - P is conserved bit-exactly under any
      * loss/delay pattern.  Without a channel every pair is
-     * delivered fresh.  Either way a cut pair (non-zero
-     * t.cutMask() entry) lags by t.maxLag() more; a drop wins.
+     * delivered fresh, cut (non-zero t.cutMask() entry) or not.
      *
      * Values: every live cut pair is offered to `t` whatever its
      * fate, carrying the pre-round snapshot estimates and the
@@ -958,7 +957,7 @@ class DibaAllocator : public IterativeAllocator
      * to; with a scan of u's slots, edgeId()'s lookup. */
     std::vector<std::uint32_t> slot_edge_;
     /** Pre-round estimate snapshots, most recent first (depth
-     * maxLag + 1), for stale paired transfers. */
+     * the channel's maxLag + 1), for stale paired transfers. */
     std::deque<std::vector<double>> hist_;
     /** Per-round edge fate scratch for fated iterateShard rounds. */
     std::vector<EdgeFate> fates_;
@@ -992,9 +991,6 @@ class DibaAllocator : public IterativeAllocator
      * scanning the whole overlay each round. */
     std::vector<std::uint32_t> cut_ids_;
     const void *cut_ids_src_ = nullptr;
-    /** Per-round scratch of history-row pointers handed to the
-     * transport as its patch sink. */
-    std::vector<double *> patch_rows_;
     /** Per-phase wall-clock totals of transport-routed rounds. */
     TransportPhaseTotals phase_totals_;
     SetupPhases setup_phases_;

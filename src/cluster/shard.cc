@@ -50,6 +50,10 @@ failDeadBlocks(DibaAllocator &alloc, const ShardPlan &plan,
     return alloc.failNodesQuiet(std::move(nodes), &label);
 }
 
+/** Shard heartbeat cadence on the broker link of a guarded run
+ * (recover or a non-empty fault plan), in milliseconds. */
+constexpr int kHeartbeatMs = 50;
+
 sockaddr_in
 loopbackAddr(std::uint16_t port)
 {
@@ -201,14 +205,17 @@ dialBroker(std::uint16_t port)
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     DPC_ASSERT(fd >= 0, "socket(): ", std::strerror(errno));
     sockaddr_in addr = loopbackAddr(port);
-    using clock = std::chrono::steady_clock;
-    const auto give_up = clock::now() + std::chrono::seconds(10);
+    // The broker listens before it forks, so the first connect
+    // lands in its backlog.  An interrupted connect keeps going in
+    // the kernel: retrying reports EALREADY until it lands, then
+    // EISCONN.
     while (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
                      sizeof(addr)) != 0) {
-        if (clock::now() > give_up)
+        if (errno == EISCONN)
+            break;
+        if (errno != EINTR && errno != EALREADY)
             fatal("shard cannot reach broker on port ", port, ": ",
                   std::strerror(errno));
-        ::usleep(2000);
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -234,7 +241,7 @@ shardMain(std::uint32_t shard_id, const ShardPlan &plan,
     DibaAllocator alloc(topo, cfg);
     alloc.reset(prob);
     if (opt.recover) {
-        alloc.setShardCheckpointDepth(opt.checkpoint_depth);
+        alloc.setShardCheckpointDepth(kShardCheckpointDepth);
         // Baseline checkpoint: a death during round 0 rolls the
         // survivors back to the reset state.
         alloc.saveShardCheckpoint();
@@ -243,9 +250,7 @@ shardMain(std::uint32_t shard_id, const ShardPlan &plan,
     // Guarded control plane: heartbeats + broker-driven recovery.
     // Armed only when the run can actually need it, so the
     // no-fault path stays byte-for-byte the PR 8 behavior.
-    const bool guarded = opt.recover || !opt.faults.empty() ||
-                         opt.heartbeat_ms > 0;
-    const int hb_ms = opt.heartbeat_ms > 0 ? opt.heartbeat_ms : 50;
+    const bool guarded = opt.recover || !opt.faults.empty();
 
     /** Control-plane state shared between the transport tick hook
      * and the round loop. */
@@ -288,7 +293,7 @@ shardMain(std::uint32_t shard_id, const ShardPlan &plan,
     auto tickNow = [&]() -> bool {
         if (ctl.bfd >= 0) {
             const std::int64_t now = nowMs();
-            if (now - ctl.last_hb >= hb_ms) {
+            if (now - ctl.last_hb >= kHeartbeatMs) {
                 Frame hb;
                 hb.type = FrameType::Heartbeat;
                 hb.heartbeat.shard_id = shard_id;
@@ -309,11 +314,7 @@ shardMain(std::uint32_t shard_id, const ShardPlan &plan,
     tc.owner_of = plan.owner_of;
     tc.proto = opt.proto;
     tc.retrans_ms = opt.retrans_ms;
-    tc.pipeline_depth = opt.pipeline_depth;
     tc.datagram_budget = opt.datagram_budget;
-    tc.hosts = opt.hosts;
-    if (!opt.hosts.empty())
-        tc.bind_host = opt.hosts[shard_id];
     // The broker link is dialed before the transport exists so its
     // blocking waits can watch it: a Quiesce or the final Bye then
     // ends a wait the moment it lands instead of up to one
@@ -722,22 +723,13 @@ runShardedDiba(const AllocationProblem &prob, const Graph &topo,
     DPC_ASSERT(cfg.num_threads == 0,
                "sharded runs fork: Config::num_threads must be 0");
     DPC_ASSERT(opt.num_shards >= 1, "need at least one shard");
-    DPC_ASSERT(!(opt.lossy && opt.pipeline_depth > 0),
-               "the fault model reasons about one round in "
-               "flight: lossy requires pipeline_depth == 0");
-    DPC_ASSERT(!opt.recover ||
-                   (opt.pipeline_depth == 0 && !opt.lossy),
-               "recover requires pipeline_depth == 0 and !lossy "
-               "(rollback reasons about one round in flight)");
+    DPC_ASSERT(!(opt.recover && opt.lossy),
+               "recover requires !lossy: a rollback does not "
+               "rewind the loss channel's draws");
     DPC_ASSERT(opt.num_shards <= 64,
                "dead_mask is 64 bits: at most 64 shards");
-    DPC_ASSERT(opt.hosts.empty() ||
-                   opt.hosts.size() == opt.num_shards,
-               "hosts must name every shard (or be empty for the "
-               "loopback default)");
 
-    const bool guarded = opt.recover || !opt.faults.empty() ||
-                         opt.heartbeat_ms > 0;
+    const bool guarded = opt.recover || !opt.faults.empty();
 
     // The plan is deterministic in the topology alone.
     ShardPlan plan = makeShardPlan(topo, opt.num_shards);

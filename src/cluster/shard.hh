@@ -95,6 +95,11 @@ ShardPlan makeShardPlan(const Graph &topo, std::uint32_t num_shards);
 ShardPlan makeShardPlan(const DibaAllocator &alloc,
                         std::uint32_t num_shards);
 
+/** Between-rounds checkpoint ring depth of a recovering shard
+ * (ShardRunOptions::recover).  Covers the maximum inter-shard round
+ * drift, which the transport's 4-round rx window bounds. */
+constexpr std::size_t kShardCheckpointDepth = 8;
+
 struct ShardRunOptions
 {
     std::uint32_t num_shards = 2;
@@ -103,19 +108,12 @@ struct ShardRunOptions
     std::size_t rounds = 60;
     net::SocketTransport::Proto proto =
         net::SocketTransport::Proto::Udp;
-    /** Bounded-staleness depth d: a shard may run up to d rounds
-     * ahead of its slowest adjacent peer, every cut pair at fixed
-     * lag d.  0 = synchronous, bitwise equal to the blocking
-     * path. */
-    std::uint32_t pipeline_depth = 0;
     /** UDP retransmit tick while a round is incomplete (ms). */
     int retrans_ms = 20;
     /** Target packed size of one CutBatch frame. */
     std::size_t datagram_budget = 1400;
     /** Draw every shard's pair fates from a same-seed
-     * LossyChannel (fault-model parity runs).  Requires
-     * pipeline_depth == 0 (the fault model reasons about one
-     * round in flight). */
+     * LossyChannel (fault-model parity runs). */
     bool lossy = false;
     LossyChannel::Config loss{};
     std::uint64_t loss_seed = 1;
@@ -130,7 +128,7 @@ struct ShardRunOptions
      * re-federates the held budget partition-aware, and resumes.
      * Off (the default): any death fails the run cleanly
      * (ShardRunResult::ok = false) without hanging the parent.
-     * Requires pipeline_depth == 0 and !lossy.
+     * Requires !lossy.
      */
     bool recover = false;
     /** Broker liveness deadline: a shard silent (no heartbeat, no
@@ -141,13 +139,6 @@ struct ShardRunOptions
      * shard that never says Hello fails the run within this
      * bound. */
     int handshake_deadline_ms = 20000;
-    /** Shard heartbeat cadence on the broker link; 0 = default
-     * (50 ms) when the control plane is guarded, off otherwise. */
-    int heartbeat_ms = 0;
-    /** Between-rounds checkpoint ring depth for rollback
-     * (recover = true only).  Must cover the maximum inter-shard
-     * round drift (<= the transport's 4-round rx window). */
-    std::size_t checkpoint_depth = 8;
     /**
      * Scheduled warm-started budget steps: before running round
      * `round`, every shard calls warmStart(result(), delta).  On a
@@ -165,14 +156,6 @@ struct ShardRunOptions
         double delta = 0.0;
     };
     std::vector<BudgetStep> budget_steps;
-    /**
-     * Per-shard data-plane IPv4 addresses (hosts[s] = the address
-     * shard s binds and its peers dial).  Empty = every shard on
-     * 127.0.0.1, the tested default of the forked single-machine
-     * runner; a multi-host deployment driving shardMain-equivalent
-     * processes itself fills one entry per shard.
-     */
-    std::vector<std::string> hosts;
 };
 
 struct ShardRunResult

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <string>
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -21,32 +20,17 @@ namespace net {
 namespace {
 
 sockaddr_in
-hostAddr(const std::string &host, std::uint16_t port)
+loopbackAddr(std::uint16_t port)
 {
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
-    if (host.empty())
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    else
-        DPC_ASSERT(::inet_pton(AF_INET, host.c_str(),
-                               &addr.sin_addr) == 1,
-                   "bad IPv4 address '", host, "'");
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     return addr;
 }
 
-sockaddr_in
-peerAddr(const SocketTransport::Config &cfg, std::uint32_t s,
-         std::uint16_t port)
-{
-    return hostAddr(s < cfg.hosts.size() ? cfg.hosts[s]
-                                         : std::string(),
-                    port);
-}
-
 int
-boundSocket(int type, const std::string &bind_host,
-            std::uint16_t &port_out)
+boundSocket(int type, std::uint16_t &port_out)
 {
     const int fd = ::socket(AF_INET, type, 0);
     DPC_ASSERT(fd >= 0, "socket(): ", std::strerror(errno));
@@ -77,7 +61,7 @@ boundSocket(int type, const std::string &bind_host,
             ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &big,
                          sizeof(big));
     }
-    sockaddr_in addr = hostAddr(bind_host, 0);
+    sockaddr_in addr = loopbackAddr(0);
     DPC_ASSERT(::bind(fd, reinterpret_cast<sockaddr *>(&addr),
                       sizeof(addr)) == 0,
                "bind(): ", std::strerror(errno));
@@ -176,7 +160,7 @@ SocketTransport::SocketTransport(Config cfg) : cfg_(std::move(cfg))
                kMinFrameSize);
     const int type =
         cfg_.proto == Proto::Udp ? SOCK_DGRAM : SOCK_STREAM;
-    sock_ = boundSocket(type, cfg_.bind_host, local_port_);
+    sock_ = boundSocket(type, local_port_);
     if (cfg_.proto == Proto::Tcp)
         DPC_ASSERT(::listen(sock_,
                             static_cast<int>(cfg_.num_shards)) == 0,
@@ -190,10 +174,8 @@ SocketTransport::SocketTransport(Config cfg) : cfg_(std::move(cfg))
 
     buildCutLists();
 
-    w_tx_ = std::size_t{cfg_.pipeline_depth} + 3;
-    tx_ring_.resize(std::size_t{cfg_.num_shards} * w_tx_);
-    w_rx_ = 2 * std::size_t{cfg_.pipeline_depth} + 4;
-    rx_ring_.resize(w_rx_);
+    tx_ring_.resize(std::size_t{cfg_.num_shards} * kTxWindow);
+    rx_ring_.resize(kRxWindow);
 
     tx_last_.assign(cut_.size(), 0);
     tx_has_.assign(cut_.size(), 0);
@@ -318,7 +300,7 @@ SocketTransport::connectPeers(const std::vector<std::uint16_t> &ports)
     for (std::uint32_t s = 0; s < cfg_.shard_id; ++s) {
         const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
         DPC_ASSERT(fd >= 0, "socket(): ", std::strerror(errno));
-        sockaddr_in addr = peerAddr(cfg_, s, ports[s]);
+        sockaddr_in addr = loopbackAddr(ports[s]);
         // The peer may not have reached accept() yet; retry
         // briefly instead of failing the whole shard.
         const std::int64_t give_up = nowMs() + 10000;
@@ -367,7 +349,7 @@ SocketTransport::ownerOf(std::uint32_t node) const
 SocketTransport::RxSlot &
 SocketTransport::rxSlot(std::uint64_t round)
 {
-    RxSlot &s = rx_ring_[round % w_rx_];
+    RxSlot &s = rx_ring_[round % kRxWindow];
     if (s.round == round)
         return s;
     DPC_ASSERT(s.round == kNoRound || s.round < rx_emitted_,
@@ -388,24 +370,22 @@ SocketTransport::rxSlot(std::uint64_t round)
 }
 
 void
-SocketTransport::beginRound(std::uint64_t round, const PatchSink &sink)
+SocketTransport::beginRound(std::uint64_t round, double *sink)
 {
-    DPC_ASSERT(sink.rows != nullptr && sink.nrows > 0,
-               "patch sink without snapshot rows");
+    DPC_ASSERT(sink != nullptr, "beginRound without a sink row");
     round_ = round;
     started_ = true;
     flushed_ = false;
     // The sink lasts one round: the caller's row addresses rotate
     // with its history ring.
-    sink_rows_.assign(sink.rows, sink.rows + sink.nrows);
+    sink_ = sink;
     for (std::uint32_t s = 0; s < cfg_.num_shards; ++s) {
         TxAccum &a = tx_[s];
         a.changed.clear();
         a.hot.assign((tx_nodes_[s].size() + 63) / 64, 0);
-        a.offered = 0;
         a.suppressed = 0;
-        TxRound &tr = tx_ring_[std::size_t{s} * w_tx_ +
-                               round % w_tx_];
+        TxRound &tr = tx_ring_[std::size_t{s} * kTxWindow +
+                               round % kTxWindow];
         tr.round = round;
         tr.datagrams.clear();
     }
@@ -431,7 +411,6 @@ SocketTransport::send(const EdgePair &pair)
     const std::uint64_t bits =
         bitsOf(ce.own_u ? pair.e_u : pair.e_v);
     TxAccum &a = tx_[ce.peer];
-    ++a.offered;
     // The wake channel: fold the own endpoint's hot bit into the
     // per-peer boundary bitmap (shipped on seq 0).
     if (ce.own_u ? pair.hot_u : pair.hot_v)
@@ -466,14 +445,14 @@ SocketTransport::transmitBatch(std::uint32_t s,
             // retransmit machinery re-delivers it bitwise intact.
             ++stats_.gaveup_frames;
         } else {
-            sockaddr_in addr = peerAddr(cfg_, s, peer_port_[s]);
+            sockaddr_in addr = loopbackAddr(peer_port_[s]);
             const ssize_t k = ::sendto(
                 sock_, buf.data(), buf.size(), 0,
                 reinterpret_cast<sockaddr *>(&addr), sizeof(addr));
             if (k < 0)
                 warn("shard sendto: ", std::strerror(errno));
         }
-        tx_ring_[std::size_t{s} * w_tx_ + round_ % w_tx_]
+        tx_ring_[std::size_t{s} * kTxWindow + round_ % kTxWindow]
             .datagrams.emplace_back(buf.begin(), buf.end());
     } else {
         trySendStream(s, buf.data(), buf.size());
@@ -655,7 +634,7 @@ SocketTransport::resendRound(std::uint32_t s, std::uint64_t round)
     if (cfg_.proto != Proto::Udp || !peer_alive_[s])
         return;
     const TxRound &tr =
-        tx_ring_[std::size_t{s} * w_tx_ + round % w_tx_];
+        tx_ring_[std::size_t{s} * kTxWindow + round % kTxWindow];
     if (tr.round != round)
         return; // aged out of the ring
     if (blackholed(s)) {
@@ -663,7 +642,7 @@ SocketTransport::resendRound(std::uint32_t s, std::uint64_t round)
         return;
     }
     for (const auto &dg : tr.datagrams) {
-        sockaddr_in addr = peerAddr(cfg_, s, peer_port_[s]);
+        sockaddr_in addr = loopbackAddr(peer_port_[s]);
         (void)::sendto(sock_, dg.data(), dg.size(), 0,
                        reinterpret_cast<sockaddr *>(&addr),
                        sizeof(addr));
@@ -679,7 +658,7 @@ SocketTransport::nudgePeer(std::uint32_t s, std::uint64_t from)
         return;
     replayed_this_poll_ = true;
     const std::uint64_t lo =
-        round_ + 1 >= w_tx_ ? round_ + 1 - w_tx_ : 0;
+        round_ + 1 >= kTxWindow ? round_ + 1 - kTxWindow : 0;
     for (std::uint64_t r = std::max(from, lo); r <= round_; ++r)
         resendRound(s, r);
 }
@@ -784,7 +763,7 @@ SocketTransport::fileBatch(const CutBatchMsg &msg)
         nudgePeer(s, msg.round);
         return;
     }
-    if (msg.round >= rx_emitted_ + w_rx_) {
+    if (msg.round >= rx_emitted_ + kRxWindow) {
         warn("shard ", cfg_.shard_id, " got batch for round ",
              msg.round, " while in round ", round_,
              " (emitted ", rx_emitted_, ")");
@@ -876,7 +855,7 @@ SocketTransport::resolveRx()
     for (;;) {
         if (rx_emitted_ > round_)
             return;
-        RxSlot &slot = rx_ring_[rx_emitted_ % w_rx_];
+        RxSlot &slot = rx_ring_[rx_emitted_ % kRxWindow];
         if (slot.round != rx_emitted_ || !slot.open)
             return;
         // Sender-driven completion: every cut peer's seq-0
@@ -891,12 +870,12 @@ SocketTransport::resolveRx()
                 return;
         // Emit in offer (canonical) order: refresh the replay
         // cache, then write the peer-owned half of every offered
-        // cut pair into the caller's snapshot row of that round.
-        std::uint64_t age = round_ - slot.round;
-        if (age >= sink_rows_.size())
-            age = sink_rows_.size() - 1;
-        double *const sink_row =
-            sink_rows_[static_cast<std::size_t>(age)];
+        // cut pair into the caller's snapshot row.  poll() returns
+        // only once a round has emitted, so the round emitting
+        // here is always the open one, the round the sink row
+        // belongs to.
+        DPC_ASSERT(slot.round == round_, "rx round ", slot.round,
+                   " resolved at open round ", round_);
         for (const std::uint32_t ci : slot.offered) {
             if (slot.st[ci] != 0) {
                 // Records are XOR against the peer's previous
@@ -910,7 +889,7 @@ SocketTransport::resolveRx()
                 DPC_ASSERT(rx_has_[ci] != 0,
                            "held cut edge with no cached value");
             }
-            sink_row[cut_patch_slot_[ci]] = doubleOf(rx_val_[ci]);
+            sink_[cut_patch_slot_[ci]] = doubleOf(rx_val_[ci]);
         }
         // The round's wake bitmaps land with its value patches
         // (strict round order), which is what keeps the sharded
@@ -925,13 +904,7 @@ SocketTransport::resolveRx()
 bool
 SocketTransport::roundComplete() const
 {
-    if (!started_)
-        return true;
-    const std::uint64_t need =
-        round_ + 1 > cfg_.pipeline_depth
-            ? round_ + 1 - cfg_.pipeline_depth
-            : 0;
-    return rx_emitted_ >= need;
+    return !started_ || rx_emitted_ >= round_ + 1;
 }
 
 SocketTransport::Wake
@@ -1089,7 +1062,7 @@ SocketTransport::fatalTimeout()
     // Name every peer the oldest unresolved round still waits on:
     // either its seq-0 declaration never arrived, or fewer records
     // than it declared have been filed.
-    const RxSlot &slot = rx_ring_[rx_emitted_ % w_rx_];
+    const RxSlot &slot = rx_ring_[rx_emitted_ % kRxWindow];
     std::string owed;
     if (slot.round == rx_emitted_) {
         for (std::uint32_t s = 0; s < cfg_.num_shards; ++s) {
@@ -1127,7 +1100,7 @@ SocketTransport::tickRetransmit()
     // Which peers still owe halves of the oldest unresolved round?
     // (Suspicion tracks silence from peers we are WAITING ON, not
     // peers that merely have not acked -- there are no acks.)
-    const RxSlot &slot = rx_ring_[rx_emitted_ % w_rx_];
+    const RxSlot &slot = rx_ring_[rx_emitted_ % kRxWindow];
     std::vector<std::uint8_t> owed(cfg_.num_shards, 0);
     if (slot.round == rx_emitted_)
         for (std::uint32_t s = 0; s < cfg_.num_shards; ++s)
@@ -1142,7 +1115,7 @@ SocketTransport::tickRetransmit()
             peer_ticks_[s] = 0;
         } else {
             ++peer_ticks_[s];
-            if (peer_ticks_[s] == cfg_.suspect_after) {
+            if (peer_ticks_[s] == kSuspectAfter) {
                 ++stats_.suspect_events;
                 if ((stats_.peer_suspected & (1ull << s)) == 0)
                     warn("shard ", cfg_.shard_id, " suspects peer ",
@@ -1152,14 +1125,14 @@ SocketTransport::tickRetransmit()
                 stats_.peer_suspected |= 1ull << s;
             }
         }
-        if (peer_ticks_[s] >= cfg_.suspect_after) {
+        if (peer_ticks_[s] >= kSuspectAfter) {
             // Retransmit budget exhausted: withhold blind timer
             // resends (each withheld datagram is a gaveup) until
             // the peer's own traffic refunds the budget.  The
             // dup-triggered nudgePeer path stays live, so a slow
             // peer can still unstick itself.
             const TxRound &tr =
-                tx_ring_[std::size_t{s} * w_tx_ + round_ % w_tx_];
+                tx_ring_[std::size_t{s} * kTxWindow + round_ % kTxWindow];
             if (tr.round == round_)
                 stats_.gaveup_frames += tr.datagrams.size();
             continue;
@@ -1251,7 +1224,6 @@ SocketTransport::epochChange(std::uint32_t epoch,
     }
     for (TxAccum &a : tx_) {
         a.changed.clear();
-        a.offered = 0;
         a.suppressed = 0;
         a.hot.clear();
     }

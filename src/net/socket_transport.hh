@@ -20,11 +20,10 @@
  * bitmap, the cross-shard wake channel.
  *
  * Incoming peer halves are written straight from the frame decode
- * into the caller's snapshot rows (the PatchSink handed to
- * beginRound), in canonical offer order once the round's batches
- * resolve.  The transport decides no fates: the caller lags every
- * cut pair by maxLag() = pipeline_depth and draws any loss from
- * its own channel.
+ * into the caller's snapshot row (the sink handed to beginRound),
+ * in canonical offer order once the round's batches resolve.  The
+ * transport decides no fates: the caller draws any loss or lag
+ * from its own channel.
  *
  * Compute/communication overlap: batches are packed and posted on
  * the first poll()/tryPoll() after the sends (the payloads are
@@ -42,14 +41,9 @@
  * rounds in order.  This is accounting (convergence bookkeeping)
  * -- it never blocks the data plane.
  *
- * Bounded staleness: with Config::pipeline_depth = d > 0 every cut
- * pair runs at lag d (maxLag()) and a shard may run up to d
- * rounds ahead of its slowest adjacent peer (poll() completes once
- * rounds <= round - d have resolved).  Both endpoints of a cut
- * edge then diffuse from the round r-d snapshots, which keeps the
- * paired transfer antisymmetric and the global bookkeeping exact.
- * d = 0 is the synchronous mode, bitwise equal to the historical
- * blocking path.
+ * Rounds are synchronous: poll() completes once the open round
+ * has resolved, so every shard runs in lockstep with its adjacent
+ * peers and the data plane binds and dials 127.0.0.1.
  *
  * Wire modes:
  *   Udp  one datagram socket per shard; batches are deduped by
@@ -70,7 +64,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -105,26 +98,10 @@ class SocketTransport final : public Transport
         int retrans_ms = 20;
         /** Give-up bound for one round (dead peer). */
         int round_timeout_ms = 30000;
-        /** Bounded-staleness depth: 0 = synchronous (bitwise equal
-         * to the blocking path); d > 0 lets this shard run up to d
-         * rounds ahead, with every cut pair at fixed lag d. */
-        std::uint32_t pipeline_depth = 0;
         /** Target packed size of one batch frame.  A seq-0 frame
          * whose fixed part (reports + hot bitmap) alone exceeds it
          * is sent oversized rather than split. */
         std::size_t datagram_budget = 1400;
-        /**
-         * Retransmit budget per peer: after this many consecutive
-         * fruitless retransmit ticks while a peer still owes the
-         * oldest unresolved round, the peer is SUSPECTED (stats)
-         * and blind timer resends to it stop (each skipped resend
-         * counts as a gaveup frame).  Dup-triggered replays stay
-         * on, so a merely slow peer unsticks itself; the budget
-         * resets the moment the peer's traffic files anything.
-         * Suspicion is a local hint -- correctness-critical death
-         * handling rides on the broker obituary via `tick`.
-         */
-        int suspect_after = 50;
         /**
          * Control-plane hook called from inside poll()'s wait loop
          * (never from the tryPoll hot path).  Return true to ABORT
@@ -149,17 +126,6 @@ class SocketTransport final : public Transport
          * resend, no suspicion.
          */
         int control_fd = -1;
-        /**
-         * Per-shard peer hosts as IPv4 dotted-quad strings
-         * (hosts[s] carries shard s's data address).  Empty, or an
-         * empty entry: 127.0.0.1, the tested single-machine
-         * default.  Paired with the broker port table handed to
-         * connectPeers().
-         */
-        std::vector<std::string> hosts;
-        /** Local address to bind the data socket on (dotted quad);
-         * empty: 127.0.0.1. */
-        std::string bind_host;
     };
 
     /** Per-run wire accounting (the BENCH_wire numbers).
@@ -189,7 +155,7 @@ class SocketTransport final : public Transport
          * dropped at an epoch change plus timer resends withheld
          * from suspected peers and sends eaten by a blackhole. */
         std::uint64_t gaveup_frames = 0;
-        /** Times a peer crossed the suspect_after budget. */
+        /** Times a peer crossed the kSuspectAfter budget. */
         std::uint64_t suspect_events = 0;
         /** Bitmask of peers ever suspected (sticky; bit s = shard
          * s).  A queryable record, not a correctness input. */
@@ -229,15 +195,10 @@ class SocketTransport final : public Transport
     {
         return &cut_mask_;
     }
-    void beginRound(std::uint64_t round,
-                    const PatchSink &sink) override;
+    void beginRound(std::uint64_t round, double *sink) override;
     void send(const EdgePair &pair) override;
     void poll() override;
     void tryPoll() override;
-    std::size_t maxLag() const override
-    {
-        return cfg_.pipeline_depth;
-    }
 
     /** The wake channel rides seq-0 frames: EdgePair hot bits
      * are folded into per-peer boundary bitmaps on send and the
@@ -333,6 +294,22 @@ class SocketTransport final : public Transport
     static constexpr std::uint64_t kNoRound = ~0ull;
     /** all-reduce window: in-flight unresolved rounds. */
     static constexpr std::size_t kDpWindow = 64;
+    /** Retained tx rounds per peer (UDP replays). */
+    static constexpr std::size_t kTxWindow = 3;
+    /** rx slots: the open round plus peer rounds filed early. */
+    static constexpr std::size_t kRxWindow = 4;
+    /**
+     * Retransmit budget per peer: after this many consecutive
+     * fruitless retransmit ticks while a peer still owes the
+     * oldest unresolved round, the peer is SUSPECTED (stats) and
+     * blind timer resends to it stop (each skipped resend counts
+     * as a gaveup frame).  Dup-triggered replays stay on, so a
+     * merely slow peer unsticks itself; the budget resets the
+     * moment the peer's traffic files anything.  Suspicion is a
+     * local hint -- correctness-critical death handling rides on
+     * the broker obituary via Config::tick.
+     */
+    static constexpr int kSuspectAfter = 50;
 
     /** One cut edge incident to this shard. */
     struct CutEdge
@@ -361,7 +338,6 @@ class SocketTransport final : public Transport
     struct TxAccum
     {
         std::vector<std::pair<std::uint32_t, std::uint64_t>> changed;
-        std::uint32_t offered = 0;
         std::uint32_t suppressed = 0;
         /** Boundary hot bitmap over tx_nodes_[peer] (words), folded
          * from EdgePair hot bits during send(). */
@@ -486,10 +462,10 @@ class SocketTransport final : public Transport
 
     /** Emit resolved rx rounds in order (gated to <= round_):
      * update the replay cache and write the peer halves into the
-     * patch sink. */
+     * sink row. */
     void resolveRx();
 
-    /** Rounds <= round_ - pipeline_depth fully emitted. */
+    /** The open round fully emitted. */
     bool roundComplete() const;
 
     void fatalTimeout();
@@ -531,9 +507,9 @@ class SocketTransport final : public Transport
     /** cutMask(): 1 exactly where cut_of_edge_ is a real cut
      * index (the pairs the caller offers). */
     std::vector<std::uint8_t> cut_mask_;
-    /** The open round's patch sink: row pointers into the caller's
-     * history ring, replaced by every beginRound. */
-    std::vector<double *> sink_rows_;
+    /** The open round's sink row (the caller's snapshot), replaced
+     * by every beginRound. */
+    double *sink_ = nullptr;
     /** cut_ index -> the peer-owned node, the row slot its patch
      * lands in. */
     std::vector<std::uint32_t> cut_patch_slot_;
@@ -564,8 +540,8 @@ class SocketTransport final : public Transport
     std::vector<std::uint64_t> tx_last_;
     std::vector<std::uint8_t> tx_has_;
     std::vector<TxAccum> tx_;
-    std::vector<TxRound> tx_ring_; ///< [peer * w_tx_ + round % w_tx_]
-    std::size_t w_tx_ = 0;
+    /** [peer * kTxWindow + round % kTxWindow] */
+    std::vector<TxRound> tx_ring_;
     /** Encode buffer of transmitBatch (reused across frames; the
      * retransmit ring keeps exact-size copies). */
     std::vector<std::uint8_t> tx_frame_;
@@ -573,8 +549,7 @@ class SocketTransport final : public Transport
     /** Last-emitted peer-half bits per cut_ index. */
     std::vector<std::uint64_t> rx_val_;
     std::vector<std::uint8_t> rx_has_;
-    std::vector<RxSlot> rx_ring_; ///< [round % w_rx_]
-    std::size_t w_rx_ = 0;
+    std::vector<RxSlot> rx_ring_; ///< [round % kRxWindow]
     /** Rounds [0, rx_emitted_) fully resolved and emitted. */
     std::uint64_t rx_emitted_ = 0;
 

@@ -32,12 +32,13 @@
  *    and the epoch abort, and decides nothing.  LoopbackTransport
  *    is the in-process identity (no cut); SocketTransport
  *    (net/socket_transport.hh) moves cut halves between shard
- *    processes as WireCodec frames, with a fixed lag of
- *    maxLag() rounds under bounded staleness.
+ *    processes as WireCodec frames, one synchronous round at a
+ *    time.
  *
- * A round over a channel and a transport composes the two per
- * pair: the channel's drop wins, and a cut pair's lag is the
- * channel's lag plus the transport's maxLag().
+ * A round over a channel and a transport takes every pair's fate,
+ * cut or not, from the channel alone; the transport only delivers
+ * this round's peer halves, which a stale fate later reads back
+ * from the history the channel's maxLag() keeps.
  */
 
 #ifndef DPC_NET_TRANSPORT_HH
@@ -99,8 +100,9 @@ class GossipChannel
  * One cut pair offered to a Transport: the undirected edge, the
  * synchronized round it belongs to, and the endpoints' pre-round
  * snapshot estimates.  Endpoint ids are the overlay's canonical
- * pair (u < v), the same on every shard.  A sharded sender fills only the halves it
- * owns; the transport routes each half to the peer that needs it.
+ * pair (u < v), the same on every shard.  A sharded sender fills
+ * only the halves it owns; the transport routes each half to the
+ * peer that needs it.
  */
 struct EdgePair
 {
@@ -123,38 +125,24 @@ struct EdgePair
 /**
  * The data plane of synchronized rounds: a pure carrier of values.
  * A transport decides no fates -- the round draws every pair's
- * fate from its optional GossipChannel and lags every cut pair by
- * maxLag() on top -- it only moves the peer halves of CUT edges
- * (edges whose endpoints live in different processes), the wake
- * bits riding with them, and the epoch abort.
+ * fate from its optional GossipChannel -- it only moves the peer
+ * halves of CUT edges (edges whose endpoints live in different
+ * processes), the wake bits riding with them, and the epoch
+ * abort.
  *
  * Round protocol (one synchronized round):
- *   1. beginRound(round, sink) -- sink names the caller's
- *      estimate-history rows, the only path for incoming values;
+ *   1. beginRound(round, sink) -- sink is the caller's snapshot
+ *      row of this round, the only path for incoming values;
  *   2. send() once per live cut pair (non-zero cutMask() entry),
  *      in increasing edge_id order;
  *   3. tryPoll() any number of times, then poll() once: every peer
- *      half that resolves is written straight into the sink rows,
+ *      half that resolves is written straight into the sink row,
  *      and poll() returns once the round is complete (or aborted).
  */
 class Transport
 {
   public:
     virtual ~Transport() = default;
-
-    /**
-     * Destination for incoming peer halves.  rows[a] points at the
-     * caller's estimate snapshot from a rounds before the open
-     * round; a half whose age exceeds nrows - 1 clamps to the
-     * oldest row (the first rounds after a reset have less
-     * history).  Rows are indexed by node id.  The rows must
-     * stay valid and unresized until the next beginRound().
-     */
-    struct PatchSink
-    {
-        double *const *rows = nullptr;
-        std::size_t nrows = 0;
-    };
 
     /**
      * Per-overlay-edge cut mask (1: the edge crosses to another
@@ -168,17 +156,21 @@ class Transport
         return nullptr;
     }
 
-    /** Open synchronized round `round` (monotonic per caller). */
-    virtual void beginRound(std::uint64_t round,
-                            const PatchSink &sink) = 0;
+    /**
+     * Open synchronized round `round` (monotonic per caller).
+     * `sink` is the caller's pre-round estimate snapshot, indexed
+     * by node id: every incoming peer half of the round lands
+     * there.  It must stay valid and unresized until the next
+     * beginRound().
+     */
+    virtual void beginRound(std::uint64_t round, double *sink) = 0;
 
     /** Offer one live cut pair for this round. */
     virtual void send(const EdgePair &pair) = 0;
 
     /**
      * Block until the open round is complete: every peer half it
-     * needs is filed into the sink (with a lag, every round at
-     * least maxLag() old), or the round aborted.
+     * needs is filed into the sink, or the round aborted.
      */
     virtual void poll() {}
 
@@ -228,17 +220,13 @@ class Transport
     /** The current remote wake view (see WakeView); meaningful
      * only when wakesSupported(). */
     virtual WakeView remoteWakes() const { return {}; }
-
-    /** Staleness, in rounds, of every cut pair's peer half (0: the
-     * synchronous round). */
-    virtual std::size_t maxLag() const { return 0; }
 };
 
 /** The in-process identity transport: no cut, nothing to carry. */
 class LoopbackTransport final : public Transport
 {
   public:
-    void beginRound(std::uint64_t, const PatchSink &) override {}
+    void beginRound(std::uint64_t, double *) override {}
     void send(const EdgePair &) override {}
 };
 

@@ -97,8 +97,10 @@ class Reader
         return true;
     }
 
-    /** Unsigned LEB128; rejects encodings past 10 bytes or with
-     * value bits beyond 64 (a 10th byte may only carry bit 63). */
+    /** Unsigned LEB128 in its one minimal form; rejects encodings
+     * past 10 bytes, with value bits beyond 64 (a 10th byte may
+     * only carry bit 63), or overlong (a multi-byte encoding whose
+     * last byte is 0x00, such as 0x80 0x00 for 0). */
     bool varint(std::uint64_t &x)
     {
         x = 0;
@@ -107,6 +109,8 @@ class Reader
                 return false;
             const std::uint8_t b = data_[pos_++];
             if (i == 9 && (b & ~std::uint8_t{1}) != 0)
+                return false;
+            if (i > 0 && b == 0)
                 return false;
             x |= std::uint64_t{b & 0x7fu} << (7 * i);
             if ((b & 0x80u) == 0)

@@ -247,7 +247,7 @@ struct ResultMsg
      * dropped at an epoch change plus sends withheld from
      * suspected or blackholed peers. */
     std::uint64_t gaveup_frames = 0;
-    /** Times a peer crossed the suspect_after fruitless-tick
+    /** Times a peer crossed the kSuspectAfter fruitless-tick
      * budget. */
     std::uint64_t suspect_events = 0;
     /** Bitmask of peers ever suspected (bit s = shard s). */

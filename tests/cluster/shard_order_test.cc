@@ -60,7 +60,7 @@ class ScriptTransport final : public net::Transport
         return &cut_;
     }
 
-    void beginRound(std::uint64_t, const PatchSink &sink) override
+    void beginRound(std::uint64_t, double *sink) override
     {
         sink_ = sink;
     }
@@ -97,11 +97,11 @@ class ScriptTransport final : public net::Transport
   private:
     void file(const Patch &p)
     {
-        sink_.rows[0][p.node] = p.value;
+        sink_[p.node] = p.value;
     }
 
     std::vector<std::uint8_t> cut_;
-    PatchSink sink_;
+    double *sink_ = nullptr;
     std::vector<Patch> patches_;
     std::size_t ppos_ = 0;
     std::size_t chunk_ = 1;

@@ -237,152 +237,6 @@ TEST(ShardProcessTest, TinyDatagramBudgetSplitsBatchesBitwise)
                        "estimate");
 }
 
-/** Fixed-lag reference transport for the bounded-staleness mode:
- * every cut pair (endpoints in different plan blocks) runs at lag
- * `depth`, everything else fresh -- the single-process trajectory
- * a depth-d sharded run must reproduce bitwise.  In-process, the
- * peer halves are already in the snapshot, so nothing is carried. */
-class FixedLagCutTransport final : public net::Transport
-{
-  public:
-    FixedLagCutTransport(
-        const std::vector<std::uint32_t> &owner_of,
-        const std::vector<GraphEdge> &edges,
-        std::uint32_t depth)
-        : depth_(depth)
-    {
-        for (const auto &[u, v] : edges)
-            cut_.push_back(owner_of[u] != owner_of[v] ? 1 : 0);
-    }
-
-    const std::vector<std::uint8_t> *cutMask() const override
-    {
-        return &cut_;
-    }
-
-    void beginRound(std::uint64_t, const PatchSink &) override {}
-
-    void send(const net::EdgePair &) override {}
-
-    std::size_t maxLag() const override { return depth_; }
-
-  private:
-    std::vector<std::uint8_t> cut_;
-    std::uint32_t depth_;
-};
-
-TEST(ShardProcessTest, PipelineDepthMatchesFixedLagReference)
-{
-    // Bounded staleness: at pipeline_depth d every cut pair runs
-    // at fixed lag d on BOTH endpoints (antisymmetry preserved),
-    // so the sharded trajectory must equal a single-process run
-    // whose transport lags exactly the cut pairs by d.
-    const std::size_t n = 64, rounds = 35;
-    const auto prob = test::npbProblem(n, 170.0, 5);
-    Rng topo_rng(9);
-    const auto topo = makeChordalRing(n, 8, topo_rng);
-    const DibaAllocator::Config cfg{};
-
-    DibaAllocator planner(topo, cfg);
-    const auto plan = makeShardPlan(planner, 2);
-
-    for (const std::uint32_t depth : {1u, 2u}) {
-        ShardRunOptions opt;
-        opt.num_shards = 2;
-        opt.rounds = rounds;
-        opt.proto = net::SocketTransport::Proto::Udp;
-        opt.pipeline_depth = depth;
-        const auto sharded = runShardedDiba(prob, topo, cfg, opt);
-
-        DibaAllocator ref(topo, cfg);
-        ref.reset(prob);
-        FixedLagCutTransport lagged(plan.owner_of,
-                                    planner.overlayEdges(), depth);
-        for (std::size_t r = 0; r < rounds; ++r)
-            ref.stepWithTransport(lagged);
-
-        expectBitwiseEqual(ref.power(), sharded.power, "power");
-        expectBitwiseEqual(ref.estimates(), sharded.estimates,
-                           "estimate");
-    }
-}
-
-/** A channel's fates with every cut pair lagged `depth` more: what
- * a lossy round over a depth-d cut must compose to. */
-class CutLaggedChannel final : public GossipChannel
-{
-  public:
-    CutLaggedChannel(GossipChannel &inner,
-                     std::vector<std::uint32_t> owner_of,
-                     std::uint32_t depth)
-        : inner_(inner), owner_(std::move(owner_of)), depth_(depth)
-    {
-    }
-
-    void beginRound(std::size_t num_edges) override
-    {
-        inner_.beginRound(num_edges);
-    }
-
-    EdgeFate fate(std::size_t edge_id, std::size_t u,
-                  std::size_t v) override
-    {
-        EdgeFate f = inner_.fate(edge_id, u, v);
-        if (owner_[u] != owner_[v])
-            f.lag += depth_;
-        return f;
-    }
-
-    std::size_t maxLag() const override
-    {
-        return inner_.maxLag() + depth_;
-    }
-
-  private:
-    GossipChannel &inner_;
-    std::vector<std::uint32_t> owner_;
-    std::uint32_t depth_;
-};
-
-TEST(FixedLagCutTest, ChannelDropWinsAndCutLagAdds)
-{
-    // A round over a lagged cut AND a lossy channel composes the
-    // two per pair: the channel's drop wins and a cut pair's lag
-    // is the channel's lag plus the transport's maxLag().
-    const std::size_t n = 64, rounds = 40;
-    const auto prob = test::npbProblem(n, 170.0, 5);
-    Rng topo_rng(9);
-    const auto topo = makeChordalRing(n, 8, topo_rng);
-    const DibaAllocator::Config cfg{};
-    DibaAllocator planner(topo, cfg);
-    const auto plan = makeShardPlan(planner, 2);
-
-    LossyChannel::Config loss;
-    loss.drop_rate = 0.15;
-    loss.delay_rate = 0.2;
-    loss.max_lag = 2;
-    const std::uint32_t depth = 2;
-
-    DibaAllocator routed(topo, cfg), ref(topo, cfg);
-    routed.reset(prob);
-    ref.reset(prob);
-    LossyChannel chan(loss, 31), twin(loss, 31);
-    FixedLagCutTransport lagged(plan.owner_of, planner.overlayEdges(),
-                                depth);
-    CutLaggedChannel composed(twin, plan.owner_of, depth);
-    net::LoopbackTransport loopback;
-    for (std::size_t r = 0; r < rounds; ++r) {
-        EXPECT_EQ(routed.stepWithTransport(lagged, &chan),
-                  ref.stepWithTransport(loopback, &composed))
-            << "round " << r;
-    }
-    expectBitwiseEqual(ref.power(), routed.power(), "power");
-    expectBitwiseEqual(ref.estimates(), routed.estimates(),
-                       "estimate");
-    EXPECT_GT(chan.stats().dropped, 0u);
-    EXPECT_GT(chan.stats().stale, 0u);
-}
-
 TEST(ShardSparseTest, ActiveSetTwoShardUdpMatchesIterateBitwise)
 {
     // The steady-state tentpole's central pin: a positive
@@ -596,6 +450,21 @@ TEST(ShardProcessTest, LossyShardsMatchLossyLoopbackBitwise)
     ASSERT_TRUE(sharded.ok) << sharded.error;
     expectBitwiseEqual(ref.power(), sharded.power, "power");
     expectBitwiseEqual(ref.estimates(), sharded.estimates, "estimate");
+}
+
+TEST(ShardProcessDeathTest, RecoverRefusesLossy)
+{
+    // The one configuration the sharded runner still refuses: the
+    // assert fires before any shard is forked.
+    const std::size_t n = 16;
+    const auto prob = test::npbProblem(n, 170.0, 11);
+    const auto topo = makeRing(n);
+    ShardRunOptions opt;
+    opt.recover = true;
+    opt.lossy = true;
+    EXPECT_DEATH(runShardedDiba(prob, topo, DibaAllocator::Config{},
+                                opt),
+                 "recover requires !lossy");
 }
 
 } // namespace

@@ -210,8 +210,7 @@ pollAgainstSilentPeer(const std::vector<std::uint8_t> &forged)
         ::close(fd);
     }
     double row[2] = {0.0, 0.0};
-    double *rows[1] = {row};
-    a.beginRound(0, net::Transport::PatchSink{rows, 1});
+    a.beginRound(0, row);
     a.send(net::EdgePair{/*edge_id=*/0, /*u=*/0, /*v=*/1,
                          /*round=*/0, /*e_u=*/1.0, /*e_v=*/2.0});
     a.poll();

@@ -481,6 +481,26 @@ TEST(WireCodecTest, CutBatchV4MalformedIsBad)
             decodeFrame(buf.data(), buf.size(), out, consumed),
             DecodeStatus::Bad);
     }
+
+    // An overlong `changed` count (0x80 0x00 for 0): every varint
+    // has one minimal encoding, so two byte strings never decode
+    // to one frame.
+    {
+        Frame f;
+        f.type = FrameType::CutBatch;
+        f.cut_batch.seq = 0;
+        std::vector<std::uint8_t> buf;
+        encodeFrame(f, buf);
+        const std::size_t changed_off = kWireHeaderSize + 22;
+        ASSERT_EQ(buf[changed_off], 0x00);
+        buf.insert(buf.begin() + changed_off, 0x80);
+        const std::uint32_t plen = static_cast<std::uint32_t>(
+            buf.size() - kWireHeaderSize);
+        std::memcpy(buf.data() + 8, &plen, sizeof(plen));
+        EXPECT_EQ(
+            decodeFrame(buf.data(), buf.size(), out, consumed),
+            DecodeStatus::Bad);
+    }
 }
 
 TEST(WireCodecTest, FramesAboveCurrentVersionAreBad)
@@ -985,18 +1005,13 @@ checkDecodeContract(const std::vector<std::uint8_t> &buf)
                   DecodeStatus::NeedMore)
             << "prefix length " << len;
     }
-    // The decoded frame survives its own round trip: it encodes to
-    // bytes that decode back to a frame with the same encoding.
-    // Fixed-width layouts re-encode to the very bytes decoded; a
-    // CutBatch may come back shorter, as the decoder accepts
-    // overlong varints and the encoder writes minimal ones.
+    // The decoded frame survives its own round trip: every frame
+    // type, CutBatch included, has one encoding, so it re-encodes
+    // to the very bytes decoded.
     std::vector<std::uint8_t> once;
     encodeFrame(f, once);
-    if (f.type == FrameType::CutBatch)
-        EXPECT_LE(once.size(), consumed);
-    else
-        EXPECT_TRUE(std::equal(once.begin(), once.end(), buf.begin(),
-                               buf.begin() + consumed));
+    EXPECT_TRUE(std::equal(once.begin(), once.end(), buf.begin(),
+                           buf.begin() + consumed));
     Frame again;
     std::size_t c = 0;
     EXPECT_EQ(decodeFrame(once.data(), once.size(), again, c),

@@ -19,7 +19,7 @@
  *
  *   dpc shard     --nodes N --shards S [--rounds R] [--proto P]
  *                 [--budget W/node] [--seed X] [--stats 1]
- *                 [--depth D] [--retrans-ms MS] [--threshold M]
+ *                 [--retrans-ms MS] [--threshold M]
  *                 [--kill-shard S@R] [--stall-shard S@R:D_MS]
  *                 [--recover 0|1] [--deadline-ms MS]
  *       Fork S real shard processes that split the overlay and run
@@ -30,8 +30,7 @@
  *       directions, retransmits, dedup hits, suppressed halves,
  *       suppressed/delta frames and wake notifications of the
  *       sparse steady-state path, edges-per-frame histogram) and
- *       the per-phase round breakdown; --depth D enables
- *       bounded-staleness pipelining; --threshold M sets the
+ *       the per-phase round breakdown; --threshold M sets the
  *       active-set threshold to M x tolerance (M > 0 engages the
  *       sparse wire path).  --kill-shard S@R SIGKILLs shard S at
  *       the top of round R; --stall-shard S@R:D_MS SIGSTOPs it
@@ -39,12 +38,15 @@
  *       survives a confirmed death by rolling the survivors back
  *       and re-federating the dead block's budget; --deadline-ms
  *       is the broker's liveness deadline for a silent shard.
+ *
+ * Every subcommand refuses an option it does not read.
  */
 
 #include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <map>
+#include <set>
 #include <string>
 
 #include "alloc/diba.hh"
@@ -66,7 +68,8 @@ using namespace dpc;
 
 namespace {
 
-/** Minimal --key value argument map. */
+/** Minimal --key value argument map that remembers which keys
+ * were read, so a subcommand can refuse the rest. */
 class Args
 {
   public:
@@ -84,6 +87,7 @@ class Args
     double
     num(const std::string &key, double fallback) const
     {
+        read_.insert(key);
         const auto it = kv_.find(key);
         return it == kv_.end() ? fallback : std::stod(it->second);
     }
@@ -91,12 +95,24 @@ class Args
     std::string
     str(const std::string &key, const std::string &fallback) const
     {
+        read_.insert(key);
         const auto it = kv_.find(key);
         return it == kv_.end() ? fallback : it->second;
     }
 
+    /** Fatal on the first given key that no num()/str() read. */
+    void
+    refuseUnread(const std::string &cmd) const
+    {
+        for (const auto &kv : kv_)
+            if (read_.count(kv.first) == 0)
+                fatal("unknown option '--", kv.first, "' for dpc ",
+                      cmd);
+    }
+
   private:
     std::map<std::string, std::string> kv_;
+    mutable std::set<std::string> read_;
 };
 
 Graph
@@ -123,6 +139,12 @@ cmdAllocate(const Args &args)
     const auto seed =
         static_cast<std::uint64_t>(args.num("seed", 1));
     const std::string scheme = args.str("scheme", "diba");
+    // The overlay options shape only the diba scheme, but the
+    // usage lists them for every scheme.
+    const std::string topology = args.str("topology", "ring");
+    const auto chords =
+        static_cast<std::size_t>(args.num("chords", n / 5));
+    args.refuseUnread("allocate");
 
     Rng rng(seed);
     const auto assignment = drawNpbAssignment(n, rng);
@@ -132,10 +154,8 @@ cmdAllocate(const Args &args)
     AllocationResult res;
     if (scheme == "diba") {
         Rng topo_rng(seed ^ 0xbeef);
-        DibaAllocator diba(buildTopology(
-            args.str("topology", "ring"), n,
-            static_cast<std::size_t>(args.num("chords", n / 5)),
-            topo_rng));
+        DibaAllocator diba(
+            buildTopology(topology, n, chords, topo_rng));
         res = diba.allocate(prob);
     } else if (scheme == "pd") {
         PrimalDualAllocator pd;
@@ -201,6 +221,7 @@ cmdSimulate(const Args &args)
     const double drop = args.num("drop", 0.0);
     const auto seed =
         static_cast<std::uint64_t>(args.num("seed", 1));
+    args.refuseUnread("simulate");
 
     Rng rng(seed);
     auto assignment = drawNpbAssignment(n, rng);
@@ -250,6 +271,7 @@ cmdTopology(const Args &args)
     const double wpn = args.num("budget", 172.0);
     const auto seed =
         static_cast<std::uint64_t>(args.num("seed", 1));
+    args.refuseUnread("topology");
 
     Rng rng(seed);
     AllocationProblem prob{utilitiesOf(drawNpbAssignment(n, rng)),
@@ -323,8 +345,6 @@ cmdShard(const Args &args)
     cluster::ShardRunOptions opt;
     opt.num_shards = shards;
     opt.rounds = rounds;
-    opt.pipeline_depth =
-        static_cast<std::uint32_t>(args.num("depth", 0));
     opt.retrans_ms =
         static_cast<int>(args.num("retrans-ms", opt.retrans_ms));
     opt.recover = args.num("recover", 0) != 0;
@@ -358,6 +378,7 @@ cmdShard(const Args &args)
         opt.proto = net::SocketTransport::Proto::Tcp;
     else
         fatal("unknown proto '", proto, "' (udp|tcp)");
+    args.refuseUnread("shard");
 
     const auto run = cluster::runShardedDiba(prob, topo, cfg, opt);
     if (!run.ok) {
@@ -502,7 +523,7 @@ usage()
         << "  topology: --nodes N --budget W/node --seed X\n"
         << "  shard:    --nodes N --shards S --rounds R "
            "--proto udp|tcp --budget W/node --seed X\n"
-           "            [--stats 1] [--depth D] "
+           "            [--stats 1] "
            "[--retrans-ms MS] [--threshold M]\n"
            "            [--kill-shard S@R] [--stall-shard S@R:D_MS]"
            " [--recover 0|1] [--deadline-ms MS]\n";
